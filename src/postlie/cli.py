@@ -260,6 +260,16 @@ def _rational_flag(text: str) -> Fraction:
     return value
 
 
+def _count_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -639,8 +649,8 @@ def build_parser() -> _Parser:
     p = search_sub.add_parser("pa", help="three-stage product search on (g, n)")
     p.add_argument("--g", required=True, metavar="FILE|ID")
     p.add_argument("--n", required=True, metavar="FILE|ID")
-    p.add_argument("--grid-height", type=int, default=2, metavar="H")
-    p.add_argument("--budget", type=int, default=512, metavar="K")
+    p.add_argument("--grid-height", type=_count_flag, default=2, metavar="H")
+    p.add_argument("--budget", type=_count_flag, default=512, metavar="K")
     _json_flag(p)
     p.set_defaults(func=_cmd_search_pa)
 

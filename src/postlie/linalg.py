@@ -5,12 +5,13 @@ floating point is used anywhere.  Matrices are immutable tuples of row tuples,
 which keeps them hashable (so higher layers can cache invariants) and makes
 "canonical form" a plain data-equality notion.
 
-The dimensions handled by this library are tiny (ambient dimension at most
-nine, linear systems with a few hundred unknowns), so the implementation
-favors clarity and deterministic output over asymptotics: plain Gauss-Jordan
-elimination with leftmost-pivot selection, reduced row echelon form as the
-canonical representative of a row space, and nullspace bases enumerated in
-ascending free-column order.
+The linear systems built by the higher layers are very sparse (a few percent
+of their entries are nonzero), so :func:`rref` eliminates on sparse rows,
+``{column: value}`` dicts that hold only the nonzero entries, and does
+arithmetic only where a row has them.  Reduced row echelon form is unique,
+so the result is the same canonical representative of the row space that
+any elimination order gives, returned in the dense representation above.
+Nullspace bases are enumerated in ascending free-column order.
 """
 
 from __future__ import annotations
@@ -126,35 +127,52 @@ def trace(m: Matrix) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
+def _subtract_multiple(row: dict, f: Fraction, other: dict) -> None:
+    """``row -= f * other`` in place on sparse rows, dropping zeros."""
+    for c, y in other.items():
+        v = row.get(c, ZERO) - f * y
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns.
 
-    Pivots are chosen left to right with the first nonzero entry in each
-    column, rows are rescaled to a leading 1 and fully reduced, so the result
-    is the unique RREF of the row space.  Zero rows are kept (callers that
-    want a basis drop them).
+    Rows are added one at a time to a running RREF kept as sparse rows: each
+    is reduced against the pivots found so far, and a nonzero remainder is
+    scaled to a leading 1 at its leftmost column and eliminated from the
+    earlier pivot rows.  The result is the unique RREF of the row space,
+    with pivot rows in ascending pivot order and the zero rows kept at the
+    bottom (callers that want a basis drop them).
     """
-    rows = [list(row) for row in m]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
+    # pivot column -> its normalized row without the leading 1; these rows
+    # never hold another pivot column, so one pass reduces a new row fully
+    tails: dict[int, dict[int, Fraction]] = {}
+    for dense_row in m:
+        row = {c: x for c, x in enumerate(dense_row) if x}
+        for p in [c for c in row if c in tails]:
+            _subtract_multiple(row, row.pop(p), tails[p])
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+        p = min(row)
+        inv = ONE / row.pop(p)
+        new = {c: x * inv for c, x in row.items()}
+        for tail in tails.values():
+            f = tail.pop(p, None)
+            if f is not None:
+                _subtract_multiple(tail, f, new)
+        tails[p] = new
+
+    n_cols = len(m[0]) if m else 0
+    pivots = tuple(sorted(tails))
+    reduced = [
+        tuple(ONE if c == p else tails[p].get(c, ZERO) for c in range(n_cols))
+        for p in pivots
+    ]
+    reduced.extend([(ZERO,) * n_cols] * (len(m) - len(pivots)))
+    return tuple(reduced), pivots
 
 
 def row_basis(m: Matrix) -> Matrix:
@@ -230,7 +248,10 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by Gaussian elimination with exact division by each pivot.
+
+    The result is the signed product of the pivots; a row swap flips the sign.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -101,11 +102,20 @@ class SolutionSpace:
         if len(coefficients) != len(self.basis):
             raise ValueError("need one coefficient per basis vector")
         flat = list(self.particular)
-        for c, vec in zip(coefficients, self.basis):
+        for c, support in zip(coefficients, self._basis_supports):
             c = linalg.frac(c)
             if c != 0:
-                flat = [x + c * y for x, y in zip(flat, vec)]
+                for index, y in support:
+                    flat[index] += c * y
         return _product_from_flat(self.dim, flat)
+
+    @cached_property
+    def _basis_supports(self) -> tuple:
+        """Each basis vector as its ``(flat index, value)`` nonzero pairs."""
+        return tuple(
+            tuple((index, y) for index, y in enumerate(vec) if y)
+            for vec in self.basis
+        )
 
     def contains(self, product: PAProduct) -> bool:
         """Exact membership of a product's coefficient vector."""
@@ -257,10 +267,15 @@ def pa_search(
     witness), ``not_exists`` (only from linear infeasibility, which is
     field-independent), or ``unknown`` (budget exhausted).  ``budget``
     bounds the number of S3 grid points; ``grid_height`` is the half-width
-    of the integer grid on the free parameters.
+    of the integer grid on the free parameters; both must be non-negative
+    (``ValueError`` otherwise).
     """
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if grid_height < 0:
+        raise ValueError(f"grid_height must be non-negative, got {grid_height}")
     d = g.dim
     g_name = g_name or g.name or "g"
     n_name = n_name or n.name or "n"
@@ -337,7 +352,7 @@ def pa_search(
     # --- S3: bounded grid over the free parameters -------------------
     free = len(space.basis)
     points_checked = 0
-    height = max(0, int(grid_height))
+    height = int(grid_height)
     values = range(-height, height + 1)
     for assignment in itertools.product(values, repeat=free):
         if points_checked >= budget:

@@ -49,30 +49,39 @@ def raw_linear_system(g, n):
     return rows, rhs
 
 
+def rref_reference(m):
+    """Dense Gauss-Jordan elimination: (reduced rows, pivot columns).
+
+    Pivots are taken left to right from the first row with a nonzero entry
+    in the column; rows are scaled to a leading 1 and cleared above and
+    below, and zero rows stay at the bottom.
+    """
+    rows = [list(row) for row in m]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / F(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
 def gauss_consistent(rows, rhs):
     """Fraction Gaussian elimination; returns (consistent, free_count)."""
-    aug = [row + [b] for row, b in zip(rows, rhs)]
     n_cols = len(rows[0])
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(n_cols):
-        pivot = next(
-            (r for r in range(pivot_row, len(aug)) if aug[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        aug[pivot_row], aug[pivot] = aug[pivot], aug[pivot_row]
-        inv = 1 / aug[pivot_row][col]
-        aug[pivot_row] = [x * inv for x in aug[pivot_row]]
-        for r in range(len(aug)):
-            if r != pivot_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(aug):
-            break
-    consistent = all(
-        row[-1] == 0 for row in aug[pivot_row:] if all(x == 0 for x in row[:-1])
-    )
-    return consistent, n_cols - len(pivot_cols)
+    _, pivots = rref_reference([list(row) + [b] for row, b in zip(rows, rhs)])
+    rank = sum(1 for c in pivots if c < n_cols)
+    return n_cols not in pivots, n_cols - rank

@@ -215,6 +215,14 @@ def test_search_pa_budget_unknown():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--budget", "-5"), ("--grid-height", "-3")])
+def test_search_pa_negative_bounds_are_usage_errors(flag, value):
+    result = run_cli("search", "pa", "--g", "r2", "--n", "abelian_2", flag, value)
+    assert result.returncode == 64
+    assert f"argument {flag}: must be non-negative" in result.stderr
+    assert result.stdout == ""
+
+
 def test_rules_exit_codes():
     fires = run_cli("rules", "--g", "L5_1", "--n", "abelian_5")
     assert fires.returncode == 1

@@ -3,8 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from postlie import linalg
+
+from oracles import rref_reference
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional, test-only second oracle
+    sympy = None
 
 F = Fraction
 
@@ -117,3 +125,95 @@ def test_stack_and_hstack_shapes():
     b = linalg.mat([[3, 4]])
     assert linalg.stack([a, b]) == linalg.mat([[1, 2], [3, 4]])
     assert linalg.hstack(a, b) == linalg.mat([[1, 2, 3, 4]])
+
+
+# ----------------------------------------------------------------------
+# sparse elimination against independent dense oracles
+# ----------------------------------------------------------------------
+
+small_fraction = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6)
+# two zero branches out of three keep the matrices sparse, as real systems are
+entry = st.one_of(st.just(F(0)), st.just(F(0)), small_fraction)
+
+
+@st.composite
+def matrices(draw):
+    """Tall, wide, empty and all-zero shapes, with duplicate and dependent
+    rows spliced in among independently drawn ones."""
+    n_cols = draw(st.integers(min_value=0, max_value=9))
+    row = st.lists(entry, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, max_size=7))
+    base = list(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if base else 0):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        if draw(st.booleans()):
+            new = list(a)
+        else:
+            s, t = draw(small_fraction), draw(small_fraction)
+            new = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), new)
+    return n_cols, tuple(tuple(r) for r in rows)
+
+
+def _sympy_rref(m, n_cols):
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
+    reduced, pivots = sympy.Matrix(len(m), n_cols, flat).rref()
+    rows = tuple(
+        tuple(F(int(reduced[i, j].p), int(reduced[i, j].q)) for j in range(n_cols))
+        for i in range(len(m))
+    )
+    return rows, tuple(pivots)
+
+
+ORACLE_SUITE = settings(max_examples=300, deadline=None)
+
+
+@ORACLE_SUITE
+@given(matrices())
+@example((0, ()))
+@example((3, ()))
+@example((0, ((), (), ())))
+@example((4, ((F(0),) * 4,) * 3))
+@example((2, ((F(1), F(2)), (F(1), F(2)), (F(2), F(4)))))
+def test_rref_matches_dense_oracles(shape):
+    n_cols, m = shape
+    result = linalg.rref(m)
+    assert result == rref_reference(m)
+    if sympy is not None:
+        assert result == _sympy_rref(m, n_cols)
+
+
+@ORACLE_SUITE
+@given(matrices())
+@example((3, ()))
+@example((0, ((), ())))
+def test_nullspace_vectors_are_annihilated(shape):
+    n_cols, m = shape
+    _, pivots = rref_reference(m)
+    null = linalg.nullspace(m, n_cols=n_cols)
+    assert len(null) == n_cols - len(pivots)
+    for x in null:
+        assert len(x) == n_cols
+        assert linalg.is_zero_vector(linalg.matvec(m, x))
+
+
+@st.composite
+def systems(draw):
+    n_cols, m = draw(matrices())
+    rhs = draw(st.lists(entry, min_size=len(m), max_size=len(m)))
+    return n_cols, m, tuple(rhs)
+
+
+@ORACLE_SUITE
+@given(systems())
+@example((0, ((), ()), (F(0), F(1))))
+@example((2, ((F(1), F(1)), (F(2), F(2))), (F(1), F(2))))
+def test_solve_affine_fails_exactly_on_an_augmented_pivot(system):
+    n_cols, m, rhs = system
+    _, pivots = rref_reference(tuple(row + (b,) for row, b in zip(m, rhs)))
+    result = linalg.solve_affine(m, rhs)
+    assert (result is None) == (n_cols in pivots)
+    if result is not None and m:
+        particular, basis = result
+        assert linalg.matvec(m, particular) == rhs
+        assert len(basis) == n_cols - len(pivots)

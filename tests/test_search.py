@@ -1,9 +1,11 @@
 """Staged product search: linear feasibility, splitting witnesses, and the
 bounded grid stage, pinned against independently computed oracles."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postlie.catalog import get_algebra, perfect_ids
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
@@ -52,6 +54,36 @@ def test_product_at_reconstructs_points():
     assert space.contains(product)
     with pytest.raises(ValueError):
         space.product_at([1])
+
+
+@functools.cache
+def _wide_space():
+    # 60 free parameters: the widest space the recorded search pairs reach
+    return pa_linear_space(get_algebra("sl2_plus_C2"), get_algebra("scaling5"))
+
+
+small_fraction = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=5)
+coefficient = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    small_fraction,
+    small_fraction.map(lambda q: f"{q.numerator}/{q.denominator}"),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(coefficient, min_size=60, max_size=60))
+def test_product_at_matches_the_dense_formula(coefficients):
+    space = _wide_space()
+    assert space.dimension == 60
+    flat = list(space.particular)
+    for c, vec in zip(coefficients, space.basis):
+        flat = [x + F(c) * y for x, y in zip(flat, vec)]
+    d = space.dim
+    expected = tuple(
+        tuple(tuple(flat[(i * d + j) * d + k] for k in range(d)) for j in range(d))
+        for i in range(d)
+    )
+    assert space.product_at(coefficients).tensor == expected
 
 
 def test_linear_infeasible_pair_is_verified_negative():
@@ -154,3 +186,26 @@ def test_grid_height_changes_the_lattice():
     assert cert.verdict == EXISTS
     witness = cert.witness
     assert verify_pa(g, n, witness).ok
+
+
+def test_wide_space_exhausts_the_default_budget():
+    cert = pa_search(get_algebra("sl2_plus_C2"), get_algebra("scaling5"))
+    assert cert.verdict == UNKNOWN
+    assert cert.points_checked == 512
+    assert cert.subsets_checked == 32
+    assert cert.trace == (
+        "stage S1: linear axioms admit an affine solution space of dimension 60",
+        "stage S2: all 32 coordinate splittings checked, no matching "
+        "complementary-subalgebra witness (only coordinate-aligned splittings "
+        "are enumerated, so this stage alone is not evidence of non-existence)",
+        "stage S3: budget of 512 grid points exhausted (grid height 2, "
+        "60 free parameters)",
+    )
+
+
+@pytest.mark.parametrize("bounds", [{"budget": -5}, {"grid_height": -3}])
+def test_negative_search_bounds_are_rejected(bounds):
+    g = get_algebra("r2")
+    n = get_algebra("abelian_2")
+    with pytest.raises(ValueError, match="non-negative"):
+        pa_search(g, n, **bounds)
