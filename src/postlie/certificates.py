@@ -1,27 +1,31 @@
 """Machine-checkable verdicts about product structures on a pair.
 
 A :class:`Certificate` records one of three verdicts about the existence of
-a product structure on a pair ``(g, n)``:
+a product structure on the literal pair ``(g, n)``, the two brackets exactly
+as given on one shared basis:
 
-* ``exists`` — carries a concrete witness (a verified :class:`~postlie.structures.PAProduct`
-  or a weight-one operator it was derived from) together with the evidence
-  trail that produced it;
+* ``exists`` — carries a concrete witness, a :class:`~postlie.structures.PAProduct`
+  that verifies on the two named brackets (and, when it came from a
+  splitting, the weight-one operator it was derived from), together with
+  the evidence trail that produced it;
 * ``not_exists`` — carries the identifier of the structural rule whose
   hypotheses were verified computationally, plus a self-contained
   mathematical justification of why those hypotheses exclude a product;
 * ``unknown`` — the methods available here neither found a witness nor
   applied a rule within the configured budget.
 
-Certificates never assert more than what was actually computed: every
-``exists`` witness is re-verified against the three product axioms before
-the certificate is built, and every ``not_exists`` rule application lists
-the structural predicates that were checked, so a reader can replay the
-decision from the trace alone.
+Producers (:func:`~postlie.search.pa_search`,
+:func:`~postlie.rules.nonexistence_certificate`) build the dataclass
+directly.  Certificates never assert more than what was actually computed:
+every ``exists`` witness is re-verified with ``verify_pa(g, n, witness)``
+on the caller's two brackets before the certificate is built, and every
+``not_exists`` rule application lists the structural predicates that were
+checked, so a reader can replay the decision from the trace alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .structures import PAProduct, RBOperator
@@ -97,67 +101,3 @@ class Certificate:
         if self.linear_dimension is not None:
             doc["linear_dimension"] = self.linear_dimension
         return doc
-
-
-def exists_certificate(
-    g_name: str,
-    n_name: str,
-    witness: PAProduct,
-    *,
-    operator: RBOperator | None = None,
-    trace: tuple = (),
-    subsets_checked: int = 0,
-    points_checked: int = 0,
-    linear_dimension: int | None = None,
-) -> Certificate:
-    return Certificate(
-        verdict=EXISTS,
-        g_name=g_name,
-        n_name=n_name,
-        witness=witness,
-        operator=operator,
-        trace=trace,
-        subsets_checked=subsets_checked,
-        points_checked=points_checked,
-        linear_dimension=linear_dimension,
-    )
-
-
-def not_exists_certificate(
-    g_name: str,
-    n_name: str,
-    rule_id: str,
-    justification: str,
-    *,
-    trace: tuple = (),
-    linear_dimension: int | None = None,
-) -> Certificate:
-    return Certificate(
-        verdict=NOT_EXISTS,
-        g_name=g_name,
-        n_name=n_name,
-        rule_id=rule_id,
-        justification=justification,
-        trace=trace,
-        linear_dimension=linear_dimension,
-    )
-
-
-def unknown_certificate(
-    g_name: str,
-    n_name: str,
-    *,
-    trace: tuple = (),
-    subsets_checked: int = 0,
-    points_checked: int = 0,
-    linear_dimension: int | None = None,
-) -> Certificate:
-    return Certificate(
-        verdict=UNKNOWN,
-        g_name=g_name,
-        n_name=n_name,
-        trace=trace,
-        subsets_checked=subsets_checked,
-        points_checked=points_checked,
-        linear_dimension=linear_dimension,
-    )

@@ -537,7 +537,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    result = existence_table(verify=True)
+    result = existence_table()
     if args.json:
         _emit_json({"command": "table", **result.as_dict()})
     else:

@@ -4,7 +4,8 @@ One document describes one object.  The format is deliberately rigid so
 that files are unambiguous and machine-diffable:
 
 * ``kind`` is one of ``algebra``, ``product``, ``operator``, ``embedding``.
-* ``dim`` is mandatory; indices in files are 1-based (``e1 .. eN``).
+* ``dim`` is mandatory, between 1 and ``MAX_DIM`` (64); indices in files
+  are 1-based (``e1 .. eN``).
 * every coefficient is a canonical rational string: ``"p"`` or ``"p/q"``
   in lowest terms with ``q > 1`` and the sign on the numerator
   (``"3"``, ``"-1/2"``; never ``"2/4"``, ``"1.5"``, ``"+3"`` or ``"1/1"``).
@@ -49,6 +50,7 @@ __all__ = [
     "InterchangeError",
     "ParsedDocument",
     "KINDS",
+    "MAX_DIM",
     "algebra_document",
     "product_document",
     "operator_document",
@@ -62,6 +64,10 @@ __all__ = [
 ]
 
 KINDS = ("algebra", "product", "operator", "embedding")
+
+# Largest accepted ``dim``: objects are stored densely (a bracket or product
+# is a dim**3 tensor), so the cap bounds memory before anything is built.
+MAX_DIM = 64
 
 
 class InterchangeError(ValueError):
@@ -436,8 +442,12 @@ def parse_document(doc: object, *, filename: str = "") -> ParsedDocument:
             filename=filename,
         )
     dim = _require_int(doc["dim"], "dim", filename)
-    if dim < 1:
-        raise InterchangeError("dim must be >= 1", where="dim", filename=filename)
+    if not 1 <= dim <= MAX_DIM:
+        raise InterchangeError(
+            f"dim must be between 1 and {MAX_DIM}, got {dim}",
+            where="dim",
+            filename=filename,
+        )
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise InterchangeError("must be a string", where="name", filename=filename)

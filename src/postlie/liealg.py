@@ -152,37 +152,26 @@ class LieAlgebra:
         full = self.full_space()
         return self.bracket_span(full, full)
 
-    def derived_series(self) -> tuple[int, ...]:
-        """Dimensions g ⊇ [g,g] ⊇ ... until the series stabilizes."""
+    def _series(self, step) -> tuple[int, ...]:
+        """Dimensions of ``g, step(g), step(step(g)), ...`` until they stop
+        dropping (at zero or at a fixed point)."""
         dims = [self.dim]
         current = self.full_space()
-        while True:
-            nxt = self.bracket_span(current, current)
+        while current.dim:
+            nxt = step(current)
             if nxt.dim == current.dim:
-                if not dims or dims[-1] != nxt.dim:
-                    dims.append(nxt.dim)
                 break
             dims.append(nxt.dim)
             current = nxt
-            if nxt.dim == 0:
-                break
         return tuple(dims)
 
+    def derived_series(self) -> tuple[int, ...]:
+        """Dimensions g ⊇ [g,g] ⊇ ... until the series stabilizes."""
+        return self._series(lambda current: self.bracket_span(current, current))
+
     def lower_central_series(self) -> tuple[int, ...]:
-        dims = [self.dim]
         full = self.full_space()
-        current = full
-        while True:
-            nxt = self.bracket_span(full, current)
-            if nxt.dim == current.dim:
-                if not dims or dims[-1] != nxt.dim:
-                    dims.append(nxt.dim)
-                break
-            dims.append(nxt.dim)
-            current = nxt
-            if nxt.dim == 0:
-                break
-        return tuple(dims)
+        return self._series(lambda current: self.bracket_span(full, current))
 
     @cached_property
     def _center(self) -> Subspace:
@@ -192,7 +181,7 @@ class LieAlgebra:
         for j in range(n):
             for k in range(n):
                 rows.append(tuple(self.brackets[i][j][k] for i in range(n)))
-        return Subspace(n, linalg.nullspace(tuple(rows), n_cols=n))
+        return Subspace.from_vectors(n, linalg.nullspace(tuple(rows), n_cols=n))
 
     def center(self) -> Subspace:
         return self._center
@@ -230,7 +219,9 @@ class LieAlgebra:
         derived = self.derived_subalgebra()
         kappa = self._killing
         rows = [linalg.matvec(kappa, d) for d in derived.basis]
-        return Subspace(self.dim, linalg.nullspace(tuple(rows), n_cols=self.dim))
+        return Subspace.from_vectors(
+            self.dim, linalg.nullspace(tuple(rows), n_cols=self.dim)
+        )
 
     # ------------------------------------------------------------------
     # class predicates
@@ -415,33 +406,16 @@ class LieAlgebra:
         """Quotient by an ideal, in the basis of non-pivot coordinates."""
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        pivots = {
-            next(i for i, x in enumerate(row) if x != 0) for row in ideal.basis
-        }
+        pivots = set(ideal.pivots)
         section = [i for i in range(self.dim) if i not in pivots]
         d = len(section)
-
-        def reduce_mod(v: Sequence[Fraction]) -> list[Fraction]:
-            residual = list(v)
-            for row in ideal.basis:
-                pivot = next(i for i, x in enumerate(row) if x != 0)
-                if residual[pivot] != 0:
-                    c = residual[pivot]
-                    residual = [x - c * y for x, y in zip(residual, row)]
-            return residual
-
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for a in range(d):
             for b in range(a + 1, d):
-                w = reduce_mod(
+                _, w = ideal.reduce(
                     self.bracket(self.basis_vector(section[a]), self.basis_vector(section[b]))
                 )
-                entry = {}
-                for pos, i in enumerate(section):
-                    if w[i] != 0:
-                        entry[pos] = w[i]
-                if any(w[i] != 0 for i in range(self.dim) if i not in section):
-                    raise AssertionError("reduction left ideal coordinates nonzero")
+                entry = {pos: w[i] for pos, i in enumerate(section) if w[i] != 0}
                 if entry:
                     table[(a, b)] = entry
         return LieAlgebra.from_table(d, table)

@@ -39,11 +39,7 @@ from typing import Callable, Optional
 from . import linalg
 from .liealg import LieAlgebra
 from .subspace import Subspace, coordinates_in_basis
-from .certificates import (
-    Certificate,
-    not_exists_certificate,
-    unknown_certificate,
-)
+from .certificates import NOT_EXISTS, UNKNOWN, Certificate
 
 Predicate = Callable[[LieAlgebra, LieAlgebra], tuple[bool, tuple]]
 
@@ -458,17 +454,16 @@ def nonexistence_certificate(
     n_name = n_name or n.name or "n"
     found = applicable_rule(g, n)
     if found is None:
-        return unknown_certificate(
-            g_name,
-            n_name,
-            trace=("no structural rule applies to this pair",),
+        return Certificate(
+            UNKNOWN, g_name, n_name, trace=("no structural rule applies to this pair",)
         )
     rule, trace = found
     full_trace = (f"rule {rule.rule_id}: {rule.condition}",) + tuple(trace)
-    return not_exists_certificate(
+    return Certificate(
+        NOT_EXISTS,
         g_name,
         n_name,
-        rule.rule_id,
-        rule.justification,
+        rule_id=rule.rule_id,
+        justification=rule.justification,
         trace=full_trace,
     )

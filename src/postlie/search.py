@@ -7,24 +7,24 @@ Three stages, cheapest first:
   solution space of that subsystem is computed exactly; when it is empty the
   search stops with a verified-negative certificate, because a rational
   linear system that is inconsistent over the rationals stays inconsistent
-  over every extension field.  The negative verdict is about the two
-  brackets as aligned on the shared coordinate space — the same abstract
-  pair can admit a product under a different basis identification, which is
-  exactly what stage S2 looks for at the level of invariants.
+  over every extension field.
 * **S2 — decomposition witnesses.**  Every splitting of the basis of ``n``
   into two complementary coordinate subsets whose spans are both
   subalgebras yields a weight-one operator (minus the projection onto the
   second part), whose derived product satisfies all three axioms for the
-  operator's descendent bracket.  If that descendent has the same invariant
-  fingerprint as ``g``, the product is returned as a witness.
+  operator's descendent bracket.  The product is returned as a witness only
+  when that descendent bracket equals the bracket of ``g`` entry for entry.
 * **S3 — bounded quadratic search.**  The remaining quadratic axiom (2) is
   checked pointwise on an integer grid laid over the free parameters of the
   S1 solution space.  The grid is exhausted in deterministic lexicographic
   order up to a configurable budget; running out of budget yields an
   ``unknown`` verdict, never a negative one.
 
-All arithmetic is exact.  Every witness is re-verified against the three
-axioms before a certificate is issued.
+Every verdict is about the two brackets exactly as given on the shared
+coordinate space: the same abstract pair can admit a product under a
+different basis identification, and no stage searches over those.  All
+arithmetic is exact.  Every witness is re-verified against the three axioms
+on the caller's ``g`` and ``n`` before a certificate is issued.
 """
 
 from __future__ import annotations
@@ -37,21 +37,17 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import Vector
-from .liealg import LieAlgebra, fingerprint
+from .liealg import LieAlgebra
 from .subspace import Subspace
 from .structures import (
     PAProduct,
+    axiom2_residuals,
     descendent_bracket,
     pa_from_rb,
     rb_from_coordinate_split,
     verify_pa,
 )
-from .certificates import (
-    Certificate,
-    exists_certificate,
-    not_exists_certificate,
-    unknown_certificate,
-)
+from .certificates import EXISTS, NOT_EXISTS, UNKNOWN, Certificate
 
 LINEAR_INFEASIBLE_RULE = "linear-infeasible"
 
@@ -220,28 +216,9 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
 
 
 def _axiom2_holds(g: LieAlgebra, product: PAProduct) -> bool:
-    """Fast exact check of the representation axiom (2), early exit."""
-    d = g.dim
-    p = product.tensor
-    for i in range(d):
-        for j in range(i + 1, d):
-            bracket_ij = g.brackets[i][j]
-            for k in range(d):
-                for t in range(d):
-                    lhs = sum(
-                        (bracket_ij[m] * p[m][k][t] for m in range(d) if bracket_ij[m]),
-                        linalg.ZERO,
-                    )
-                    rhs = sum(
-                        (p[j][k][m] * p[i][m][t] for m in range(d) if p[j][k][m]),
-                        linalg.ZERO,
-                    ) - sum(
-                        (p[i][k][m] * p[j][m][t] for m in range(d) if p[i][k][m]),
-                        linalg.ZERO,
-                    )
-                    if lhs != rhs:
-                        return False
-    return True
+    """Exact check of the representation axiom (2): stops at the first
+    nonzero residual."""
+    return next(axiom2_residuals(g, product), None) is None
 
 
 def _splitting_order(d: int):
@@ -288,11 +265,12 @@ def pa_search(
             "stage S1: the linear axiom system over the "
             f"{d**3} product coefficients is inconsistent"
         )
-        return not_exists_certificate(
+        return Certificate(
+            NOT_EXISTS,
             g_name,
             n_name,
-            LINEAR_INFEASIBLE_RULE,
-            _LINEAR_INFEASIBLE_TEXT,
+            rule_id=LINEAR_INFEASIBLE_RULE,
+            justification=_LINEAR_INFEASIBLE_TEXT,
             trace=tuple(trace),
         )
     trace.append(
@@ -301,7 +279,6 @@ def pa_search(
     )
 
     # --- S2: complementary coordinate splittings ---------------------
-    fp_target = fingerprint(g)
     subsets_checked = 0
     for subset in _splitting_order(d):
         subsets_checked += 1
@@ -311,11 +288,10 @@ def pa_search(
         if not (n.is_subalgebra(first) and n.is_subalgebra(second)):
             continue
         op = rb_from_coordinate_split(n, subset)
-        induced = descendent_bracket(n, op)
-        if fingerprint(induced) != fp_target:
+        if descendent_bracket(n, op).brackets != g.brackets:
             continue
         product = pa_from_rb(n, op)
-        verification = verify_pa(induced, n, product)
+        verification = verify_pa(g, n, product)
         if not verification.ok:  # pragma: no cover - guarded by construction
             continue
         trace.append(
@@ -327,16 +303,11 @@ def pa_search(
                 ", ".join(str(i + 1) for i in rest) or "-",
             )
         )
-        trace.append(
-            "the induced bracket matches g by invariant fingerprint; "
-            "fingerprint equality certifies the invariants, not an "
-            "isomorphism, so the witness realizes a bracket with the same "
-            "invariants as g on the chosen basis"
-        )
-        return exists_certificate(
+        return Certificate(
+            EXISTS,
             g_name,
             n_name,
-            product,
+            witness=product,
             operator=op,
             trace=tuple(trace),
             subsets_checked=subsets_checked,
@@ -360,7 +331,8 @@ def pa_search(
                 f"stage S3: budget of {budget} grid points exhausted "
                 f"(grid height {height}, {free} free parameters)"
             )
-            return unknown_certificate(
+            return Certificate(
+                UNKNOWN,
                 g_name,
                 n_name,
                 trace=tuple(trace),
@@ -379,10 +351,11 @@ def pa_search(
             f"stage S3: grid point #{points_checked} at height {height} "
             "satisfies the quadratic axiom; all three axioms re-verified"
         )
-        return exists_certificate(
+        return Certificate(
+            EXISTS,
             g_name,
             n_name,
-            candidate,
+            witness=candidate,
             trace=tuple(trace),
             subsets_checked=subsets_checked,
             points_checked=points_checked,
@@ -393,7 +366,8 @@ def pa_search(
         f"{free} free parameters ({points_checked} points) without a hit; "
         "the grid does not cover the affine space, so the verdict stays open"
     )
-    return unknown_certificate(
+    return Certificate(
+        UNKNOWN,
         g_name,
         n_name,
         trace=tuple(trace),

@@ -221,6 +221,36 @@ class PAVerification:
         }
 
 
+def axiom2_residuals(g: LieAlgebra, product: PAProduct):
+    """Nonzero residuals ``((i, j, k), r)`` of axiom 2 on basis vectors,
+    ``r = [e_i, e_j]_g . e_k - e_i . (e_j . e_k) + e_j . (e_i . e_k)``,
+    generated lazily for ``i < j`` and every ``k`` in lexicographic order.
+    """
+    d = g.dim
+    p = product.tensor
+    # support[a][b]: the nonzero (m, coefficient) pairs of e_a . e_b
+    support = [
+        [tuple((m, c) for m, c in enumerate(p[a][b]) if c) for b in range(d)]
+        for a in range(d)
+    ]
+    for i in range(d):
+        for j in range(i + 1, d):
+            bracket_ij = tuple((m, c) for m, c in enumerate(g.brackets[i][j]) if c)
+            for k in range(d):
+                res = [linalg.ZERO] * d
+                for m, c in bracket_ij:
+                    for t, y in support[m][k]:
+                        res[t] += c * y
+                for m, c in support[j][k]:
+                    for t, y in support[i][m]:
+                        res[t] -= c * y
+                for m, c in support[i][k]:
+                    for t, y in support[j][m]:
+                        res[t] += c * y
+                if any(res):
+                    yield (i, j, k), tuple(res)
+
+
 def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerification:
     """Exactly verify the three axioms plus Jacobi for both brackets."""
     if not (g.dim == n.dim == product.dim):
@@ -239,41 +269,17 @@ def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerificatio
             if any(x != 0 for x in res):
                 axiom1.append(((i, j), res))
 
-    axiom2 = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs_vec = cg[i][j]
-            for k in range(d):
-                ek = tuple(linalg.ONE if t == k else linalg.ZERO for t in range(d))
-                lhs = product.apply(lhs_vec, ek)
-                rhs = tuple(
-                    a - b
-                    for a, b in zip(
-                        product.apply(
-                            tuple(linalg.ONE if t == i else linalg.ZERO for t in range(d)),
-                            p[j][k],
-                        ),
-                        product.apply(
-                            tuple(linalg.ONE if t == j else linalg.ZERO for t in range(d)),
-                            p[i][k],
-                        ),
-                    )
-                )
-                res = tuple(a - b for a, b in zip(lhs, rhs))
-                if any(x != 0 for x in res):
-                    axiom2.append(((i, j, k), res))
-
     axiom3 = []
     for i in range(d):
         for j in range(d):
             for k in range(j + 1, d):
-                lhs = product.apply(
-                    tuple(linalg.ONE if t == i else linalg.ZERO for t in range(d)),
-                    cn[j][k],
-                )
+                lhs = product.apply(n.basis_vector(i), cn[j][k])
                 rhs = tuple(
                     a + b
-                    for a, b in zip(n.bracket(p[i][j], _unit(d, k)), n.bracket(_unit(d, j), p[i][k]))
+                    for a, b in zip(
+                        n.bracket(p[i][j], n.basis_vector(k)),
+                        n.bracket(n.basis_vector(j), p[i][k]),
+                    )
                 )
                 res = tuple(a - b for a, b in zip(lhs, rhs))
                 if any(x != 0 for x in res):
@@ -283,13 +289,9 @@ def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerificatio
         g_jacobi_ok=g.is_lie(),
         n_jacobi_ok=n.is_lie(),
         axiom1=tuple(axiom1),
-        axiom2=tuple(axiom2),
+        axiom2=tuple(axiom2_residuals(g, product)),
         axiom3=tuple(axiom3),
     )
-
-
-def _unit(d: int, k: int) -> Vector:
-    return tuple(linalg.ONE if t == k else linalg.ZERO for t in range(d))
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +361,8 @@ def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
             inner = tuple(
                 a + b + op.weight * c
                 for a, b, c in zip(
-                    n.bracket(rei, _unit(d, j)),
-                    n.bracket(_unit(d, i), rej),
+                    n.bracket(rei, n.basis_vector(j)),
+                    n.bracket(n.basis_vector(i), rej),
                     n.brackets[i][j],
                 )
             )
@@ -386,8 +388,8 @@ def descendent_bracket(n: LieAlgebra, op: RBOperator, name: str = "") -> LieAlge
             tuple(
                 a + b + op.weight * c
                 for a, b, c in zip(
-                    n.bracket(cols[i], _unit(d, j)),
-                    n.bracket(_unit(d, i), cols[j]),
+                    n.bracket(cols[i], n.basis_vector(j)),
+                    n.bracket(n.basis_vector(i), cols[j]),
                     n.brackets[i][j],
                 )
             )
@@ -412,7 +414,7 @@ def pa_from_rb(n: LieAlgebra, op: RBOperator, name: str = "") -> PAProduct:
     r = op.matrix
     cols = tuple(tuple(r[k][i] for k in range(d)) for i in range(d))
     tensor = tuple(
-        tuple(n.bracket(cols[i], _unit(d, j)) for j in range(d)) for i in range(d)
+        tuple(n.bracket(cols[i], n.basis_vector(j)) for j in range(d)) for i in range(d)
     )
     return PAProduct(dim=d, tensor=tensor, name=name or f"op-product({n.name})")
 
@@ -568,7 +570,7 @@ def product_from_left_action(n: LieAlgebra, pairs: Sequence[Pair], name: str = "
     coord_matrix = linalg.transpose(components)
     tensor = []
     for i in range(d):
-        coeffs = linalg.solve(coord_matrix, _unit(d, i))
+        coeffs = linalg.solve(coord_matrix, n.basis_vector(i))
         if coeffs is None:
             raise ValueError("first components of the pairs do not span")
         left = linalg.zero_matrix(d, d)
@@ -642,8 +644,8 @@ def verify_double_embedding(phi: DoubleEmbedding, g: LieAlgebra, n: LieAlgebra) 
             for j in range(i + 1, d):
                 lhs = linalg.matvec(block, g.brackets[i][j])
                 rhs = n.bracket(
-                    linalg.matvec(block, _unit(d, i)),
-                    linalg.matvec(block, _unit(d, j)),
+                    linalg.matvec(block, g.basis_vector(i)),
+                    linalg.matvec(block, g.basis_vector(j)),
                 )
                 if lhs != rhs:
                     return False

@@ -8,6 +8,7 @@ operations (sum, intersection) and membership tests are all exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -51,16 +52,30 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each basis row: the column of its leading 1."""
+        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
+
+    def reduce(self, vector: Sequence[Fraction]) -> tuple[Vector, Vector]:
+        """``(coefficients, residual)`` of ``vector`` against the basis.
+
+        In RREF every pivot column is zero outside its own row, so the
+        coefficient of a row is the vector's entry at that row's pivot and
+        one pass leaves the residual ``vector - sum(c_r * row_r)``.  The
+        residual is zero exactly when the vector lies in the subspace.
+        """
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
+        coeffs = tuple(vector[p] for p in self.pivots)
         residual = list(vector)
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if residual[pivot] != 0:
-                c = residual[pivot]
+        for c, row in zip(coeffs, self.basis):
+            if c != 0:
                 residual = [x - c * y for x, y in zip(residual, row)]
-        return all(x == 0 for x in residual)
+        return coeffs, tuple(residual)
+
+    def contains(self, vector: Sequence[Fraction]) -> bool:
+        return not any(self.reduce(vector)[1])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -99,20 +114,12 @@ class Subspace:
 
     def complement_candidate(self) -> "Subspace":
         """A coordinate complement: span of non-pivot standard basis vectors."""
-        pivots = {next(i for i, x in enumerate(row) if x != 0) for row in self.basis}
+        pivots = set(self.pivots)
         free = [i for i in range(self.ambient_dim) if i not in pivots]
         return Subspace.spanned_by_coordinates(self.ambient_dim, free)
 
 
 def coordinates_in_basis(space: Subspace, vector: Sequence[Fraction]) -> Vector | None:
     """Coefficients of ``vector`` in ``space.basis`` rows, or None if outside."""
-    if not space.contains(vector):
-        return None
-    coeffs = []
-    residual = list(vector)
-    for row in space.basis:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
-        c = residual[pivot]
-        coeffs.append(c)
-        residual = [x - c * y for x, y in zip(residual, row)]
-    return tuple(coeffs)
+    coeffs, residual = space.reduce(vector)
+    return None if any(residual) else coeffs

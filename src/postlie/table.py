@@ -107,20 +107,6 @@ def _dense(size: int, entries: dict) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def _pad(matrix, size: int) -> tuple:
-    rows = [[linalg.ZERO] * size for _ in range(size)]
-    for r, row in enumerate(matrix):
-        for c, v in enumerate(row):
-            rows[r][c] = v
-    return tuple(tuple(r) for r in rows)
-
-
-def _vec(size: int, entries) -> tuple:
-    return tuple(linalg.frac(x) for x in entries) + tuple(
-        linalg.ZERO for _ in range(size - len(entries))
-    )
-
-
 @dataclass(frozen=True)
 class Witness:
     """Recipe for one existence witness, materialized on demand.
@@ -169,7 +155,7 @@ class Witness:
             product = pa_from_rb(n_alg, op)
         elif self.kind == "left_action":
             pairs = tuple(
-                (_vec(d, vec), mat) for vec, mat in _LEFT_ACTION_BUILDERS[self.n_id]()
+                (linalg.vec(v), mat) for v, mat in _LEFT_ACTION_BUILDERS[self.n_id]()
             )
             product = product_from_left_action(n_alg, pairs)
         else:  # pragma: no cover
@@ -194,7 +180,10 @@ def _gl2_multiplication_table() -> dict:
 
 def _scaling5_pairs() -> tuple:
     e_m, f_m, h_m = module_action((2, 2))
-    pe, pf, ph = (_pad(m, 5) for m in (e_m, f_m, h_m))
+    pe, pf, ph = (
+        _dense(5, {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row)})
+        for m in (e_m, f_m, h_m)
+    )
     scaling = _dense(5, {(0, 0): 1, (1, 1): 1})
     zero = _dense(5, {})
     return (
@@ -620,49 +609,17 @@ def _verify_not_exists_cell(
     )
 
 
-def existence_table(verify: bool = True) -> ExistenceTable:
-    """Build the full 8x8 grid, re-verifying every registered cell.
-
-    With ``verify=False`` the registered verdicts are rendered without
-    recomputation (useful only for quick display; tests and the CLI always
-    re-verify).
-    """
+def existence_table() -> ExistenceTable:
+    """Build the full 8x8 grid, re-verifying every registered cell."""
     cells = []
     for row in CLASSES:
         for col in CLASSES:
             key = (row, col)
             if key in _EXISTS:
-                witness = _EXISTS[key]
-                if verify:
-                    cells.append(_verify_exists_cell(row, col, witness))
-                else:
-                    cells.append(
-                        Cell(
-                            row=row,
-                            col=col,
-                            status="exists",
-                            g_id=witness.g_id,
-                            n_id=witness.n_id,
-                            witness_kind=witness.kind,
-                        )
-                    )
+                cells.append(_verify_exists_cell(row, col, _EXISTS[key]))
             elif key in _NOT_EXISTS:
                 rule_id, g_id, n_id = _NOT_EXISTS[key]
-                if verify:
-                    cells.append(
-                        _verify_not_exists_cell(row, col, rule_id, g_id, n_id)
-                    )
-                else:
-                    cells.append(
-                        Cell(
-                            row=row,
-                            col=col,
-                            status="not_exists",
-                            g_id=g_id,
-                            n_id=n_id,
-                            rule_id=rule_id,
-                        )
-                    )
+                cells.append(_verify_not_exists_cell(row, col, rule_id, g_id, n_id))
             else:
                 if key not in _UNKNOWN:  # pragma: no cover - registry audit
                     raise TableVerificationError(f"cell {key} is unregistered")

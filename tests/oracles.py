@@ -85,3 +85,39 @@ def gauss_consistent(rows, rhs):
     _, pivots = rref_reference([list(row) + [b] for row, b in zip(rows, rhs)])
     rank = sum(1 for c in pivots if c < n_cols)
     return n_cols not in pivots, n_cols - rank
+
+
+def axiom2_reference(g, product):
+    """Nonzero residuals ``((i, j, k), r)`` of the representation axiom
+
+        [x, y]_g . z = x . (y . z) - y . (x . z)
+
+    on basis vectors ``x = e_i``, ``y = e_j`` (``i < j``), ``z = e_k``, in
+    lexicographic order, with ``r`` = left side minus right side.  The
+    product of two coordinate vectors is expanded over the full tensor.
+    """
+    d = g.dim
+    p = product.tensor
+
+    def mul(x, y):
+        out = [F(0)] * d
+        for a in range(d):
+            for b in range(d):
+                for t in range(d):
+                    out[t] += x[a] * y[b] * p[a][b][t]
+        return out
+
+    def unit(i):
+        return [F(1) if t == i else F(0) for t in range(d)]
+
+    found = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d):
+                lhs = mul(list(g.brackets[i][j]), unit(k))
+                first = mul(unit(i), mul(unit(j), unit(k)))
+                second = mul(unit(j), mul(unit(i), unit(k)))
+                res = tuple(a - (b - c) for a, b, c in zip(lhs, first, second))
+                if any(x != 0 for x in res):
+                    found.append(((i, j, k), res))
+    return tuple(found)

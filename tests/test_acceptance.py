@@ -125,9 +125,9 @@ def test_criterion_6_rule_engine_and_grid():
     for rule_id, g_id, n_id in FIRING_PAIRS:
         found = applicable_rule(get_algebra(g_id), get_algebra(n_id))
         assert found is not None and found[0].rule_id == rule_id, (g_id, n_id)
-    # verify=True re-materializes and re-checks every positive witness and
+    # the build re-materializes and re-checks every positive witness and
     # re-fires every rule; it raises on any discrepancy
-    table = existence_table(verify=True)
+    table = existence_table()
     assert table.counts["exists"] == 34
     undecided = {(c.row, c.col) for c in table.cells if c.status == "unknown"}
     assert {

@@ -264,6 +264,23 @@ def test_malformed_document_is_65(tmp_path):
     assert run_cli("check", "jacobi", not_json).returncode == 65
 
 
+def test_oversized_dim_is_65(tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_bytes(b'{"kind":"algebra","dim":100000,"entries":[]}\n')
+    assert huge.stat().st_size == 45
+
+    def limit_memory():
+        # a 1 GB address-space limit turns a missing cap into a failure of
+        # this child, not a dim**3 allocation
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = run_cli("check", "jacobi", huge, preexec_fn=limit_memory, timeout=60)
+    assert result.returncode == 65
+    assert "dim" in result.stderr and str(interchange.MAX_DIM) in result.stderr
+
+
 def test_wrong_kind_is_65():
     result = run_cli("check", "jacobi", SAMPLES / "solvable_over_perfect_operator.json")
     assert result.returncode == 65

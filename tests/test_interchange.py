@@ -187,6 +187,59 @@ def test_basis_and_dim_validation():
         parse_text(serialize(_minimal_algebra(dim=True, entries=[])))
 
 
+OVERSIZED = '{"kind":"algebra","dim":100000,"entries":[]}\n'
+
+
+def _limit_memory():
+    # if the cap ever stops working, the child fails on a 1 GB address-space
+    # limit instead of allocating a dim**3 tensor (10**15 entries here)
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oversized_document_fails_before_allocating():
+    assert len(OVERSIZED.encode("utf-8")) == 45
+    script = (
+        "import sys\n"
+        "from postlie.interchange import InterchangeError, parse_text\n"
+        "try:\n"
+        "    parse_text(sys.argv[1])\n"
+        "except InterchangeError as exc:\n"
+        "    print(exc.where, exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, OVERSIZED],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_memory,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("dim ") and str(interchange.MAX_DIM) in result.stdout
+
+
+def test_dim_above_the_cap_is_rejected_for_every_kind():
+    fields = {
+        "algebra": {"entries": []},
+        "product": {"entries": []},
+        "operator": {"matrix": [], "weight": "1"},
+        "embedding": {"first": [], "second": []},
+    }
+    for kind, rest in fields.items():
+        with pytest.raises(InterchangeError) as err:
+            interchange.parse_document({"kind": kind, "dim": interchange.MAX_DIM + 1, **rest})
+        assert err.value.where == "dim", kind
+    schema = json.loads((DATA_DIR / "interchange.schema.json").read_text(encoding="utf-8"))
+    for branch in schema["oneOf"]:
+        assert branch["properties"]["dim"]["maximum"] == interchange.MAX_DIM
+
+
+def test_dim_at_the_cap_is_accepted():
+    doc = {"kind": "algebra", "dim": interchange.MAX_DIM, "entries": []}
+    assert interchange.parse_document(doc).value.dim == interchange.MAX_DIM
+
+
 def test_matrix_validation():
     doc = {"kind": "operator", "dim": 2, "weight": "1", "matrix": [["1", "0"]]}
     with pytest.raises(InterchangeError) as err:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from postlie import linalg
+from postlie.catalog import get_algebra
 from postlie.liealg import LieAlgebra, direct_sum, fingerprint, semidirect_product
 from postlie.sl2 import irreducible_action, module_action, semidirect, sl2
 from postlie.subspace import Subspace
@@ -152,6 +153,44 @@ def test_quotient_heisenberg_by_center_is_abelian():
     assert q.is_abelian()
     with pytest.raises(ValueError):
         heis.quotient(Subspace.from_vectors(3, [(1, 0, 0)]))  # not an ideal
+
+
+def _in_basis(alg, columns):
+    """The same algebra written in the basis ``columns`` (coordinate vectors)."""
+    change = linalg.transpose(linalg.mat(columns))
+    back = linalg.inverse(change)
+    brackets = tuple(
+        tuple(linalg.matvec(back, alg.bracket(change_i, change_j)) for change_j in columns)
+        for change_i in columns
+    )
+    return LieAlgebra(alg.dim, brackets)
+
+
+@pytest.mark.parametrize(
+    "alg_id,columns,quotient_dim,quotient_class",
+    [
+        ("n3_plus_C", [(1, 0, 0, -1), (1, 0, -1, 0), (0, 1, 0, 1), (-1, 0, 1, 1)], 2, "abelian"),
+        (
+            "sl2_plus_C2",
+            [(0, 1, 1, -1, 1), (-1, -1, 0, 0, 1), (-1, 1, -1, 0, 1), (0, 1, 0, -1, 0), (0, 0, -1, 0, 0)],
+            3,
+            "semisimple",
+        ),
+    ],
+)
+def test_center_and_radical_are_canonical_in_any_basis(
+    alg_id, columns, quotient_dim, quotient_class
+):
+    # in these bases the center is not spanned by coordinate vectors and
+    # the nullspace vectors that define it are not in reduced echelon form
+    alg = _in_basis(get_algebra(alg_id), [tuple(F(x) for x in col) for col in columns])
+    d = alg.dim
+    for space in (alg.center(), alg.solvable_radical()):
+        assert space == Subspace.from_vectors(d, space.basis)
+    quotient = alg.quotient(alg.center())
+    assert quotient.dim == quotient_dim
+    assert getattr(quotient, f"is_{quotient_class}")()
+    assert alg.quotient(alg.solvable_radical()).dim == d - alg.solvable_radical().dim
 
 
 def test_ideal_vs_subalgebra():

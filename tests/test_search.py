@@ -2,22 +2,24 @@
 bounded grid stage, pinned against independently computed oracles."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postlie.catalog import get_algebra, perfect_ids
+from postlie.catalog import FINGERPRINT_COLLISIONS, get_algebra, perfect_ids
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
 from postlie.samples import get_sample
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
+    _axiom2_holds,
     pa_linear_space,
     pa_search,
 )
 from postlie.structures import induced_bracket, verify_pa
 
-from oracles import gauss_consistent, raw_linear_system
+from oracles import axiom2_reference, gauss_consistent, raw_linear_system
 
 F = Fraction
 
@@ -84,6 +86,16 @@ def test_product_at_matches_the_dense_formula(coefficients):
         for i in range(d)
     )
     assert space.product_at(coefficients).tensor == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(coefficient, min_size=60, max_size=60))
+def test_axiom2_check_on_the_wide_space_matches_the_definition(coefficients):
+    g, n = get_algebra("sl2_plus_C2"), get_algebra("scaling5")
+    candidate = _wide_space().product_at(coefficients)
+    expected = axiom2_reference(g, candidate)
+    assert verify_pa(g, n, candidate).axiom2 == expected
+    assert _axiom2_holds(g, candidate) == (not expected)
 
 
 def test_linear_infeasible_pair_is_verified_negative():
@@ -209,3 +221,33 @@ def test_negative_search_bounds_are_rejected(bounds):
     n = get_algebra("abelian_2")
     with pytest.raises(ValueError, match="non-negative"):
         pa_search(g, n, **bounds)
+
+
+# ----------------------------------------------------------------------
+# certificates hold for the literal pair they name
+# ----------------------------------------------------------------------
+
+
+def _literal_pairs():
+    pairs = [("so3", "sl2"), ("sl2", "so3"), ("gl2", "sl2_plus_C"), ("sl2_plus_C", "gl2")]
+    for group in sorted(FINGERPRINT_COLLISIONS, key=sorted):
+        pairs.extend(itertools.permutations(sorted(group), 2))
+    return pairs
+
+
+@pytest.mark.parametrize("g_id,n_id", _literal_pairs())
+def test_every_exists_witness_verifies_on_the_literal_pair(g_id, n_id):
+    g, n = get_algebra(g_id), get_algebra(n_id)
+    cert = pa_search(g, n)
+    if cert.verdict == EXISTS:
+        assert verify_pa(g, n, cert.witness).ok
+
+
+@pytest.mark.parametrize("g_id,n_id", [("so3", "sl2"), ("sl2", "so3")])
+def test_invariant_equal_but_distinct_algebras_get_no_split_witness(g_id, n_id):
+    # so3 and sl2 share every fingerprint invariant but are not isomorphic
+    # over Q; a split of n whose descendent is only invariant-equal to g
+    # is not a structure on (g, n)
+    cert = pa_search(get_algebra(g_id), get_algebra(n_id))
+    assert cert.verdict != EXISTS
+    assert cert.witness is None and cert.operator is None

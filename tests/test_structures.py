@@ -1,9 +1,11 @@
 """Product structures, weighted operators, and the bridges between them,
 checked on the shipped sample pairs and on small hand oracles."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postlie import linalg
 from postlie.catalog import get_algebra
@@ -29,7 +31,10 @@ from postlie.structures import (
     verify_pa,
     verify_rb,
 )
+from postlie.search import _axiom2_holds
 from postlie.subspace import Subspace
+
+from oracles import axiom2_reference
 
 F = Fraction
 
@@ -266,3 +271,43 @@ def test_zero_product_verifies_exactly_when_brackets_match():
     assert not verify_pa(get_algebra("abelian_3"), s, zero).ok
     assert zero.is_zero()
     assert not get_sample("solvable_over_perfect").product.is_zero()
+
+
+# ----------------------------------------------------------------------
+# axiom (2): the one residual routine against the definition
+# ----------------------------------------------------------------------
+
+
+@functools.cache
+def _verified_triples():
+    return tuple(
+        (sample.g_bracket(), sample.n(), sample.product)
+        for sample in map(get_sample, sample_ids())
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_axiom2_residuals_match_the_definition(data):
+    # a verified sample product, changed in a few random coefficients (or
+    # in none, so both outcomes of the check are drawn)
+    g, n, product = data.draw(st.sampled_from(_verified_triples()), label="sample")
+    d = g.dim
+    index = st.integers(min_value=0, max_value=d - 1)
+    changes = data.draw(
+        st.dictionaries(
+            st.tuples(index, index, index),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            max_size=3,
+        ),
+        label="changes",
+    )
+    tensor = [[list(cell) for cell in plane] for plane in product.tensor]
+    for (i, j, k), c in changes.items():
+        tensor[i][j][k] += c
+    candidate = PAProduct(
+        dim=d, tensor=tuple(tuple(tuple(cell) for cell in plane) for plane in tensor)
+    )
+    expected = axiom2_reference(g, candidate)
+    assert verify_pa(g, n, candidate).axiom2 == expected
+    assert _axiom2_holds(g, candidate) == (not expected)

@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from postlie.catalog import get_algebra
 from postlie.subspace import Subspace, coordinates_in_basis
+
+from oracles import rref_reference
 
 F = Fraction
 
@@ -71,3 +77,74 @@ def test_coordinates_in_basis_roundtrip():
 def test_coordinates_in_basis_outside_returns_none():
     s = Subspace.from_vectors(3, [(1, 0, 0)])
     assert coordinates_in_basis(s, (0, 1, 0)) is None
+
+
+# ----------------------------------------------------------------------
+# the one reducer against the dense reference elimination
+# ----------------------------------------------------------------------
+
+small = st.integers(min_value=-2, max_value=2)
+
+
+def _reference_rank(rows):
+    return len(rref_reference(rows)[1]) if rows else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reducer_agrees_with_the_reference_elimination(data):
+    n = data.draw(st.integers(min_value=1, max_value=5), label="n")
+    row = st.lists(small, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, max_size=4), label="rows")
+    if rows and data.draw(st.booleans(), label="inside"):
+        coeffs = data.draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+        v = [sum(c * r[t] for c, r in zip(coeffs, rows)) for t in range(n)]
+    else:
+        v = data.draw(row, label="v")
+    vector = tuple(F(x) for x in v)
+    space = Subspace.from_vectors(n, rows)
+
+    reduced, pivots = rref_reference(rows) if rows else ((), ())
+    assert space.basis == tuple(r for r in reduced if any(r))
+    assert space.pivots == pivots
+
+    inside = _reference_rank(rows + [v]) == _reference_rank(rows)
+    assert space.contains(vector) == inside
+    coords = coordinates_in_basis(space, vector)
+    assert (coords is not None) == inside
+    if coords is not None:
+        rebuilt = tuple(
+            sum((c * b[t] for c, b in zip(coords, space.basis)), F(0)) for t in range(n)
+        )
+        assert rebuilt == vector
+
+
+def _reference_coordinates(columns, rhs):
+    """The unique x with sum(x_c * columns[c]) == rhs (columns independent)."""
+    augmented = [[col[r] for col in columns] + [rhs[r]] for r in range(len(rhs))]
+    reduced, pivots = rref_reference(augmented)
+    assert len(columns) not in pivots and len(pivots) == len(columns)
+    x = [F(0)] * len(columns)
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][-1]
+    return tuple(x)
+
+
+@pytest.mark.parametrize(
+    "alg_id", ["gl2", "n3_plus_C", "r2_plus_C", "f23_plus_C", "L5_1", "sl2_plus_C2", "scaling5"]
+)
+def test_quotient_agrees_with_a_reference_solve(alg_id):
+    # the center of gl2 is spanned by E11 + E22: an ideal that is not
+    # spanned by coordinate vectors, so its RREF rows have two nonzeros
+    alg = get_algebra(alg_id)
+    d = alg.dim
+    for ideal in (alg.center(), alg.derived_subalgebra(), alg.solvable_radical()):
+        _, pivots = rref_reference(ideal.basis) if ideal.basis else ((), ())
+        section = [i for i in range(d) if i not in pivots]
+        columns = [alg.basis_vector(s) for s in section] + list(ideal.basis)
+        q = alg.quotient(ideal)
+        assert q.dim == len(section) and q.is_lie()
+        for a in range(q.dim):
+            for b in range(q.dim):
+                x = _reference_coordinates(columns, alg.brackets[section[a]][section[b]])
+                assert q.brackets[a][b] == x[: len(section)], (alg_id, a, b)

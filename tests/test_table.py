@@ -29,7 +29,7 @@ GOLDEN_GRID = (
 
 @pytest.fixture(scope="module")
 def verified_table():
-    return existence_table(verify=True)
+    return existence_table()
 
 
 def test_class_axes():
@@ -166,7 +166,7 @@ def test_tampered_rule_is_caught(monkeypatch):
         table_module._NOT_EXISTS, ("semisimple", "complete"), ("R1", g_id, n_id)
     )
     with pytest.raises(TableVerificationError):
-        existence_table(verify=True)
+        existence_table()
 
 
 def test_tampered_witness_is_caught(monkeypatch):
@@ -178,9 +178,4 @@ def test_tampered_witness_is_caught(monkeypatch):
         Witness(kind="zero", g_id="r2_plus_C", n_id="n3"),
     )
     with pytest.raises(TableVerificationError):
-        existence_table(verify=True)
-
-
-def test_unverified_build_matches_verified_layout(verified_table):
-    quick = existence_table(verify=False)
-    assert quick.as_dict() == verified_table.as_dict()
+        existence_table()
