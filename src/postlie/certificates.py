@@ -52,18 +52,6 @@ class Certificate:
     linear_dimension: Optional[int] = None
 
     @property
-    def is_exists(self) -> bool:
-        return self.verdict == EXISTS
-
-    @property
-    def is_not_exists(self) -> bool:
-        return self.verdict == NOT_EXISTS
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.verdict == UNKNOWN
-
-    @property
     def exit_code(self) -> int:
         """Process exit convention: 0 witness, 1 verified-negative, 2 unknown."""
         return {EXISTS: 0, NOT_EXISTS: 1, UNKNOWN: 2}[self.verdict]

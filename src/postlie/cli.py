@@ -60,7 +60,7 @@ from .structures import (
     verify_pa,
     verify_rb,
 )
-from .table import TableVerificationError, classify, existence_table
+from .table import CLASSES, TableVerificationError, classify, existence_table
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -137,14 +137,7 @@ def _invariant_report(alg: LieAlgebra, name: str) -> dict:
         "name": name,
         "fingerprint": fp.as_dict(),
         "jacobi_ok": alg.is_lie(),
-        "abelian": alg.is_abelian(),
-        "nilpotent": alg.is_nilpotent(),
-        "solvable": alg.is_solvable(),
-        "simple": alg.is_simple(),
-        "semisimple": alg.is_semisimple(),
-        "reductive": alg.is_reductive(),
-        "complete": alg.is_complete(),
-        "perfect": alg.is_perfect(),
+        **{c: getattr(alg, f"is_{c}")() for c in CLASSES},
         "classes": list(classify(alg)),
         "catalog_matches": list(identify(alg)),
     }
@@ -161,16 +154,7 @@ def _print_invariants(report: dict) -> None:
     print(f"killing rank: {fp['killing_rank']}")
     print(f"solvable radical dim: {fp['radical_dim']}")
     print(f"radical nilpotency class: {fp['radical_class']}")
-    for key in (
-        "abelian",
-        "nilpotent",
-        "solvable",
-        "simple",
-        "semisimple",
-        "reductive",
-        "complete",
-        "perfect",
-    ):
+    for key in CLASSES:
         print(f"{key}: {'yes' if report[key] else 'no'}")
     print(
         "classes: " + (", ".join(report["classes"]) if report["classes"] else "(none)")

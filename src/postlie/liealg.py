@@ -3,7 +3,8 @@
 A :class:`LieAlgebra` of dimension ``n`` stores the full antisymmetric tensor
 ``c[i][j][k]`` with ``[e_i, e_j] = sum_k c[i][j][k] e_k`` (0-based indices).
 The tensor is an immutable nested tuple, so algebras are hashable and can be
-compared by data equality; all invariants are computed exactly.
+compared by data equality; all invariants are computed exactly, and each is
+computed once per instance and cached on it (``functools.cached_property``).
 
 Structural invariants provided here:
 
@@ -148,9 +149,13 @@ class LieAlgebra:
         vectors = [self.bracket(u, v) for u in a.basis for v in b.basis]
         return Subspace.from_vectors(self.dim, vectors)
 
-    def derived_subalgebra(self) -> Subspace:
+    @cached_property
+    def _derived(self) -> Subspace:
         full = self.full_space()
         return self.bracket_span(full, full)
+
+    def derived_subalgebra(self) -> Subspace:
+        return self._derived
 
     def _series(self, step) -> tuple[int, ...]:
         """Dimensions of ``g, step(g), step(step(g)), ...`` until they stop
@@ -165,13 +170,21 @@ class LieAlgebra:
             current = nxt
         return tuple(dims)
 
-    def derived_series(self) -> tuple[int, ...]:
-        """Dimensions g ⊇ [g,g] ⊇ ... until the series stabilizes."""
+    @cached_property
+    def _derived_series(self) -> tuple[int, ...]:
         return self._series(lambda current: self.bracket_span(current, current))
 
-    def lower_central_series(self) -> tuple[int, ...]:
+    def derived_series(self) -> tuple[int, ...]:
+        """Dimensions g ⊇ [g,g] ⊇ ... until the series stabilizes."""
+        return self._derived_series
+
+    @cached_property
+    def _lower_central_series(self) -> tuple[int, ...]:
         full = self.full_space()
         return self._series(lambda current: self.bracket_span(full, current))
+
+    def lower_central_series(self) -> tuple[int, ...]:
+        return self._lower_central_series
 
     @cached_property
     def _center(self) -> Subspace:
@@ -214,14 +227,17 @@ class LieAlgebra:
     def killing_det(self) -> Fraction:
         return linalg.det(self._killing)
 
-    def solvable_radical(self) -> Subspace:
-        """Killing-orthogonal complement of [g, g] (characteristic zero)."""
+    @cached_property
+    def _radical(self) -> Subspace:
         derived = self.derived_subalgebra()
-        kappa = self._killing
-        rows = [linalg.matvec(kappa, d) for d in derived.basis]
+        rows = [linalg.matvec(self._killing, d) for d in derived.basis]
         return Subspace.from_vectors(
             self.dim, linalg.nullspace(tuple(rows), n_cols=self.dim)
         )
+
+    def solvable_radical(self) -> Subspace:
+        """Killing-orthogonal complement of [g, g] (characteristic zero)."""
+        return self._radical
 
     # ------------------------------------------------------------------
     # class predicates
@@ -250,22 +266,25 @@ class LieAlgebra:
             return None
         return len(series) - 1
 
-    def is_semisimple(self) -> bool:
-        if self.dim == 0:
-            return True
-        return self.killing_det() != 0
+    @cached_property
+    def _semisimple(self) -> bool:
+        return self.dim == 0 or self.killing_det() != 0
 
-    def is_reductive(self) -> bool:
-        """True iff g = center ⊕ [g,g] with semisimple derived subalgebra."""
-        center = self.center()
-        derived = self.derived_subalgebra()
+    def is_semisimple(self) -> bool:
+        return self._semisimple
+
+    @cached_property
+    def _reductive(self) -> bool:
+        center, derived = self.center(), self.derived_subalgebra()
         if center.dim + derived.dim != self.dim:
             return False
         if center.intersection(derived).dim != 0:
             return False
-        if derived.dim == 0:
-            return True
-        return self.restrict(derived).is_semisimple()
+        return derived.dim == 0 or self.restrict(derived).is_semisimple()
+
+    def is_reductive(self) -> bool:
+        """True iff g = center ⊕ [g,g] with semisimple derived subalgebra."""
+        return self._reductive
 
     @cached_property
     def _derivations(self) -> tuple[Matrix, ...]:
@@ -331,25 +350,25 @@ class LieAlgebra:
                 return nxt
             current = nxt
 
+    @cached_property
+    def _basis_closures(self) -> tuple[Subspace, ...]:
+        """The ad-closure of each basis vector, in basis order."""
+        return tuple(
+            self.ad_closure(Subspace.spanned_by_coordinates(self.dim, [i]))
+            for i in range(self.dim)
+        )
+
     def minimal_coordinate_ideals(self) -> tuple[Subspace, ...]:
         """Minimal elements among ad-closures of the basis vectors."""
         closures = []
-        for i in range(self.dim):
-            closure = self.ad_closure(
-                Subspace.spanned_by_coordinates(self.dim, [i])
-            )
+        for closure in self._basis_closures:
             if closure not in closures:
                 closures.append(closure)
-        minimal = [
+        return tuple(
             c
             for c in closures
             if not any(o.dim < c.dim and c.contains_subspace(o) for o in closures)
-        ]
-        out = []
-        for c in minimal:
-            if c not in out:
-                out.append(c)
-        return tuple(out)
+        )
 
     def is_simple(self) -> bool:
         """Semisimple with no proper ideal visible from any basis vector.
@@ -359,11 +378,7 @@ class LieAlgebra:
         """
         if self.dim == 0 or not self.is_semisimple():
             return False
-        full = self.full_space()
-        return all(
-            self.ad_closure(Subspace.spanned_by_coordinates(self.dim, [i])) == full
-            for i in range(self.dim)
-        )
+        return all(c.dim == self.dim for c in self._basis_closures)
 
     # ------------------------------------------------------------------
     # subalgebras, quotients, sums
@@ -433,6 +448,23 @@ class LieAlgebra:
                 if entry:
                     table[(i, j)] = entry
         return table
+
+    @cached_property
+    def _fingerprint(self) -> Fingerprint:
+        radical = self.solvable_radical()
+        return Fingerprint(
+            dim=self.dim,
+            derived_dims=self.derived_series(),
+            lower_central_dims=self.lower_central_series(),
+            center_dim=self.center().dim,
+            killing_rank=self.killing_rank(),
+            radical_dim=radical.dim,
+            radical_class=self.restrict(radical).nilpotency_class(),
+            perfect=self.is_perfect(),
+            solvable=self.is_solvable(),
+            nilpotent=self.is_nilpotent(),
+            semisimple=self.is_semisimple(),
+        )
 
 
 def direct_sum(*algebras: LieAlgebra, name: str = "") -> LieAlgebra:
@@ -543,18 +575,5 @@ class Fingerprint:
 
 
 def fingerprint(alg: LieAlgebra) -> Fingerprint:
-    radical = alg.solvable_radical()
-    radical_alg = alg.restrict(radical)
-    return Fingerprint(
-        dim=alg.dim,
-        derived_dims=alg.derived_series(),
-        lower_central_dims=alg.lower_central_series(),
-        center_dim=alg.center().dim,
-        killing_rank=alg.killing_rank(),
-        radical_dim=radical.dim,
-        radical_class=radical_alg.nilpotency_class(),
-        perfect=alg.is_perfect(),
-        solvable=alg.is_solvable(),
-        nilpotent=alg.is_nilpotent(),
-        semisimple=alg.is_semisimple(),
-    )
+    """The algebra's invariants, computed on the first call and cached."""
+    return alg._fingerprint

@@ -69,10 +69,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def is_zero_matrix(m: Matrix) -> bool:
-    return all(is_zero_vector(row) for row in m)
-
-
 def add_vectors(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -85,16 +81,8 @@ def scale_vector(c: Fraction, v: Sequence[Fraction]) -> Vector:
     return tuple(c * x for x in v)
 
 
-def add_matrices(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(add_vectors(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
 def sub_matrices(a: Matrix, b: Matrix) -> Matrix:
     return tuple(sub_vectors(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def scale_matrix(c: Fraction, m: Matrix) -> Matrix:
-    return tuple(scale_vector(c, row) for row in m)
 
 
 def transpose(m: Matrix) -> Matrix:

@@ -1,12 +1,16 @@
 """Structural non-existence rules for product structures on a pair.
 
 Each rule is a theorem of the form "if ``g`` lies in one structural class
-and ``n`` in another, no product structure exists on the pair".  Rules are
-applied *only* after every hypothesis has been verified computationally on
-the concrete pair — nothing is assumed from names or metadata.  The first
-rule whose hypotheses all hold decides the pair (the rule list is ordered,
-and earlier rules win), and its certificate carries a trace of every
-predicate that was checked together with a self-contained mathematical
+and ``n`` in another, no product structure exists on the pair".  A rule is
+data: an identifier, its condition, a self-contained justification, and an
+ordered list of hypothesis checks, each a ``(label, check(g, n))`` pair.
+The checks are exact computations on the concrete pair, over invariants
+that :class:`~postlie.liealg.LieAlgebra` computes once and caches — nothing
+is assumed from names or metadata.  A rule's ``applies`` evaluates its
+checks in order, records ``"<label>: yes"`` or ``"<label>: no"`` for each
+one evaluated, and stops at the first that fails.  The first rule whose
+checks all hold decides the pair (the rule list is ordered, and earlier
+rules win), and its certificate carries that trace together with the
 justification.
 
 Detection notes
@@ -41,6 +45,7 @@ from .liealg import LieAlgebra
 from .subspace import Subspace, coordinates_in_basis
 from .certificates import NOT_EXISTS, UNKNOWN, Certificate
 
+Check = tuple[str, Callable[[LieAlgebra, LieAlgebra], bool]]
 Predicate = Callable[[LieAlgebra, LieAlgebra], tuple[bool, tuple]]
 
 
@@ -54,18 +59,25 @@ class Rule:
     applies: Predicate
 
 
+def _hypotheses(*checks: Check) -> Predicate:
+    """``applies`` for the given checks: evaluate them in order, record
+    ``"<label>: yes|no"`` for each, and stop at the first that fails."""
+
+    def applies(g: LieAlgebra, n: LieAlgebra) -> tuple[bool, tuple]:
+        trace = []
+        for label, check in checks:
+            holds = check(g, n)
+            trace.append(f"{label}: {'yes' if holds else 'no'}")
+            if not holds:
+                return False, tuple(trace)
+        return True, tuple(trace)
+
+    return applies
+
+
 # ----------------------------------------------------------------------
-# predicate helpers (every check is an exact computation)
+# helpers for the radical checks (every check is an exact computation)
 # ----------------------------------------------------------------------
-
-
-def _check(label: str, value: bool, trace: list) -> bool:
-    trace.append(f"{label}: {'yes' if value else 'no'}")
-    return value
-
-
-def _two_step_nilpotent(n: LieAlgebra) -> bool:
-    return n.nilpotency_class() == 2
 
 
 def _restricted_radical_action(g: LieAlgebra, radical: Subspace):
@@ -107,174 +119,31 @@ def _absolutely_simple(alg: LieAlgebra) -> bool:
     return _commutant_dimension(alg.ad_basis(), alg.dim) == 1
 
 
+def _radical_closures_full(g: LieAlgebra) -> bool:
+    radical = g.solvable_radical()
+    return all(
+        g.ad_closure(Subspace.from_vectors(g.dim, [vec])) == radical
+        for vec in radical.basis
+    )
+
+
+def _radical_irreducible(g: LieAlgebra) -> bool:
+    radical = g.solvable_radical()
+    action = _restricted_radical_action(g, radical)
+    return action is not None and _commutant_dimension(action, radical.dim) == 1
+
+
 # ----------------------------------------------------------------------
 # the twelve rules, in precedence order
 # ----------------------------------------------------------------------
 
-
-def _r1(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = _check("g is perfect", g.is_perfect(), trace) and _check(
-        "n is abelian", n.is_abelian(), trace
-    )
-    return ok, tuple(trace)
-
-
-def _r2(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = _check("g is perfect", g.is_perfect(), trace) and _check(
-        "n is nilpotent of class exactly 2", _two_step_nilpotent(n), trace
-    )
-    return ok, tuple(trace)
-
-
-def _r3(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("n is solvable", n.is_solvable(), trace)
-        and _check("n is not nilpotent", not n.is_nilpotent(), trace)
-    )
-    return ok, tuple(trace)
-
-
-def _r4(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("n is reductive", n.is_reductive(), trace)
-        and _check("n has a 1-dimensional center", n.center().dim == 1, trace)
-    )
-    return ok, tuple(trace)
-
-
-def _r5(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("n is complete", n.is_complete(), trace)
-        and _check("n is not perfect", not n.is_perfect(), trace)
-    )
-    return ok, tuple(trace)
-
-
-def _r6(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = _check("g is abelian", g.is_abelian(), trace) and _check(
-        "n is perfect and nonzero", n.dim > 0 and n.is_perfect(), trace
-    )
-    return ok, tuple(trace)
-
-
-def _r7(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is nilpotent", g.is_nilpotent(), trace)
-        and _check("g is not abelian", not g.is_abelian(), trace)
-        and _check("n is perfect and nonzero", n.dim > 0 and n.is_perfect(), trace)
-    )
-    return ok, tuple(trace)
-
-
-def _r8(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is semisimple", g.is_semisimple(), trace)
-        and _check("n is perfect", n.is_perfect(), trace)
-        and _check("n is not semisimple", not n.is_semisimple(), trace)
-    )
-    return ok, tuple(trace)
-
-
-def _r9(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("g is not semisimple", not g.is_semisimple(), trace)
-        and _check("n has dimension 8", n.dim == 8, trace)
-        and _check(
-            "n is simple (semisimple, all basis-vector closures full)",
-            n.is_simple(),
-            trace,
-        )
-    )
-    return ok, tuple(trace)
-
-
-def _r10(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    if not (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("g is not semisimple", not g.is_semisimple(), trace)
-        and _check("n has dimension 6", n.dim == 6, trace)
-        and _check("n is semisimple", n.is_semisimple(), trace)
-    ):
-        return False, tuple(trace)
-    minimal = n.minimal_coordinate_ideals()
-    ok = _check(
-        "n has exactly two 3-dimensional minimal ideals among "
-        "basis-vector closures",
-        len(minimal) == 2 and all(m.dim == 3 for m in minimal),
-        trace,
-    )
-    return ok, tuple(trace)
-
-
-def _r11(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    if not (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("g is not semisimple", not g.is_semisimple(), trace)
-        and _check("n is semisimple", n.is_semisimple(), trace)
-    ):
-        return False, tuple(trace)
-    radical = g.solvable_radical()
-    if not _check(
-        "the radical of g is nonzero and abelian",
-        radical.dim > 0 and g.restrict(radical).is_abelian(),
-        trace,
-    ):
-        return False, tuple(trace)
-    quotient = g.quotient(radical)
-    if not _check(
-        "g modulo its radical is simple with scalar centroid",
-        _absolutely_simple(quotient),
-        trace,
-    ):
-        return False, tuple(trace)
-    closures_full = all(
-        g.ad_closure(Subspace.from_vectors(g.dim, [vec])) == radical
-        for vec in radical.basis
-    )
-    if not _check(
-        "the ideal closure of every radical basis vector is the whole radical",
-        closures_full,
-        trace,
-    ):
-        return False, tuple(trace)
-    action = _restricted_radical_action(g, radical)
-    irreducible = action is not None and _commutant_dimension(
-        action, radical.dim
-    ) == 1
-    ok = _check(
-        "the radical is an absolutely irreducible g-module "
-        "(its commutant algebra is the scalars)",
-        irreducible,
-        trace,
-    )
-    return ok, tuple(trace)
-
-
-def _r12(g: LieAlgebra, n: LieAlgebra):
-    trace: list = []
-    ok = (
-        _check("g is perfect", g.is_perfect(), trace)
-        and _check("g is not semisimple", not g.is_semisimple(), trace)
-        and _check("g has dimension 5 or 6", g.dim in (5, 6), trace)
-        and _check("n is nilpotent", n.is_nilpotent(), trace)
-    )
-    return ok, tuple(trace)
-
+G_PERFECT: Check = ("g is perfect", lambda g, n: g.is_perfect())
+G_NOT_SEMISIMPLE: Check = ("g is not semisimple", lambda g, n: not g.is_semisimple())
+N_SEMISIMPLE: Check = ("n is semisimple", lambda g, n: n.is_semisimple())
+N_PERFECT_NONZERO: Check = (
+    "n is perfect and nonzero",
+    lambda g, n: n.dim > 0 and n.is_perfect(),
+)
 
 RULES: tuple[Rule, ...] = (
     Rule(
@@ -288,7 +157,7 @@ RULES: tuple[Rule, ...] = (
         "kills every commutator and hence all of a perfect algebra; the "
         "classical theorem on left-symmetric structures then excludes the "
         "perfect case entirely.",
-        _r1,
+        _hypotheses(G_PERFECT, ("n is abelian", lambda g, n: n.is_abelian())),
     ),
     Rule(
         "R2",
@@ -299,7 +168,13 @@ RULES: tuple[Rule, ...] = (
         "bracket, and a weight analysis of the induced action shows the "
         "first bracket's derived algebra lands in a proper subspace, "
         "contradicting perfectness.",
-        _r2,
+        _hypotheses(
+            G_PERFECT,
+            (
+                "n is nilpotent of class exactly 2",
+                lambda g, n: n.nilpotency_class() == 2,
+            ),
+        ),
     ),
     Rule(
         "R3",
@@ -313,7 +188,11 @@ RULES: tuple[Rule, ...] = (
         "then places the first bracket's derived algebra inside the "
         "nilradical, a proper subspace when the second algebra is not "
         "nilpotent — contradicting perfectness of the first bracket.",
-        _r3,
+        _hypotheses(
+            G_PERFECT,
+            ("n is solvable", lambda g, n: n.is_solvable()),
+            ("n is not nilpotent", lambda g, n: not n.is_nilpotent()),
+        ),
     ),
     Rule(
         "R4",
@@ -327,7 +206,11 @@ RULES: tuple[Rule, ...] = (
         "then take all values inside the semisimple part, so the coupling "
         "axiom confines the first bracket's derived algebra to a proper "
         "subspace — contradicting perfectness.",
-        _r4,
+        _hypotheses(
+            G_PERFECT,
+            ("n is reductive", lambda g, n: n.is_reductive()),
+            ("n has a 1-dimensional center", lambda g, n: n.center().dim == 1),
+        ),
     ),
     Rule(
         "R5",
@@ -340,7 +223,11 @@ RULES: tuple[Rule, ...] = (
         "R+id into the second algebra's derived algebra; writing x = "
         "(R+id)x - Rx shows the second algebra equals its own derived "
         "algebra, contradicting the hypothesis that it is not perfect.",
-        _r5,
+        _hypotheses(
+            G_PERFECT,
+            ("n is complete", lambda g, n: n.is_complete()),
+            ("n is not perfect", lambda g, n: not n.is_perfect()),
+        ),
     ),
     Rule(
         "R6",
@@ -350,7 +237,7 @@ RULES: tuple[Rule, ...] = (
         "configuration makes the second algebra solvable (it is the "
         "degenerate product case dual to the left-symmetric one), and no "
         "nonzero perfect algebra is solvable.",
-        _r6,
+        _hypotheses(("g is abelian", lambda g, n: g.is_abelian()), N_PERFECT_NONZERO),
     ),
     Rule(
         "R7",
@@ -358,7 +245,11 @@ RULES: tuple[Rule, ...] = (
         "A nilpotent first bracket forces the second algebra of any "
         "product structure to be solvable, and no nonzero perfect algebra "
         "is solvable.",
-        _r7,
+        _hypotheses(
+            ("g is nilpotent", lambda g, n: g.is_nilpotent()),
+            ("g is not abelian", lambda g, n: not g.is_abelian()),
+            N_PERFECT_NONZERO,
+        ),
     ),
     Rule(
         "R8",
@@ -366,7 +257,11 @@ RULES: tuple[Rule, ...] = (
         "When the first bracket is semisimple, the only perfect second "
         "brackets compatible with a product structure are themselves "
         "semisimple; a perfect non-semisimple second bracket is excluded.",
-        _r8,
+        _hypotheses(
+            ("g is semisimple", lambda g, n: g.is_semisimple()),
+            ("n is perfect", lambda g, n: n.is_perfect()),
+            ("n is not semisimple", lambda g, n: not n.is_semisimple()),
+        ),
     ),
     Rule(
         "R9",
@@ -375,7 +270,15 @@ RULES: tuple[Rule, ...] = (
         "field extension, and products over it force a semisimple or "
         "simple first bracket; a perfect non-semisimple first bracket is "
         "excluded.",
-        _r9,
+        _hypotheses(
+            G_PERFECT,
+            G_NOT_SEMISIMPLE,
+            ("n has dimension 8", lambda g, n: n.dim == 8),
+            (
+                "n is simple (semisimple, all basis-vector closures full)",
+                lambda g, n: n.is_simple(),
+            ),
+        ),
     ),
     Rule(
         "R10",
@@ -389,7 +292,17 @@ RULES: tuple[Rule, ...] = (
         "case analysis over kernels and images leaves only semisimple "
         "candidates for the first bracket, so a perfect non-semisimple one "
         "is excluded.",
-        _r10,
+        _hypotheses(
+            G_PERFECT,
+            G_NOT_SEMISIMPLE,
+            ("n has dimension 6", lambda g, n: n.dim == 6),
+            N_SEMISIMPLE,
+            (
+                "n has exactly two 3-dimensional minimal ideals among "
+                "basis-vector closures",
+                lambda g, n: [m.dim for m in n.minimal_coordinate_ideals()] == [3, 3],
+            ),
+        ),
     ),
     Rule(
         "R11",
@@ -406,7 +319,29 @@ RULES: tuple[Rule, ...] = (
         "would have to equal the radical.  Hence both kernels are zero, "
         "making R invertible and the two brackets isomorphic — the same "
         "contradiction.  So no product exists.",
-        _r11,
+        _hypotheses(
+            G_PERFECT,
+            G_NOT_SEMISIMPLE,
+            N_SEMISIMPLE,
+            (
+                "the radical of g is nonzero and abelian",
+                lambda g, n: g.solvable_radical().dim > 0
+                and g.restrict(g.solvable_radical()).is_abelian(),
+            ),
+            (
+                "g modulo its radical is simple with scalar centroid",
+                lambda g, n: _absolutely_simple(g.quotient(g.solvable_radical())),
+            ),
+            (
+                "the ideal closure of every radical basis vector is the whole radical",
+                lambda g, n: _radical_closures_full(g),
+            ),
+            (
+                "the radical is an absolutely irreducible g-module "
+                "(its commutant algebra is the scalars)",
+                lambda g, n: _radical_irreducible(g),
+            ),
+        ),
     ),
     Rule(
         "R12",
@@ -417,7 +352,12 @@ RULES: tuple[Rule, ...] = (
         "three-dimensional irreducible module, and the Heisenberg algebra; "
         "for each of them, no product structure with a nilpotent second "
         "bracket exists.",
-        _r12,
+        _hypotheses(
+            G_PERFECT,
+            G_NOT_SEMISIMPLE,
+            ("g has dimension 5 or 6", lambda g, n: g.dim in (5, 6)),
+            ("n is nilpotent", lambda g, n: n.is_nilpotent()),
+        ),
     ),
 )
 

@@ -18,7 +18,10 @@ Three stages, cheapest first:
   checked pointwise on an integer grid laid over the free parameters of the
   S1 solution space.  The grid is exhausted in deterministic lexicographic
   order up to a configurable budget; running out of budget yields an
-  ``unknown`` verdict, never a negative one.
+  ``unknown`` verdict, never a negative one.  When the S1 space is a single
+  point (no free parameter) and that point fails axiom (2), the verdict is
+  negative: a rational linear system with a unique solution has that same
+  unique solution over every extension field.
 
 Every verdict is about the two brackets exactly as given on the shared
 coordinate space: the same abstract pair can admit a product under a
@@ -50,6 +53,7 @@ from .structures import (
 from .certificates import EXISTS, NOT_EXISTS, UNKNOWN, Certificate
 
 LINEAR_INFEASIBLE_RULE = "linear-infeasible"
+UNIQUE_SOLUTION_FAILS_RULE = "unique-linear-solution-fails-axiom2"
 
 _LINEAR_INFEASIBLE_TEXT = (
     "The coupling axiom (1) and the derivation axiom (3) are linear in the "
@@ -61,6 +65,19 @@ _LINEAR_INFEASIBLE_TEXT = (
     "over any field containing the rationals.  The certificate concerns "
     "this alignment only: re-identifying either bracket by a change of "
     "basis yields a different linear system."
+)
+
+_UNIQUE_SOLUTION_FAILS_TEXT = (
+    "The coupling axiom (1) and the derivation axiom (3) are linear in the "
+    "product coefficients.  Exact row reduction shows this linear system "
+    "has exactly one rational solution (no free parameter), and a rational "
+    "linear system has the same rank over every extension field, so that "
+    "solution is also the only one over any field containing the "
+    "rationals.  It fails the quadratic representation axiom (2); hence no "
+    "bilinear product satisfies the axioms for the two brackets exactly as "
+    "given on this shared basis, over any such field.  The certificate "
+    "concerns this alignment only: re-identifying either bracket by a "
+    "change of basis yields a different linear system."
 )
 
 
@@ -241,7 +258,8 @@ def pa_search(
     """Staged exact search for a product structure on ``(g, n)``.
 
     Returns a certificate whose verdict is ``exists`` (with a re-verified
-    witness), ``not_exists`` (only from linear infeasibility, which is
+    witness), ``not_exists`` (only from linear infeasibility, or from a
+    unique linear solution that fails axiom (2); both are
     field-independent), or ``unknown`` (budget exhausted).  ``budget``
     bounds the number of S3 grid points; ``grid_height`` is the half-width
     of the integer grid on the free parameters; both must be non-negative
@@ -356,6 +374,22 @@ def pa_search(
             g_name,
             n_name,
             witness=candidate,
+            trace=tuple(trace),
+            subsets_checked=subsets_checked,
+            points_checked=points_checked,
+            linear_dimension=space.dimension,
+        )
+    if free == 0:
+        trace.append(
+            "stage S3: the single solution of the linear axioms fails the "
+            "quadratic axiom (2)"
+        )
+        return Certificate(
+            NOT_EXISTS,
+            g_name,
+            n_name,
+            rule_id=UNIQUE_SOLUTION_FAILS_RULE,
+            justification=_UNIQUE_SOLUTION_FAILS_TEXT,
             trace=tuple(trace),
             subsets_checked=subsets_checked,
             points_checked=points_checked,

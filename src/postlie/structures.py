@@ -112,13 +112,6 @@ class PAProduct:
                         m[k][j] += xi * cell[k]
         return tuple(tuple(row) for row in m)
 
-    def left_mult_basis(self) -> tuple[Matrix, ...]:
-        n = self.dim
-        return tuple(
-            tuple(tuple(self.tensor[i][j][k] for j in range(n)) for k in range(n))
-            for i in range(n)
-        )
-
     def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         out: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i in range(self.dim):

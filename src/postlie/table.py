@@ -485,24 +485,14 @@ class ExistenceTable:
 
     def render(self) -> str:
         width = 7
-        short = {
-            "abelian": "abe",
-            "nilpotent": "nil",
-            "solvable": "sol",
-            "simple": "sim",
-            "semisimple": "sem",
-            "reductive": "red",
-            "complete": "com",
-            "perfect": "per",
-        }
         lines = []
         header = "g \\ n".ljust(width) + "".join(
-            short[c].center(width) for c in CLASSES
+            c[:3].center(width) for c in CLASSES
         )
         lines.append(header)
         lines.append("-" * len(header))
         for row in CLASSES:
-            parts = [short[row].ljust(width)]
+            parts = [row[:3].ljust(width)]
             for col in CLASSES:
                 parts.append(self.cell(row, col).annotation.center(width))
             lines.append("".join(parts))
@@ -511,18 +501,18 @@ class ExistenceTable:
         for c in self.cells:
             if c.status == "exists":
                 lines.append(
-                    f"  ({short[c.row]}, {short[c.col]}): {c.g_id} over {c.n_id}"
+                    f"  ({c.row[:3]}, {c.col[:3]}): {c.g_id} over {c.n_id}"
                     f" [{c.witness_kind}]"
                 )
         lines.append("excluded cells (rule applied to a representative pair):")
         for c in self.cells:
             if c.status == "not_exists":
                 lines.append(
-                    f"  ({short[c.row]}, {short[c.col]}): {c.rule_id}"
+                    f"  ({c.row[:3]}, {c.col[:3]}): {c.rule_id}"
                     f" on ({c.g_id}, {c.n_id})"
                 )
         lines.append("open cells: " + ", ".join(
-            f"({short[c.row]}, {short[c.col]})"
+            f"({c.row[:3]}, {c.col[:3]})"
             for c in self.cells
             if c.status == "unknown"
         ))

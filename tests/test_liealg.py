@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 
 from postlie import linalg
-from postlie.catalog import get_algebra
+from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra, direct_sum, fingerprint, semidirect_product
 from postlie.sl2 import irreducible_action, module_action, semidirect, sl2
 from postlie.subspace import Subspace
+from postlie.table import CLASSES, existence_table
 
 F = Fraction
 
@@ -261,6 +262,31 @@ def test_fingerprint_equality_and_separation():
     assert fp.radical_dim == 2 and fp.radical_class == 1
     assert fingerprint(sl2()) != fingerprint(LieAlgebra.from_table(3, HEISENBERG))
     assert fingerprint(sl2()) == fingerprint(sl2())
+
+
+def test_invariants_are_computed_once_per_algebra():
+    alg = semidirect((2,))
+    assert alg.derived_subalgebra() is alg.derived_subalgebra()
+    assert alg.solvable_radical() is alg.solvable_radical()
+    assert fingerprint(alg) is fingerprint(alg)
+
+
+def test_fresh_copies_agree_with_cached_invariants_after_a_table_build():
+    # the grid build fills the invariant caches of the shared catalog
+    # instances; a fresh copy of the same brackets recomputes from scratch
+    existence_table()
+    for entry_id in catalog_ids():
+        if get_entry(entry_id).builder is None:
+            continue
+        cached = get_algebra(entry_id)
+        fresh = LieAlgebra(cached.dim, cached.brackets)
+        assert fingerprint(fresh) == fingerprint(cached), entry_id
+        for c in CLASSES:
+            predicate = f"is_{c}"
+            assert getattr(fresh, predicate)() == getattr(cached, predicate)(), (
+                entry_id,
+                c,
+            )
 
 
 def test_build_determinism():

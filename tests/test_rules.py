@@ -31,6 +31,50 @@ FIRING_PAIRS = [
     ("R12", "L6_4", "f23_plus_C"),
 ]
 
+G_PERFECT = "g is perfect: yes"
+G_NOT_SEMISIMPLE = "g is not semisimple: yes"
+
+# the full hypothesis checklist each rule records on its pinned pair
+FIRING_TRACES = {
+    "R1": (G_PERFECT, "n is abelian: yes"),
+    "R2": (G_PERFECT, "n is nilpotent of class exactly 2: yes"),
+    "R3": (G_PERFECT, "n is solvable: yes", "n is not nilpotent: yes"),
+    "R4": (G_PERFECT, "n is reductive: yes", "n has a 1-dimensional center: yes"),
+    "R5": (G_PERFECT, "n is complete: yes", "n is not perfect: yes"),
+    "R6": ("g is abelian: yes", "n is perfect and nonzero: yes"),
+    "R7": ("g is nilpotent: yes", "g is not abelian: yes", "n is perfect and nonzero: yes"),
+    "R8": ("g is semisimple: yes", "n is perfect: yes", "n is not semisimple: yes"),
+    "R9": (
+        G_PERFECT,
+        G_NOT_SEMISIMPLE,
+        "n has dimension 8: yes",
+        "n is simple (semisimple, all basis-vector closures full): yes",
+    ),
+    "R10": (
+        G_PERFECT,
+        G_NOT_SEMISIMPLE,
+        "n has dimension 6: yes",
+        "n is semisimple: yes",
+        "n has exactly two 3-dimensional minimal ideals among basis-vector closures: yes",
+    ),
+    "R11": (
+        G_PERFECT,
+        G_NOT_SEMISIMPLE,
+        "n is semisimple: yes",
+        "the radical of g is nonzero and abelian: yes",
+        "g modulo its radical is simple with scalar centroid: yes",
+        "the ideal closure of every radical basis vector is the whole radical: yes",
+        "the radical is an absolutely irreducible g-module "
+        "(its commutant algebra is the scalars): yes",
+    ),
+    "R12": (
+        G_PERFECT,
+        G_NOT_SEMISIMPLE,
+        "g has dimension 5 or 6: yes",
+        "n is nilpotent: yes",
+    ),
+}
+
 
 def test_registry_shape():
     assert [r.rule_id for r in RULES] == [f"R{k}" for k in range(1, 13)]
@@ -48,7 +92,26 @@ def test_each_rule_fires_on_its_pinned_pair(rule_id, g_id, n_id):
     assert found is not None
     rule, trace = found
     assert rule.rule_id == rule_id
-    assert trace  # the hypothesis checklist is recorded
+    assert trace == FIRING_TRACES[rule_id]
+
+
+def test_a_rule_stops_at_its_first_failing_check():
+    # L9_60 is sl2 acting on an abelian radical that splits into irreducible
+    # modules of dimensions 4 and 2, so the ideal closure of a radical basis
+    # vector is one summand: R11 records the six checks it evaluated and
+    # stops before the seventh
+    holds, trace = rule_by_id("R11").applies(
+        get_algebra("L9_60"), get_algebra("sl2_plus_sl2_plus_sl2")
+    )
+    assert not holds
+    assert trace == (
+        G_PERFECT,
+        G_NOT_SEMISIMPLE,
+        "n is semisimple: yes",
+        "the radical of g is nonzero and abelian: yes",
+        "g modulo its radical is simple with scalar centroid: yes",
+        "the ideal closure of every radical basis vector is the whole radical: no",
+    )
 
 
 @pytest.mark.parametrize("rule_id,g_id,n_id", FIRING_PAIRS)

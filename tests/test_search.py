@@ -13,6 +13,7 @@ from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
 from postlie.samples import get_sample
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
+    UNIQUE_SOLUTION_FAILS_RULE,
     _axiom2_holds,
     pa_linear_space,
     pa_search,
@@ -251,3 +252,22 @@ def test_invariant_equal_but_distinct_algebras_get_no_split_witness(g_id, n_id):
     cert = pa_search(get_algebra(g_id), get_algebra(n_id))
     assert cert.verdict != EXISTS
     assert cert.witness is None and cert.operator is None
+
+
+@pytest.mark.parametrize("g_id,n_id", [("so3", "sl2"), ("sl2", "so3")])
+def test_unique_linear_solution_failing_axiom2_is_not_exists(g_id, n_id):
+    # the linear axioms leave no free parameter, so the one S3 point is the
+    # whole solution set over every field; it fails axiom (2)
+    g, n = get_algebra(g_id), get_algebra(n_id)
+    cert = pa_search(g, n)
+    assert cert.verdict == NOT_EXISTS
+    assert cert.rule_id == UNIQUE_SOLUTION_FAILS_RULE
+    assert cert.justification
+    assert cert.points_checked == 1 and cert.linear_dimension == 0
+    assert cert.witness is None and cert.operator is None
+    assert cert.trace[-1] == (
+        "stage S3: the single solution of the linear axioms fails the "
+        "quadratic axiom (2)"
+    )
+    # with no grid point allowed, nothing was checked: the verdict stays open
+    assert pa_search(g, n, budget=0).verdict == UNKNOWN

@@ -6,6 +6,7 @@ path with ``getattr`` alone, without installing the tracer, so a rename in
 ``postlie`` fails here as well as in the benchmark's smoke check.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -44,3 +45,7 @@ def test_tracer_target_resolves_to_a_function_of_that_name(module_name, path):
 def test_rules_table_is_present():
     rules = importlib.import_module("postlie.rules")
     assert rules.RULES and all(callable(rule.applies) for rule in rules.RULES)
+    # the tracer swaps each rule's check for a wrapper this way; a rule whose
+    # ``applies`` is not an init field would fail only in a traced run
+    for rule in rules.RULES:
+        assert dataclasses.replace(rule, applies=rule.applies) == rule
