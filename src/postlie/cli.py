@@ -409,11 +409,11 @@ def _cmd_verify_pa(args: argparse.Namespace) -> int:
         )
         print(
             "axiom 2 (left multiplication is a representation of g): "
-            + _flag(verification.left_multiplication_is_representation)
+            + _flag(not verification.axiom2)
         )
         print(
             "axiom 3 (left multiplications act by derivations of n): "
-            + _flag(verification.left_multiplication_acts_by_derivations)
+            + _flag(not verification.axiom3)
         )
         print(f"verdict: {_flag(verification.ok)}")
     return EXIT_OK if verification.ok else EXIT_NEGATIVE

@@ -77,10 +77,6 @@ def sub_vectors(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def scale_vector(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in v)
-
-
 def sub_matrices(a: Matrix, b: Matrix) -> Matrix:
     return tuple(sub_vectors(ra, rb) for ra, rb in zip(a, b, strict=True))
 
@@ -259,13 +255,6 @@ def det(m: Matrix) -> Fraction:
                 factor = rows[i][c] / pivot
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
     return result
-
-
-def stack(matrices: Sequence[Matrix]) -> Matrix:
-    out: list[Vector] = []
-    for m in matrices:
-        out.extend(m)
-    return tuple(out)
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:

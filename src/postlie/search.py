@@ -12,8 +12,13 @@ Three stages, cheapest first:
   into two complementary coordinate subsets whose spans are both
   subalgebras yields a weight-one operator (minus the projection onto the
   second part), whose derived product satisfies all three axioms for the
-  operator's descendent bracket.  The product is returned as a witness only
-  when that descendent bracket equals the bracket of ``g`` entry for entry.
+  operator's descendent bracket.  For a coordinate splitting that bracket
+  is a sign pattern on ``n``: ``n``'s bracket within the first part, its
+  negation within the second, and zero across the two.  A subset yields a
+  witness only when the bracket of ``g`` equals that pattern entry for
+  entry; the test reads the two bracket tensors directly, with no linear
+  algebra, and the operator and its product are built only for a subset
+  that matches.
 * **S3 — bounded quadratic search.**  The remaining quadratic axiom (2) is
   checked pointwise on an integer grid laid over the free parameters of the
   S1 solution space.  The grid is exhausted in deterministic lexicographic
@@ -26,8 +31,9 @@ Three stages, cheapest first:
 Every verdict is about the two brackets exactly as given on the shared
 coordinate space: the same abstract pair can admit a product under a
 different basis identification, and no stage searches over those.  All
-arithmetic is exact.  Every witness is re-verified against the three axioms
-on the caller's ``g`` and ``n`` before a certificate is issued.
+arithmetic is exact.  Every certificate leaves through one exit, which
+re-verifies any witness against the three axioms on the caller's ``g`` and
+``n`` and issues no ``exists`` certificate when that fails.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .subspace import Subspace
 from .structures import (
     PAProduct,
     axiom2_residuals,
-    descendent_bracket,
     pa_from_rb,
     rb_from_coordinate_split,
     verify_pa,
@@ -246,6 +251,37 @@ def _splitting_order(d: int):
     return subsets
 
 
+def _split_descends(g: LieAlgebra, n: LieAlgebra, subset: Sequence[int]) -> bool:
+    """Whether splitting ``n`` into the span of ``subset`` and the span of
+    the remaining coordinates yields ``g`` as descendent bracket.
+
+    Both spans must be subalgebras of ``n``, and the descendent bracket of
+    the operator (minus the projection onto the rest) must equal ``g`` on
+    every basis pair ``(i, j)``.  For a coordinate splitting that bracket is
+    a sign pattern on ``n``: ``n``'s bracket within the first part, its
+    negation within the rest, and zero across the two parts.
+    """
+    d = n.dim
+    first = [False] * d
+    for i in subset:
+        first[i] = True
+    for i in range(d):
+        for j in range(d):
+            gb, nb = g.brackets[i][j], n.brackets[i][j]
+            if first[i] != first[j]:
+                if any(gb):
+                    return False
+                continue
+            for k in range(d):
+                if first[k] != first[i]:
+                    # closure of the part, and the matching zero in g
+                    if nb[k] or gb[k]:
+                        return False
+                elif gb[k] != (nb[k] if first[i] else -nb[k]):
+                    return False
+    return True
+
+
 def pa_search(
     g: LieAlgebra,
     n: LieAlgebra,
@@ -275,21 +311,34 @@ def pa_search(
     g_name = g_name or g.name or "g"
     n_name = n_name or n.name or "n"
     trace = []
+    subsets_checked = points_checked = 0
+
+    def issue(verdict: str, line: str, **fields) -> Optional[Certificate]:
+        """The one exit: the certificate with ``line`` as its last trace
+        line, or ``None`` when its witness fails ``verify_pa``."""
+        witness = fields.get("witness")
+        if witness is not None and not verify_pa(g, n, witness).ok:
+            return None
+        return Certificate(
+            verdict,
+            g_name,
+            n_name,
+            trace=(*trace, line),
+            subsets_checked=subsets_checked,
+            points_checked=points_checked,
+            linear_dimension=space.dimension,
+            **fields,
+        )
 
     # --- S1: linear feasibility -------------------------------------
     space = pa_linear_space(g, n)
     if space.is_empty:
-        trace.append(
-            "stage S1: the linear axiom system over the "
-            f"{d**3} product coefficients is inconsistent"
-        )
-        return Certificate(
+        return issue(
             NOT_EXISTS,
-            g_name,
-            n_name,
+            "stage S1: the linear axiom system over the "
+            f"{d**3} product coefficients is inconsistent",
             rule_id=LINEAR_INFEASIBLE_RULE,
             justification=_LINEAR_INFEASIBLE_TEXT,
-            trace=tuple(trace),
         )
     trace.append(
         "stage S1: linear axioms admit an affine solution space of "
@@ -297,40 +346,26 @@ def pa_search(
     )
 
     # --- S2: complementary coordinate splittings ---------------------
-    subsets_checked = 0
     for subset in _splitting_order(d):
         subsets_checked += 1
-        first = Subspace.spanned_by_coordinates(d, subset)
-        rest = tuple(i for i in range(d) if i not in subset)
-        second = Subspace.spanned_by_coordinates(d, rest)
-        if not (n.is_subalgebra(first) and n.is_subalgebra(second)):
+        if not _split_descends(g, n, subset):
             continue
         op = rb_from_coordinate_split(n, subset)
-        if descendent_bracket(n, op).brackets != g.brackets:
-            continue
-        product = pa_from_rb(n, op)
-        verification = verify_pa(g, n, product)
-        if not verification.ok:  # pragma: no cover - guarded by construction
-            continue
-        trace.append(
+        rest = tuple(i for i in range(d) if i not in subset)
+        cert = issue(
+            EXISTS,
             "stage S2: splitting #%d into coordinate subalgebras {%s} and {%s} "
             "yields a weight-one operator whose product verifies all axioms"
             % (
                 subsets_checked,
                 ", ".join(str(i + 1) for i in subset) or "-",
                 ", ".join(str(i + 1) for i in rest) or "-",
-            )
-        )
-        return Certificate(
-            EXISTS,
-            g_name,
-            n_name,
-            witness=product,
+            ),
+            witness=pa_from_rb(n, op),
             operator=op,
-            trace=tuple(trace),
-            subsets_checked=subsets_checked,
-            linear_dimension=space.dimension,
         )
+        if cert is not None:
+            return cert
     trace.append(
         f"stage S2: all {subsets_checked} coordinate splittings checked, "
         "no matching complementary-subalgebra witness (only coordinate-"
@@ -339,73 +374,46 @@ def pa_search(
     )
 
     # --- S3: bounded grid over the free parameters -------------------
+    # Point t has the base-(2h+1) digits of t, most significant first,
+    # shifted by -h: the lexicographic order of the grid [-h, h]**free.
     free = len(space.basis)
-    points_checked = 0
     height = int(grid_height)
-    values = range(-height, height + 1)
-    for assignment in itertools.product(values, repeat=free):
-        if points_checked >= budget:
-            trace.append(
-                f"stage S3: budget of {budget} grid points exhausted "
-                f"(grid height {height}, {free} free parameters)"
-            )
-            return Certificate(
-                UNKNOWN,
-                g_name,
-                n_name,
-                trace=tuple(trace),
-                subsets_checked=subsets_checked,
-                points_checked=points_checked,
-                linear_dimension=space.dimension,
-            )
-        points_checked += 1
+    base = 2 * height + 1
+    grid_size = base**free
+    for t in range(min(budget, grid_size)):
+        points_checked = t + 1
+        assignment = [0] * free
+        for position in range(free - 1, -1, -1):
+            t, digit = divmod(t, base)
+            assignment[position] = digit - height
         candidate = space.product_at(assignment)
         if not _axiom2_holds(g, candidate):
             continue
-        verification = verify_pa(g, n, candidate)
-        if not verification.ok:  # pragma: no cover - axioms 1/3 hold by construction
-            continue
-        trace.append(
-            f"stage S3: grid point #{points_checked} at height {height} "
-            "satisfies the quadratic axiom; all three axioms re-verified"
-        )
-        return Certificate(
+        cert = issue(
             EXISTS,
-            g_name,
-            n_name,
+            f"stage S3: grid point #{points_checked} at height {height} "
+            "satisfies the quadratic axiom; all three axioms re-verified",
             witness=candidate,
-            trace=tuple(trace),
-            subsets_checked=subsets_checked,
-            points_checked=points_checked,
-            linear_dimension=space.dimension,
+        )
+        if cert is not None:
+            return cert
+    if grid_size > budget:
+        return issue(
+            UNKNOWN,
+            f"stage S3: budget of {budget} grid points exhausted "
+            f"(grid height {height}, {free} free parameters)",
         )
     if free == 0:
-        trace.append(
-            "stage S3: the single solution of the linear axioms fails the "
-            "quadratic axiom (2)"
-        )
-        return Certificate(
+        return issue(
             NOT_EXISTS,
-            g_name,
-            n_name,
+            "stage S3: the single solution of the linear axioms fails the "
+            "quadratic axiom (2)",
             rule_id=UNIQUE_SOLUTION_FAILS_RULE,
             justification=_UNIQUE_SOLUTION_FAILS_TEXT,
-            trace=tuple(trace),
-            subsets_checked=subsets_checked,
-            points_checked=points_checked,
-            linear_dimension=space.dimension,
         )
-    trace.append(
+    return issue(
+        UNKNOWN,
         f"stage S3: exhausted the full integer grid of height {height} on "
         f"{free} free parameters ({points_checked} points) without a hit; "
-        "the grid does not cover the affine space, so the verdict stays open"
-    )
-    return Certificate(
-        UNKNOWN,
-        g_name,
-        n_name,
-        trace=tuple(trace),
-        subsets_checked=subsets_checked,
-        points_checked=points_checked,
-        linear_dimension=space.dimension,
+        "the grid does not cover the affine space, so the verdict stays open",
     )

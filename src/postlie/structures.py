@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -178,16 +177,6 @@ class PAVerification:
             and not self.axiom2
             and not self.axiom3
         )
-
-    @property
-    def left_multiplication_is_representation(self) -> bool:
-        """Axiom 2 restated: ``L([x,y]_g) = [L(x), L(y)]`` as operators."""
-        return not self.axiom2
-
-    @property
-    def left_multiplication_acts_by_derivations(self) -> bool:
-        """Axiom 3 restated: every ``L(x)`` is a derivation of ``n``."""
-        return not self.axiom3
 
     def as_dict(self) -> dict:
         return {
@@ -511,37 +500,6 @@ def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator
 # ----------------------------------------------------------------------
 
 Pair = tuple[Vector, Matrix]
-
-
-def pair_bracket(n: LieAlgebra, a: Pair, b: Pair) -> Pair:
-    """Bracket of ``n |x Der(n)`` elements ``(v, D)``:
-    ``[(v1,D1),(v2,D2)] = ({v1,v2} + D1 v2 - D2 v1, [D1,D2])``."""
-    (v1, d1), (v2, d2) = a, b
-    vec = tuple(
-        x + y - z
-        for x, y, z in zip(n.bracket(v1, v2), linalg.matvec(d1, v2), linalg.matvec(d2, v1))
-    )
-    return vec, linalg.commutator(d1, d2)
-
-
-def exp_ad_pair(n: LieAlgebra, z: Pair, x: Pair, max_power: int = 60) -> Pair:
-    """``exp(ad_z)(x)`` inside ``n |x Der(n)``; requires ``ad_z`` nilpotent
-    on the orbit (the sum must terminate within ``max_power`` steps)."""
-    total_v, total_d = x
-    current = x
-    for k in range(1, max_power + 1):
-        current = pair_bracket(n, z, current)
-        if all(c == 0 for c in current[0]) and all(
-            c == 0 for row in current[1] for c in row
-        ):
-            return total_v, total_d
-        scale = Fraction(1, factorial(k))
-        total_v = tuple(a + scale * b for a, b in zip(total_v, current[0]))
-        total_d = tuple(
-            tuple(a + scale * b for a, b in zip(ra, rb))
-            for ra, rb in zip(total_d, current[1])
-        )
-    raise ValueError("ad_z is not nilpotent within the power bound")
 
 
 def product_from_left_action(n: LieAlgebra, pairs: Sequence[Pair], name: str = "") -> PAProduct:

@@ -48,6 +48,7 @@ from .structures import (
     verify_rb,
 )
 from .rules import applicable_rule, rule_by_id
+from .samples import get_sample
 from .sl2 import module_action
 
 
@@ -235,6 +236,20 @@ def _witness(kind: str, g_id: str, n_id: str, data=()) -> Witness:
     return Witness(kind=kind, g_id=g_id, n_id=n_id, data=data)
 
 
+def _sample_witness(kind: str, sample_id: str) -> Witness:
+    """The product (``kind="product"``) or the operator (``"operator"``) of
+    a shipped sample, as witness data."""
+    sample = get_sample(sample_id)
+    if kind == "product":
+        data = tuple(
+            (key, tuple(sorted(col.items())))
+            for key, col in sorted(sample.product.sparse_table().items())
+        )
+    else:
+        data = sample.operator.matrix
+    return _witness(kind, sample.g_class_id, sample.n_id, data)
+
+
 _EXISTS: dict[tuple[str, str], Witness] = {
     # row: g abelian
     ("abelian", "abelian"): _witness("zero", "abelian_1", "abelian_1"),
@@ -274,18 +289,7 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         "coordinate_split", "r2_plus_C2", "sl2_plus_C", (0, 2, 3)
     ),
     ("solvable", "complete"): _witness("zero", "r2_plus_r2", "r2_plus_r2"),
-    ("solvable", "perfect"): _witness(
-        "operator",
-        "n3_plus_r2",
-        "L5_1",
-        (
-            (0, 0, 0, 0, 0),
-            (0, -1, 0, 0, 0),
-            (0, 0, -1, 0, 0),
-            (0, 0, 0, 0, 0),
-            (0, 0, 0, 0, 0),
-        ),
-    ),
+    ("solvable", "perfect"): _sample_witness("operator", "solvable_over_perfect"),
     # row: g simple
     ("simple", "simple"): _witness("zero", "sl2", "sl2"),
     # row: g semisimple non-simple
@@ -307,18 +311,7 @@ _EXISTS: dict[tuple[str, str], Witness] = {
     ("reductive", "complete"): _witness(
         "coordinate_split", "sl2_plus_C2", "sl2_plus_r2", (0, 1, 2, 3)
     ),
-    ("reductive", "perfect"): _witness(
-        "operator",
-        "sl2_plus_C2",
-        "L5_1",
-        (
-            (0, 0, 0, 0, 0),
-            (0, 0, 0, 0, 0),
-            (0, 0, 0, 0, 0),
-            (0, 0, 0, -1, 0),
-            (0, 0, 0, 0, -1),
-        ),
-    ),
+    ("reductive", "perfect"): _sample_witness("operator", "reductive_over_perfect"),
     # row: g complete non-perfect
     ("complete", "abelian"): _witness(
         "product", "r2", "abelian_2", (((1, 0), ((0, -1),)), ((1, 1), ((1, -1),)))
@@ -357,31 +350,9 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         ),
     ),
     ("complete", "complete"): _witness("zero", "r2_plus_r2", "r2_plus_r2"),
-    ("complete", "perfect"): _witness(
-        "product",
-        "sl2_plus_r2",
-        "L5_1",
-        (
-            ((3, 1), ((4, 1),)),
-            ((3, 2), ((3, 1),)),
-            ((4, 0), ((3, 1),)),
-            ((4, 2), ((4, -1),)),
-            ((4, 3), ((3, -1),)),
-            ((4, 4), ((4, -1),)),
-        ),
-    ),
+    ("complete", "perfect"): _sample_witness("product", "complete_over_perfect"),
     # row: g perfect non-semisimple
-    ("perfect", "reductive"): _witness(
-        "product",
-        "L5_1",
-        "sl2_plus_C2",
-        (
-            ((0, 4), ((3, 1),)),
-            ((1, 3), ((4, 1),)),
-            ((2, 3), ((3, 1),)),
-            ((2, 4), ((4, -1),)),
-        ),
-    ),
+    ("perfect", "reductive"): _sample_witness("product", "perfect_over_reductive"),
     ("perfect", "perfect"): _witness("zero", "L5_1", "L5_1"),
 }
 

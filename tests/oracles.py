@@ -1,8 +1,12 @@
 """Independent oracles shared by test modules.
 
-Everything here is deliberately written from scratch against the raw
-definitions — no imports from the package's linear algebra — so agreement
-between these results and the library is meaningful evidence.
+Everything here except ``split_descends_reference`` is deliberately written
+from scratch against the raw definitions — no imports from the package's
+linear algebra — so agreement between these results and the library is
+meaningful evidence.  ``split_descends_reference`` instead replays the
+search's former linear-algebra route through the library's own subspace
+and operator machinery, so the sign-pattern test that replaced it is pinned
+to the exact old behaviour.
 """
 
 from fractions import Fraction
@@ -121,3 +125,18 @@ def axiom2_reference(g, product):
                 if any(x != 0 for x in res):
                     found.append(((i, j, k), res))
     return tuple(found)
+
+
+def split_descends_reference(g, n, subset):
+    """The former S2 test of one coordinate splitting: both coordinate
+    spans are subalgebras of ``n``, and the descendent bracket of minus the
+    projection onto the rest equals ``g`` on the full tensor."""
+    from postlie.structures import descendent_bracket, rb_from_coordinate_split
+    from postlie.subspace import Subspace
+
+    rest = [i for i in range(n.dim) if i not in subset]
+    for part in (subset, rest):
+        if not n.is_subalgebra(Subspace.spanned_by_coordinates(n.dim, part)):
+            return False
+    op = rb_from_coordinate_split(n, subset)
+    return descendent_bracket(n, op).brackets == g.brackets

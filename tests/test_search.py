@@ -2,25 +2,49 @@
 bounded grid stage, pinned against independently computed oracles."""
 
 import functools
+import hashlib
 import itertools
+import json
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postlie.catalog import FINGERPRINT_COLLISIONS, get_algebra, perfect_ids
+from postlie import interchange, search, table
+from postlie.catalog import (
+    FINGERPRINT_COLLISIONS,
+    catalog_ids,
+    get_algebra,
+    get_entry,
+    perfect_ids,
+)
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
 from postlie.samples import get_sample
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
     UNIQUE_SOLUTION_FAILS_RULE,
     _axiom2_holds,
+    _split_descends,
+    _splitting_order,
     pa_linear_space,
     pa_search,
 )
-from postlie.structures import induced_bracket, verify_pa
+from postlie.structures import (
+    descendent_bracket,
+    induced_bracket,
+    rb_from_coordinate_split,
+    verify_pa,
+)
 
-from oracles import axiom2_reference, gauss_consistent, raw_linear_system
+from oracles import (
+    axiom2_reference,
+    gauss_consistent,
+    raw_linear_system,
+    split_descends_reference,
+)
 
 F = Fraction
 
@@ -163,6 +187,81 @@ def test_split_witnesses_reverify():
     assert induced_bracket(n, witness) == sample.g_bracket()
 
 
+def _descendents(n):
+    """The descendent bracket of every coordinate splitting of ``n`` into
+    two subalgebras."""
+    found = []
+    for subset in _splitting_order(n.dim):
+        try:
+            op = rb_from_coordinate_split(n, subset)
+        except ValueError:  # a part is not a subalgebra
+            continue
+        found.append(descendent_bracket(n, op))
+    return found
+
+
+def test_split_predicate_agrees_with_the_reference_route():
+    small = [
+        get_algebra(i)
+        for i in catalog_ids()
+        if get_entry(i).kind != "stub" and get_algebra(i).dim <= 4
+    ]
+    for n in small:
+        # same-dimension catalog algebras, then each descendent of n (a
+        # positive for its own splitting), each bracket tensor once
+        candidates = {a.brackets: a for a in small if a.dim == n.dim}
+        descendents = _descendents(n)
+        for desc in descendents:
+            candidates.setdefault(desc.brackets, desc)
+        for g in candidates.values():
+            for subset in _splitting_order(n.dim):
+                expected = split_descends_reference(g, n, subset)
+                assert _split_descends(g, n, subset) == expected, (n.name, g.name, subset)
+        assert all(
+            any(_split_descends(desc, n, s) for s in _splitting_order(n.dim))
+            for desc in descendents
+        )
+
+
+def test_a_pair_with_no_coordinate_split_falls_through_to_the_grid():
+    # the (complete, simple) grid witness comes from a splitting of sl3 that
+    # is not coordinate-aligned: S2 finds nothing in all 2**8 subsets, and
+    # the one point of the S1 space is the product
+    g, n, _, _ = table._EXISTS[("complete", "simple")].materialize()
+    cert = pa_search(g, n)
+    assert cert.verdict == EXISTS
+    assert cert.subsets_checked == 256
+    assert cert.points_checked == 1
+    assert cert.linear_dimension == 0
+    assert cert.operator is None
+    assert verify_pa(g, n, cert.witness).ok
+
+
+class _Refused:
+    ok = False
+
+
+@pytest.mark.parametrize(
+    "g_id,n_id,budget", [("L5_1", "L5_1", 512), ("r2", "abelian_2", 6000)]
+)
+def test_a_witness_failing_verification_is_never_issued(
+    monkeypatch, g_id, n_id, budget
+):
+    # S2 hits first on (L5_1, L5_1), S3 on (r2, abelian_2): every candidate
+    # passes through the exit's verify_pa, which refuses it here
+    refused = []
+
+    def refuse(g, n, product):
+        refused.append(product)
+        return _Refused()
+
+    monkeypatch.setattr(search, "verify_pa", refuse)
+    cert = pa_search(get_algebra(g_id), get_algebra(n_id), budget=budget)
+    assert refused
+    assert cert.verdict != EXISTS
+    assert cert.witness is None and cert.operator is None
+
+
 # ----------------------------------------------------------------------
 # S3: bounded grid stage
 # ----------------------------------------------------------------------
@@ -224,6 +323,43 @@ def test_negative_search_bounds_are_rejected(bounds):
         pa_search(g, n, **bounds)
 
 
+def _limit_memory():
+    # a 1 GB address-space limit turns a materialized grid axis into a
+    # failure of the child, not a multi-gigabyte allocation
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_huge_grid_height_stops_at_the_budget_without_allocating():
+    script = (
+        "import json\n"
+        "from postlie.catalog import get_algebra\n"
+        "from postlie.search import pa_search\n"
+        "cert = pa_search(get_algebra('r2'), get_algebra('abelian_2'), "
+        "budget=5, grid_height=100000000)\n"
+        "print(json.dumps(cert.as_dict()))\n"
+    )
+    cli_args = ("search", "pa", "--g", "r2", "--n", "abelian_2")
+    cli_args += ("--grid-height", "100000000", "--budget", "5", "--json")
+    runs = {
+        "api": ([sys.executable, "-c", script], 0),
+        "cli": ([sys.executable, "-m", "postlie.cli", *cli_args], 2),
+    }
+    for label, (argv, code) in runs.items():
+        result = subprocess.run(
+            argv, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=60
+        )
+        assert result.returncode == code, (label, result.stderr)
+        doc = json.loads(result.stdout)
+        assert doc["verdict"] == UNKNOWN
+        assert doc["points_checked"] == 5
+        assert doc["trace"][-1] == (
+            "stage S3: budget of 5 grid points exhausted "
+            "(grid height 100000000, 6 free parameters)"
+        )
+
+
 # ----------------------------------------------------------------------
 # certificates hold for the literal pair they name
 # ----------------------------------------------------------------------
@@ -271,3 +407,30 @@ def test_unique_linear_solution_failing_axiom2_is_not_exists(g_id, n_id):
     )
     # with no grid point allowed, nothing was checked: the verdict stays open
     assert pa_search(g, n, budget=0).verdict == UNKNOWN
+
+
+# ----------------------------------------------------------------------
+# byte stability of the recorded search outputs
+# ----------------------------------------------------------------------
+
+SEARCH_PAIRS = (
+    pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "search_pairs.json"
+)
+# sha256 over json.dumps(cert.as_dict(), sort_keys=True) + "\n" for the
+# recorded pairs in file order.  A change that alters any search output
+# must update this pin and say why.
+SEARCH_CERTIFICATES_SHA256 = (
+    "9d7a5c9f0f3ecd3e9c1a02eed6bc46a7444944544bc6c3641c62ea564d04f292"
+)
+
+
+def test_recorded_search_certificates_are_byte_stable():
+    pairs = json.loads(SEARCH_PAIRS.read_text(encoding="utf-8"))
+    assert len(pairs) == 44
+    digest = hashlib.sha256()
+    for pair in pairs:
+        g = interchange.parse_document(pair["g"]).value
+        n = interchange.parse_document(pair["n"]).value
+        cert = pa_search(g, n, budget=pair["budget"], g_name=g.name, n_name=n.name)
+        digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == SEARCH_CERTIFICATES_SHA256

@@ -17,11 +17,9 @@ from postlie.structures import (
     PAProduct,
     RBOperator,
     descendent_bracket,
-    exp_ad_pair,
     induced_bracket,
     negation_partner,
     pa_from_rb,
-    pair_bracket,
     product_from_left_action,
     rb_from_coordinate_split,
     rb_from_decomposition,
@@ -189,30 +187,6 @@ def test_descendent_of_split_operator_is_the_direct_sum():
     for i in range(3):
         for j in range(3, 5):
             assert desc.brackets[i][j] == (F(0),) * 5
-
-
-def test_pair_bracket_in_the_derivation_extension():
-    heis = LieAlgebra.from_table(3, {(0, 1): {2: 1}})
-    e1 = (F(1), F(0), F(0))
-    e2 = (F(0), F(1), F(0))
-    zero_m = linalg.zero_matrix(3, 3)
-    vec, der = pair_bracket(heis, (e1, zero_m), (e2, zero_m))
-    assert vec == (F(0), F(0), F(1))
-    assert der == zero_m
-    d = linalg.mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]])  # derivation of heis
-    vec2, _ = pair_bracket(heis, ((F(0),) * 3, d), (e1, zero_m))
-    assert vec2 == (F(1), F(0), F(0))
-
-
-def test_exp_ad_pair_matches_matrix_exponential():
-    flat = LieAlgebra.abelian(2)
-    nil = linalg.mat([[0, 1], [0, 0]])
-    z = ((F(0), F(0)), nil)
-    x = ((F(0), F(1)), linalg.zero_matrix(2, 2))
-    moved, _ = exp_ad_pair(flat, z, x)
-    assert moved == (F(1), F(1))
-    with pytest.raises(ValueError):
-        exp_ad_pair(flat, ((F(0), F(0)), linalg.identity(2)), x, max_power=10)
 
 
 def test_product_from_left_action_builds_the_two_block_witness():
