@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .interchange import _entry_list
 from .structures import PAProduct, RBOperator
 
 EXISTS = "exists"
@@ -66,11 +67,7 @@ class Certificate:
         if self.witness is not None:
             doc["witness_product"] = {
                 "dim": self.witness.dim,
-                "entries": [
-                    {"i": i + 1, "j": j + 1, "k": k + 1, "coeff": str(c)}
-                    for (i, j), col in sorted(self.witness.sparse_table().items())
-                    for k, c in sorted(col.items())
-                ],
+                "entries": _entry_list(self.witness.sparse_table()),
             }
         if self.operator is not None:
             doc["witness_operator"] = {

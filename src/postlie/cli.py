@@ -22,7 +22,9 @@ Exit codes::
     1   verified negative (an axiom fails, a structural rule fires)
     2   unknown (no verdict within the configured budget)
     64  usage error (bad flags or arguments)
-    65  malformed document (reported with line/field diagnostics)
+    65  malformed document (reported with line/field diagnostics), or
+        inconsistent inputs such as a bracket failing the Jacobi identity
+        given to ``search pa`` or ``rules``
     66  unknown catalog id or unreadable input file
     69  catalog entry whose structure constants are not bundled
     70  existence-table re-verification failure

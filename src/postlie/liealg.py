@@ -6,6 +6,12 @@ The tensor is an immutable nested tuple, so algebras are hashable and can be
 compared by data equality; all invariants are computed exactly, and each is
 computed once per instance and cached on it (``functools.cached_property``).
 
+The first cached datum is the sparse support of the tensor: the nonzero
+``(k, c)`` pairs of each cell ``[e_i, e_j]`` (:func:`tensor_supports`).  One
+bilinear kernel over such supports, :func:`add_bilinear`, evaluates the
+bracket, the Jacobi residuals and the derivation test here, and products,
+axiom residuals and operator products in :mod:`postlie.structures`.
+
 Structural invariants provided here:
 
 * Jacobi residuals (exact witness of where the identity fails, if anywhere),
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector, ZERO, ONE, frac
@@ -52,6 +58,36 @@ def _tensor_from_table(dim: int, table: BracketTable):
             c[i][j][k] += value
             c[j][i][k] -= value
     return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def nonzero(v: Sequence[Fraction]) -> tuple:
+    """The nonzero ``(index, coefficient)`` pairs of a coordinate vector."""
+    return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def unit(i: int, coeff: Fraction = ONE) -> tuple:
+    """``coeff * e_i`` as ``(index, coefficient)`` pairs."""
+    return ((i, coeff),)
+
+
+def tensor_supports(tensor) -> tuple:
+    """``supports[i][j]``: the nonzero ``(k, c)`` pairs of cell ``t[i][j]``."""
+    return tuple(tuple(nonzero(cell) for cell in plane) for plane in tensor)
+
+
+def add_bilinear(out: list, supports, xs, ys) -> list:
+    """``out += sum_{i,j} x_i y_j t[i][j]`` for the tensor ``t`` with the
+    given cell supports, ``x`` and ``y`` given as ``(index, coefficient)``
+    pairs; returns ``out``.  Brackets, products, axiom residuals and
+    operator products all evaluate through this one loop."""
+    for i, a in xs:
+        row = supports[i]
+        for j, b in ys:
+            # a basis-vector side (coefficient ``ONE``) costs no product
+            s = b if a is ONE else a if b is ONE else a * b
+            for k, c in row[j]:
+                out[k] += s * c
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,31 +115,21 @@ class LieAlgebra:
     # basic bracket operations
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _supports(self) -> tuple:
+        return tensor_supports(self.brackets)
+
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            row = self.brackets[i]
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                coeff = x[i] * y[j]
-                comp = row[j]
-                for k in range(n):
-                    if comp[k] != 0:
-                        out[k] += coeff * comp[k]
-        return tuple(out)
+        return tuple(
+            add_bilinear([ZERO] * self.dim, self._supports, nonzero(x), nonzero(y))
+        )
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     def ad(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ad(x) = [x, -] acting on column vectors."""
-        n = self.dim
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(n)]
-        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
+        return linalg.transpose([self.bracket(x, self.basis_vector(j)) for j in range(self.dim)])
 
     def ad_basis(self) -> tuple[Matrix, ...]:
         return tuple(self.ad(self.basis_vector(i)) for i in range(self.dim))
@@ -112,30 +138,39 @@ class LieAlgebra:
     # Jacobi identity
     # ------------------------------------------------------------------
 
-    def jacobi_residuals(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
-        """All basis triples (i<j<k) where the Jacobi identity fails."""
+    @cached_property
+    def _jacobi_residuals(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
+        sup = self._supports
         bad = []
         n = self.dim
+        units = [unit(i) for i in range(n)]
         for i in range(n):
-            ei = self.basis_vector(i)
             for j in range(i + 1, n):
-                ej = self.basis_vector(j)
-                bij = self.brackets[i][j]
                 for k in range(j + 1, n):
-                    ek = self.basis_vector(k)
-                    total = linalg.add_vectors(
-                        self.bracket(bij, ek),
-                        linalg.add_vectors(
-                            self.bracket(self.brackets[j][k], ei),
-                            self.bracket(self.brackets[k][i], ej),
-                        ),
-                    )
-                    if not linalg.is_zero_vector(total):
-                        bad.append(((i, j, k), total))
+                    total = [ZERO] * n
+                    add_bilinear(total, sup, sup[i][j], units[k])
+                    add_bilinear(total, sup, sup[j][k], units[i])
+                    add_bilinear(total, sup, sup[k][i], units[j])
+                    if any(total):
+                        bad.append(((i, j, k), tuple(total)))
         return tuple(bad)
 
+    def jacobi_residuals(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
+        """All basis triples (i<j<k) where the Jacobi identity fails."""
+        return self._jacobi_residuals
+
     def is_lie(self) -> bool:
-        return not self.jacobi_residuals()
+        return not self._jacobi_residuals
+
+    def require_lie(self, role: str) -> None:
+        """Raise ``ValueError`` naming the first (1-based) basis triple on
+        which the Jacobi identity fails, if there is one."""
+        if self._jacobi_residuals:
+            (i, j, k), _ = self._jacobi_residuals[0]
+            raise ValueError(
+                f"{role} is not a Lie bracket: the Jacobi identity fails on "
+                f"basis triple ({i + 1}, {j + 1}, {k + 1})"
+            )
 
     # ------------------------------------------------------------------
     # subspace machinery
@@ -244,11 +279,7 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return all(
-            linalg.is_zero_vector(self.brackets[i][j])
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return not any(any(plane) for plane in self._supports)
 
     def is_perfect(self) -> bool:
         return self.derived_subalgebra().dim == self.dim
@@ -325,14 +356,13 @@ class LieAlgebra:
 
     def is_derivation(self, matrix: Matrix) -> bool:
         n = self.dim
+        sup = self._supports
+        cols = [nonzero(col) for col in linalg.transpose(matrix)]
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = linalg.matvec(matrix, self.brackets[i][j])
-                rhs = linalg.add_vectors(
-                    self.bracket(linalg.matvec(matrix, self.basis_vector(i)), self.basis_vector(j)),
-                    self.bracket(self.basis_vector(i), linalg.matvec(matrix, self.basis_vector(j))),
-                )
-                if lhs != rhs:
+                rhs = add_bilinear([ZERO] * n, sup, cols[i], unit(j))
+                add_bilinear(rhs, sup, unit(i), cols[j])
+                if linalg.matvec(matrix, self.brackets[i][j]) != tuple(rhs):
                     return False
         return True
 
@@ -437,17 +467,12 @@ class LieAlgebra:
 
     def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The i<j sparse form of the bracket tensor."""
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                entry = {
-                    k: self.brackets[i][j][k]
-                    for k in range(self.dim)
-                    if self.brackets[i][j][k] != 0
-                }
-                if entry:
-                    table[(i, j)] = entry
-        return table
+        return {
+            (i, j): dict(cell)
+            for i, plane in enumerate(self._supports)
+            for j, cell in enumerate(plane)
+            if i < j and cell
+        }
 
     @cached_property
     def _fingerprint(self) -> Fingerprint:
@@ -505,12 +530,10 @@ def semidirect_product(
     for i in range(sub.dim):
         for j in range(i + 1, sub.dim):
             expected = [[ZERO] * module_dim for _ in range(module_dim)]
-            for k in range(sub.dim):
-                coeff = sub.brackets[i][j][k]
-                if coeff != 0:
-                    for r in range(module_dim):
-                        for c in range(module_dim):
-                            expected[r][c] += coeff * action[k][r][c]
+            for k, coeff in sub._supports[i][j]:
+                for r in range(module_dim):
+                    for c in range(module_dim):
+                        expected[r][c] += coeff * action[k][r][c]
             actual = linalg.commutator(action[i], action[j])
             if actual != tuple(tuple(row) for row in expected):
                 raise ValueError(

@@ -69,10 +69,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def add_vectors(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def sub_vectors(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -105,10 +101,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return sub_matrices(matmul(a, b), matmul(b, a))
-
-
-def trace(m: Matrix) -> Fraction:
-    return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
 def _subtract_multiple(row: dict, f: Fraction, other: dict) -> None:

@@ -389,7 +389,14 @@ def nonexistence_certificate(
     g_name: str = "",
     n_name: str = "",
 ) -> Certificate:
-    """Certificate from the first applicable rule, or ``unknown``."""
+    """Certificate from the first applicable rule, or ``unknown``.
+
+    A bracket that fails the Jacobi identity raises ``ValueError`` naming
+    the first failing basis triple: the rules are theorems about Lie
+    algebras and say nothing about other brackets.
+    """
+    g.require_lie("g")
+    n.require_lie("n")
     g_name = g_name or g.name or "g"
     n_name = n_name or n.name or "n"
     found = applicable_rule(g, n)

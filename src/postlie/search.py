@@ -299,7 +299,8 @@ def pa_search(
     field-independent), or ``unknown`` (budget exhausted).  ``budget``
     bounds the number of S3 grid points; ``grid_height`` is the half-width
     of the integer grid on the free parameters; both must be non-negative
-    (``ValueError`` otherwise).
+    (``ValueError`` otherwise).  A bracket that fails the Jacobi identity
+    raises ``ValueError`` naming the first failing basis triple.
     """
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
@@ -307,6 +308,8 @@ def pa_search(
         raise ValueError(f"budget must be non-negative, got {budget}")
     if grid_height < 0:
         raise ValueError(f"grid_height must be non-negative, got {grid_height}")
+    g.require_lie("g")
+    n.require_lie("n")
     d = g.dim
     g_name = g_name or g.name or "g"
     n_name = n_name or n.name or "n"

@@ -22,6 +22,14 @@ product structure on ``(g, n)`` where ``g`` carries the descendent bracket
 trivial center and surjective inner-derivation map among complete algebras,
 and the two notions diverge in general.
 
+A :class:`PAProduct` caches the sparse supports of its tensor as an
+algebra does, and products, axiom-2 and axiom-3 residuals and operator
+products all run through the one kernel :func:`~postlie.liealg.add_bilinear`.
+The operator functions share one tensor ``t[i][j] = {R e_i, e_j}``: it is
+the product of a weight-one operator, the descendent bracket is
+``t[i][j] - t[j][i] + w {e_i, e_j}``, and the operator identity compares
+``{R e_i, R e_j}`` with ``R`` applied to that descendent entry.
+
 Everything is exact rational arithmetic; all verification functions return
 complete residual listings rather than booleans alone.
 """
@@ -30,11 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector, frac
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, add_bilinear, nonzero, tensor_supports, unit
 from .subspace import Subspace
 
 ProductTable = Mapping[tuple[int, int], Mapping[int, object]]
@@ -82,52 +91,34 @@ class PAProduct:
     def zero(dim: int, name: str = "") -> "PAProduct":
         return PAProduct.from_table(dim, {}, name)
 
+    @cached_property
+    def _supports(self) -> tuple:
+        return tensor_supports(self.tensor)
+
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        out = [linalg.ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cell = self.tensor[i][j]
-                scale = xi * yj
-                for k in range(self.dim):
-                    if cell[k] != 0:
-                        out[k] += scale * cell[k]
-        return tuple(out)
+        return tuple(
+            add_bilinear([linalg.ZERO] * self.dim, self._supports, nonzero(x), nonzero(y))
+        )
 
     def left_mult(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ``L(x): y -> x . y`` (columns are ``x . e_j``)."""
-        n = self.dim
-        m = [[linalg.ZERO] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j in range(n):
-                cell = self.tensor[i][j]
-                for k in range(n):
-                    if cell[k] != 0:
-                        m[k][j] += xi * cell[k]
-        return tuple(tuple(row) for row in m)
+        xs = nonzero(x)
+        cols = [
+            add_bilinear([linalg.ZERO] * self.dim, self._supports, xs, unit(j))
+            for j in range(self.dim)
+        ]
+        return linalg.transpose(cols)
 
     def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        out: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entry = {
-                    k: self.tensor[i][j][k]
-                    for k in range(self.dim)
-                    if self.tensor[i][j][k] != 0
-                }
-                if entry:
-                    out[(i, j)] = entry
-        return out
+        return {
+            (i, j): dict(cell)
+            for i, plane in enumerate(self._supports)
+            for j, cell in enumerate(plane)
+            if cell
+        }
 
     def is_zero(self) -> bool:
-        return all(
-            c == 0 for plane in self.tensor for row in plane for c in row
-        )
+        return not any(any(plane) for plane in self._supports)
 
 
 def induced_bracket(n: LieAlgebra, product: PAProduct, name: str = "") -> LieAlgebra:
@@ -203,32 +194,45 @@ class PAVerification:
         }
 
 
+def _units(d: int) -> tuple[list, list]:
+    """``e_k`` and ``-e_k`` as ``(index, coefficient)`` pairs, for each ``k``."""
+    return [unit(k) for k in range(d)], [unit(k, -linalg.ONE) for k in range(d)]
+
+
 def axiom2_residuals(g: LieAlgebra, product: PAProduct):
     """Nonzero residuals ``((i, j, k), r)`` of axiom 2 on basis vectors,
     ``r = [e_i, e_j]_g . e_k - e_i . (e_j . e_k) + e_j . (e_i . e_k)``,
     generated lazily for ``i < j`` and every ``k`` in lexicographic order.
     """
     d = g.dim
-    p = product.tensor
-    # support[a][b]: the nonzero (m, coefficient) pairs of e_a . e_b
-    support = [
-        [tuple((m, c) for m, c in enumerate(p[a][b]) if c) for b in range(d)]
-        for a in range(d)
-    ]
+    p, cg = product._supports, g._supports
+    plus, minus = _units(d)
     for i in range(d):
         for j in range(i + 1, d):
-            bracket_ij = tuple((m, c) for m, c in enumerate(g.brackets[i][j]) if c)
             for k in range(d):
                 res = [linalg.ZERO] * d
-                for m, c in bracket_ij:
-                    for t, y in support[m][k]:
-                        res[t] += c * y
-                for m, c in support[j][k]:
-                    for t, y in support[i][m]:
-                        res[t] -= c * y
-                for m, c in support[i][k]:
-                    for t, y in support[j][m]:
-                        res[t] += c * y
+                add_bilinear(res, p, cg[i][j], plus[k])
+                add_bilinear(res, p, minus[i], p[j][k])
+                add_bilinear(res, p, plus[j], p[i][k])
+                if any(res):
+                    yield (i, j, k), tuple(res)
+
+
+def axiom3_residuals(n: LieAlgebra, product: PAProduct):
+    """Nonzero residuals ``((i, j, k), r)`` of axiom 3 on basis vectors,
+    ``r = e_i . {e_j, e_k} - {e_i . e_j, e_k} - {e_j, e_i . e_k}``, for
+    every ``i`` and ``j < k`` in lexicographic order.
+    """
+    d = n.dim
+    p, cn = product._supports, n._supports
+    plus, minus = _units(d)
+    for i in range(d):
+        for j in range(d):
+            for k in range(j + 1, d):
+                res = [linalg.ZERO] * d
+                add_bilinear(res, p, plus[i], cn[j][k])
+                add_bilinear(res, cn, p[i][j], minus[k])
+                add_bilinear(res, cn, minus[j], p[i][k])
                 if any(res):
                     yield (i, j, k), tuple(res)
 
@@ -251,28 +255,12 @@ def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerificatio
             if any(x != 0 for x in res):
                 axiom1.append(((i, j), res))
 
-    axiom3 = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(j + 1, d):
-                lhs = product.apply(n.basis_vector(i), cn[j][k])
-                rhs = tuple(
-                    a + b
-                    for a, b in zip(
-                        n.bracket(p[i][j], n.basis_vector(k)),
-                        n.bracket(n.basis_vector(j), p[i][k]),
-                    )
-                )
-                res = tuple(a - b for a, b in zip(lhs, rhs))
-                if any(x != 0 for x in res):
-                    axiom3.append(((i, j, k), res))
-
     return PAVerification(
         g_jacobi_ok=g.is_lie(),
         n_jacobi_ok=n.is_lie(),
         axiom1=tuple(axiom1),
         axiom2=tuple(axiom2_residuals(g, product)),
-        axiom3=tuple(axiom3),
+        axiom3=tuple(axiom3_residuals(n, product)),
     )
 
 
@@ -328,29 +316,30 @@ class RBVerification:
         }
 
 
-def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
-    """Check ``{Rx, Ry} = R({Rx, y} + {x, Ry} + w {x, y})`` on basis pairs."""
+def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple:
+    """The tensor ``t[i][j] = {R e_i, e_j}`` shared by the operator functions."""
     if op.dim != n.dim:
         raise ValueError("operator and algebra dimensions differ")
     d = n.dim
-    r = op.matrix
+    cn = n._supports
+    cols = [nonzero(col) for col in linalg.transpose(op.matrix)]
+    return tuple(
+        tuple(tuple(add_bilinear([linalg.ZERO] * d, cn, col, unit(j))) for j in range(d))
+        for col in cols
+    )
+
+
+def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
+    """Check ``{Rx, Ry} = R({Rx, y} + {x, Ry} + w {x, y})`` on basis pairs."""
+    descendent = descendent_bracket(n, op).brackets
+    cols = linalg.transpose(op.matrix)
     residuals = []
-    for i in range(d):
-        rei = tuple(r[k][i] for k in range(d))
-        for j in range(i + 1, d):
-            rej = tuple(r[k][j] for k in range(d))
-            lhs = n.bracket(rei, rej)
-            inner = tuple(
-                a + b + op.weight * c
-                for a, b, c in zip(
-                    n.bracket(rei, n.basis_vector(j)),
-                    n.bracket(n.basis_vector(i), rej),
-                    n.brackets[i][j],
-                )
+    for i in range(n.dim):
+        for j in range(i + 1, n.dim):
+            res = linalg.sub_vectors(
+                n.bracket(cols[i], cols[j]), op.apply(descendent[i][j])
             )
-            rhs = op.apply(inner)
-            res = tuple(a - b for a, b in zip(lhs, rhs))
-            if any(x != 0 for x in res):
+            if any(res):
                 residuals.append(((i, j), res))
     return RBVerification(
         n_jacobi_ok=n.is_lie(), weight=op.weight, residuals=tuple(residuals)
@@ -359,22 +348,13 @@ def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
 
 def descendent_bracket(n: LieAlgebra, op: RBOperator, name: str = "") -> LieAlgebra:
     """``[x, y] = {Rx, y} + {x, Ry} + w {x, y}`` -- a Lie bracket whenever
-    the operator verifies."""
-    if op.dim != n.dim:
-        raise ValueError("operator and algebra dimensions differ")
-    d = n.dim
-    r = op.matrix
-    cols = tuple(tuple(r[k][i] for k in range(d)) for i in range(d))
+    the operator verifies.  On basis vectors ``{e_i, R e_j} = -t[j][i]``
+    for ``t[i][j] = {R e_i, e_j}``."""
+    t = _operator_products(n, op)
+    d, w = n.dim, op.weight
     brackets = tuple(
         tuple(
-            tuple(
-                a + b + op.weight * c
-                for a, b, c in zip(
-                    n.bracket(cols[i], n.basis_vector(j)),
-                    n.bracket(n.basis_vector(i), cols[j]),
-                    n.brackets[i][j],
-                )
-            )
+            tuple(a - b + w * c for a, b, c in zip(t[i][j], t[j][i], n.brackets[i][j]))
             for j in range(d)
         )
         for i in range(d)
@@ -390,15 +370,9 @@ def pa_from_rb(n: LieAlgebra, op: RBOperator, name: str = "") -> PAProduct:
     """
     if op.weight != 1:
         raise ValueError("only weight-one operators induce a product this way")
-    if op.dim != n.dim:
-        raise ValueError("operator and algebra dimensions differ")
-    d = n.dim
-    r = op.matrix
-    cols = tuple(tuple(r[k][i] for k in range(d)) for i in range(d))
-    tensor = tuple(
-        tuple(n.bracket(cols[i], n.basis_vector(j)) for j in range(d)) for i in range(d)
+    return PAProduct(
+        dim=n.dim, tensor=_operator_products(n, op), name=name or f"op-product({n.name})"
     )
-    return PAProduct(dim=d, tensor=tensor, name=name or f"op-product({n.name})")
 
 
 def solve_rb_form(n: LieAlgebra, product: PAProduct) -> RBOperator | None:
@@ -591,14 +565,10 @@ def verify_double_embedding(phi: DoubleEmbedding, g: LieAlgebra, n: LieAlgebra) 
         )
     d = g.dim
     for block in (phi.j1, phi.j2):
+        cols = linalg.transpose(block)
         for i in range(d):
             for j in range(i + 1, d):
-                lhs = linalg.matvec(block, g.brackets[i][j])
-                rhs = n.bracket(
-                    linalg.matvec(block, g.basis_vector(i)),
-                    linalg.matvec(block, g.basis_vector(j)),
-                )
-                if lhs != rhs:
+                if linalg.matvec(block, g.brackets[i][j]) != n.bracket(cols[i], cols[j]):
                     return False
     stacked = phi.j1 + phi.j2
     if linalg.rank(stacked) != d:

@@ -91,6 +91,59 @@ def gauss_consistent(rows, rhs):
     return n_cols not in pivots, n_cols - rank
 
 
+def bilinear_reference(tensor, x, y):
+    """``sum_{i,j,k} x_i y_j t[i][j][k] e_k`` over the full dense tensor."""
+    d = len(tensor)
+    out = [F(0)] * d
+    for i in range(d):
+        for j in range(d):
+            if x[i] and y[j]:
+                for k in range(d):
+                    out[k] += x[i] * y[j] * tensor[i][j][k]
+    return tuple(out)
+
+
+def _unit(d, i):
+    return tuple(F(1) if t == i else F(0) for t in range(d))
+
+
+def _column(matrix, i):
+    return tuple(row[i] for row in matrix)
+
+
+def _matvec(matrix, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in matrix)
+
+
+def _combine(*terms):
+    """Sum of ``(sign, vector)`` terms."""
+    return tuple(sum((sign * v[t] for sign, v in terms), F(0)) for t in range(len(terms[0][1])))
+
+
+def axiom1_reference(g, n, product):
+    """Nonzero residuals ``((i, j), r)`` of the coupling axiom
+
+        x . y - y . x = [x, y]_g - {x, y}_n
+
+    on basis vectors ``e_i``, ``e_j`` (``i < j``), with ``r`` = left side
+    minus right side."""
+    d = g.dim
+    p = product.tensor
+    found = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            x, y = _unit(d, i), _unit(d, j)
+            res = _combine(
+                (1, bilinear_reference(p, x, y)),
+                (-1, bilinear_reference(p, y, x)),
+                (-1, bilinear_reference(g.brackets, x, y)),
+                (1, bilinear_reference(n.brackets, x, y)),
+            )
+            if any(res):
+                found.append(((i, j), res))
+    return tuple(found)
+
+
 def axiom2_reference(g, product):
     """Nonzero residuals ``((i, j, k), r)`` of the representation axiom
 
@@ -102,28 +155,90 @@ def axiom2_reference(g, product):
     """
     d = g.dim
     p = product.tensor
-
-    def mul(x, y):
-        out = [F(0)] * d
-        for a in range(d):
-            for b in range(d):
-                for t in range(d):
-                    out[t] += x[a] * y[b] * p[a][b][t]
-        return out
-
-    def unit(i):
-        return [F(1) if t == i else F(0) for t in range(d)]
-
     found = []
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(d):
-                lhs = mul(list(g.brackets[i][j]), unit(k))
-                first = mul(unit(i), mul(unit(j), unit(k)))
-                second = mul(unit(j), mul(unit(i), unit(k)))
-                res = tuple(a - (b - c) for a, b, c in zip(lhs, first, second))
-                if any(x != 0 for x in res):
+                x, y, z = _unit(d, i), _unit(d, j), _unit(d, k)
+                res = _combine(
+                    (1, bilinear_reference(p, bilinear_reference(g.brackets, x, y), z)),
+                    (-1, bilinear_reference(p, x, bilinear_reference(p, y, z))),
+                    (1, bilinear_reference(p, y, bilinear_reference(p, x, z))),
+                )
+                if any(res):
                     found.append(((i, j, k), res))
+    return tuple(found)
+
+
+def axiom3_reference(n, product):
+    """Nonzero residuals ``((i, j, k), r)`` of the derivation axiom
+
+        x . {y, z}_n = {x . y, z}_n + {y, x . z}_n
+
+    on basis vectors ``x = e_i``, ``y = e_j``, ``z = e_k`` (``j < k``), in
+    lexicographic order, with ``r`` = left side minus right side."""
+    d = n.dim
+    p, c = product.tensor, n.brackets
+    found = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(j + 1, d):
+                x, y, z = _unit(d, i), _unit(d, j), _unit(d, k)
+                res = _combine(
+                    (1, bilinear_reference(p, x, bilinear_reference(c, y, z))),
+                    (-1, bilinear_reference(c, bilinear_reference(p, x, y), z)),
+                    (-1, bilinear_reference(c, y, bilinear_reference(p, x, z))),
+                )
+                if any(res):
+                    found.append(((i, j, k), res))
+    return tuple(found)
+
+
+def descendent_reference(n, matrix, weight):
+    """The tensor of ``[x, y] = {Rx, y} + {x, Ry} + w {x, y}`` on basis
+    vectors, ``R`` acting on columns."""
+    d = n.dim
+    c = n.brackets
+    return tuple(
+        tuple(
+            _combine(
+                (1, bilinear_reference(c, _column(matrix, i), _unit(d, j))),
+                (1, bilinear_reference(c, _unit(d, i), _column(matrix, j))),
+                (weight, c[i][j]),
+            )
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+
+
+def operator_product_reference(n, matrix):
+    """The tensor of ``x . y = {Rx, y}`` on basis vectors."""
+    d = n.dim
+    return tuple(
+        tuple(bilinear_reference(n.brackets, _column(matrix, i), _unit(d, j)) for j in range(d))
+        for i in range(d)
+    )
+
+
+def operator_residual_reference(n, matrix, weight):
+    """Nonzero residuals ``((i, j), r)`` of the weighted-operator identity
+
+        {Rx, Ry} = R({Rx, y} + {x, Ry} + w {x, y})
+
+    on basis vectors ``e_i``, ``e_j`` (``i < j``), with ``r`` = left side
+    minus right side."""
+    d = n.dim
+    descendent = descendent_reference(n, matrix, weight)
+    found = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            res = _combine(
+                (1, bilinear_reference(n.brackets, _column(matrix, i), _column(matrix, j))),
+                (-1, _matvec(matrix, descendent[i][j])),
+            )
+            if any(res):
+                found.append(((i, j), res))
     return tuple(found)
 
 
@@ -140,3 +255,12 @@ def split_descends_reference(g, n, subset):
             return False
     op = rb_from_coordinate_split(n, subset)
     return descendent_bracket(n, op).brackets == g.brackets
+
+
+# An antisymmetric bracket on three basis vectors that fails the Jacobi
+# identity on its only basis triple (1, 2, 3), with residual 4e1 + 5e2 + 3e3.
+NON_LIE_TABLE = {
+    (0, 1): {0: -1, 1: 2, 2: -2},
+    (0, 2): {1: -2, 2: 1},
+    (1, 2): {0: 1, 1: 1, 2: 1},
+}

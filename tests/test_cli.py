@@ -10,7 +10,10 @@ import pytest
 
 from postlie import interchange
 from postlie.catalog import get_algebra
+from postlie.liealg import LieAlgebra
 from postlie.samples import get_sample
+
+from oracles import NON_LIE_TABLE
 
 DATA_DIR = pathlib.Path(interchange.__file__).resolve().parent / "data"
 SAMPLES = DATA_DIR / "samples"
@@ -229,6 +232,18 @@ def test_rules_exit_codes():
     assert "R1" in fires.stdout
     silent = run_cli("rules", "--g", "gl2", "--n", "sl2_plus_C")
     assert silent.returncode == 2
+
+
+@pytest.mark.parametrize("command", [("search", "pa"), ("rules",)])
+def test_a_non_lie_document_is_refused_with_65(tmp_path, command):
+    path = tmp_path / "non_lie.json"
+    path.write_text(
+        interchange.serialize(LieAlgebra.from_table(3, NON_LIE_TABLE)), encoding="utf-8"
+    )
+    result = run_cli(*command, "--g", path, "--n", path)
+    assert result.returncode == 65
+    assert result.stdout == ""
+    assert "Jacobi identity fails on basis triple (1, 2, 3)" in result.stderr
 
 
 def test_table_renders_and_verifies():

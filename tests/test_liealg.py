@@ -267,6 +267,7 @@ def test_fingerprint_equality_and_separation():
 def test_invariants_are_computed_once_per_algebra():
     alg = semidirect((2,))
     assert alg.derived_subalgebra() is alg.derived_subalgebra()
+    assert alg.jacobi_residuals() is alg.jacobi_residuals()
     assert alg.solvable_radical() is alg.solvable_radical()
     assert fingerprint(alg) is fingerprint(alg)
 

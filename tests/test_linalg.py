@@ -106,11 +106,10 @@ def test_matmul_matvec_transpose_consistency():
     assert linalg.transpose(a) == linalg.mat([[1, 3], [2, 4]])
 
 
-def test_commutator_and_trace():
+def test_commutator():
     a = linalg.mat([[0, 1], [0, 0]])
     b = linalg.mat([[0, 0], [1, 0]])
     assert linalg.commutator(a, b) == linalg.mat([[1, 0], [0, -1]])
-    assert linalg.trace(linalg.mat([[5, 1], [2, -3]])) == F(2)
 
 
 def test_row_basis_removes_dependent_rows():

@@ -6,6 +6,7 @@ import pytest
 
 from postlie.catalog import get_algebra
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
+from postlie.liealg import LieAlgebra
 from postlie.rules import (
     RULES,
     applicable_rule,
@@ -14,6 +15,8 @@ from postlie.rules import (
 )
 from postlie.samples import get_sample, sample_ids
 from postlie.search import pa_search
+
+from oracles import NON_LIE_TABLE
 
 # one pinned firing pair per rule: (rule id, g id, n id)
 FIRING_PAIRS = [
@@ -163,3 +166,13 @@ def test_rules_agree_with_search_on_small_pairs():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         applicable_rule(get_algebra("sl2"), get_algebra("abelian_5"))
+
+
+def test_a_non_lie_bracket_is_refused():
+    # the rules are theorems about Lie algebras; a bracket failing Jacobi
+    # gets no verdict, and the error names the first failing triple
+    n = LieAlgebra.from_table(3, NON_LIE_TABLE)
+    with pytest.raises(ValueError, match=r"^g is not a Lie bracket.*\(1, 2, 3\)$"):
+        nonexistence_certificate(n, n)
+    with pytest.raises(ValueError, match=r"^n is not a Lie bracket.*\(1, 2, 3\)$"):
+        nonexistence_certificate(get_algebra("sl2"), n)

@@ -22,6 +22,8 @@ from postlie.catalog import (
     perfect_ids,
 )
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
+from postlie.liealg import LieAlgebra
+from postlie.rules import nonexistence_certificate
 from postlie.samples import get_sample
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
@@ -40,6 +42,7 @@ from postlie.structures import (
 )
 
 from oracles import (
+    NON_LIE_TABLE,
     axiom2_reference,
     gauss_consistent,
     raw_linear_system,
@@ -434,3 +437,34 @@ def test_recorded_search_certificates_are_byte_stable():
         cert = pa_search(g, n, budget=pair["budget"], g_name=g.name, n_name=n.name)
         digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
     assert digest.hexdigest() == SEARCH_CERTIFICATES_SHA256
+
+
+# sha256 of the rule certificates below; a change that alters a rule
+# verdict or its trace must update this pin and say why
+RULE_CERTIFICATES_SHA256 = (
+    "34109c5e789830720189288e9184605abecf35ade2b57fc3b8cbc9ce9c2a720c"
+)
+
+
+def test_rule_certificates_on_catalog_pairs_are_byte_stable():
+    ids = [i for i in catalog_ids() if get_entry(i).kind != "stub"]
+    digest = hashlib.sha256()
+    pairs = 0
+    for a in ids:
+        for b in ids:
+            g, n = get_algebra(a), get_algebra(b)
+            if g.dim != n.dim:
+                continue
+            pairs += 1
+            cert = nonexistence_certificate(g, n, g_name=a, n_name=b)
+            digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
+    assert pairs == 536
+    assert digest.hexdigest() == RULE_CERTIFICATES_SHA256
+
+
+def test_a_non_lie_bracket_is_refused_before_any_stage():
+    n = LieAlgebra.from_table(3, NON_LIE_TABLE)
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(1, 2, 3\)"):
+        pa_search(n, n)
+    with pytest.raises(ValueError, match=r"^n is not a Lie bracket"):
+        pa_search(get_algebra("sl2"), n)

@@ -32,7 +32,15 @@ from postlie.structures import (
 from postlie.search import _axiom2_holds
 from postlie.subspace import Subspace
 
-from oracles import axiom2_reference
+from oracles import (
+    axiom1_reference,
+    axiom2_reference,
+    axiom3_reference,
+    bilinear_reference,
+    descendent_reference,
+    operator_product_reference,
+    operator_residual_reference,
+)
 
 F = Fraction
 
@@ -285,3 +293,110 @@ def test_axiom2_residuals_match_the_definition(data):
     expected = axiom2_reference(g, candidate)
     assert verify_pa(g, n, candidate).axiom2 == expected
     assert _axiom2_holds(g, candidate) == (not expected)
+
+
+# ----------------------------------------------------------------------
+# the bilinear kernel against the definitions
+# ----------------------------------------------------------------------
+
+KERNEL_IDS = ("sl2", "n3", "r2_plus_C", "gl2", "r2_plus_r2", "L5_1", "sl2_plus_C2", "n5")
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+entry = st.one_of(st.just(F(0)), small)
+
+
+def _perturbed_bracket(data, alg, label):
+    """``alg`` with up to two antisymmetric entries of its bracket changed."""
+    d = alg.dim
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    changes = data.draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(pairs), st.integers(0, d - 1)), small, max_size=2
+        ),
+        label=label,
+    )
+    table = {key: dict(cell) for key, cell in alg.sparse_table().items()}
+    for ((i, j), k), c in changes.items():
+        cell = table.setdefault((i, j), {})
+        cell[k] = cell.get(k, 0) + c
+    return LieAlgebra.from_table(d, table)
+
+
+def _perturbed_tensor(data, tensor, label):
+    """A copy of a ``d x d x d`` tensor with up to three entries changed."""
+    d = len(tensor)
+    index = st.integers(0, d - 1)
+    changes = data.draw(
+        st.dictionaries(st.tuples(index, index, index), small, max_size=3), label=label
+    )
+    cells = [[list(cell) for cell in plane] for plane in tensor]
+    for (i, j, k), c in changes.items():
+        cells[i][j][k] += c
+    return tuple(tuple(tuple(cell) for cell in plane) for plane in cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_and_product_match_the_bilinear_definition(data):
+    alg = _perturbed_bracket(data, get_algebra(data.draw(st.sampled_from(KERNEL_IDS))), "bracket")
+    d = alg.dim
+    zero = ((F(0),) * d,) * d
+    product = PAProduct(d, _perturbed_tensor(data, (zero,) * d, "product"))
+    x, y = (data.draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(2))
+    assert alg.bracket(x, y) == bilinear_reference(alg.brackets, x, y)
+    assert product.apply(x, y) == bilinear_reference(product.tensor, x, y)
+    columns = [bilinear_reference(product.tensor, x, alg.basis_vector(j)) for j in range(d)]
+    assert product.left_mult(x) == linalg.transpose(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_pa_residuals_match_the_definitions(data):
+    # a verified sample triple with its two brackets and its product each
+    # changed in a few coefficients (or in none, so both outcomes are drawn)
+    g, n, product = data.draw(st.sampled_from(_verified_triples()), label="sample")
+    g = _perturbed_bracket(data, g, "g")
+    n = _perturbed_bracket(data, n, "n")
+    product = PAProduct(g.dim, _perturbed_tensor(data, product.tensor, "product"))
+    report = verify_pa(g, n, product)
+    assert report.axiom1 == axiom1_reference(g, n, product)
+    assert report.axiom2 == axiom2_reference(g, product)
+    assert report.axiom3 == axiom3_reference(n, product)
+
+
+@functools.cache
+def _operator_sources():
+    shipped = tuple(
+        (sample.n(), sample.operator.matrix)
+        for sample in map(get_sample, sample_ids())
+        if sample.operator is not None
+    )
+    return shipped + tuple((get_algebra(alg_id), None) for alg_id in KERNEL_IDS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_operator_functions_match_the_definitions(data):
+    # a shipped weight-one operator or a random matrix, changed in a few
+    # entries, on a perturbed bracket, at weight 0, 1 or -1/2
+    n, matrix = data.draw(st.sampled_from(_operator_sources()), label="source")
+    d = n.dim
+    if matrix is None:
+        matrix = data.draw(
+            st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d),
+            label="matrix",
+        )
+    else:
+        n = _perturbed_bracket(data, n, "n")
+        changes = data.draw(
+            st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), small, max_size=2),
+            label="changes",
+        )
+        matrix = [list(row) for row in matrix]
+        for (r, c), value in changes.items():
+            matrix[r][c] += value
+    weight = data.draw(st.sampled_from((F(0), F(1), F(-1, 2))), label="weight")
+    op = RBOperator.from_rows(matrix, weight=weight)
+    assert verify_rb(n, op).residuals == operator_residual_reference(n, op.matrix, weight)
+    assert descendent_bracket(n, op).brackets == descendent_reference(n, op.matrix, weight)
+    if weight == 1:
+        assert pa_from_rb(n, op).tensor == operator_product_reference(n, op.matrix)
