@@ -224,12 +224,15 @@ class LieAlgebra:
     @cached_property
     def _center(self) -> Subspace:
         # x central iff sum_i x_i c[i][j][k] = 0 for all j, k.
-        rows = []
-        n = self.dim
-        for j in range(n):
-            for k in range(n):
-                rows.append(tuple(self.brackets[i][j][k] for i in range(n)))
-        return Subspace.from_vectors(n, linalg.nullspace(tuple(rows), n_cols=n))
+        rows: dict = {}
+        for i, plane in enumerate(self._supports):
+            for j, cell in enumerate(plane):
+                for k, c in cell:
+                    linalg.add_entry(rows, (j, k), i, c)
+        _, basis = linalg.solve_affine(rows.values(), self.dim)
+        return Subspace.from_vectors(
+            self.dim, [linalg.to_dense(v, self.dim) for v in basis]
+        )
 
     def center(self) -> Subspace:
         return self._center
@@ -324,32 +327,24 @@ class LieAlgebra:
         A matrix D (acting on columns) is a derivation iff for all i < j, k:
         sum_m c[i][j][m] D[k][m] - sum_a c[a][j][k] D[a][i]
                                  - sum_b c[i][b][k] D[b][j] = 0,
-        with unknowns D flattened row-major.
+        with unknowns D flattened row-major.  Each nonzero ``c[i][j][k]``
+        contributes its terms to the sparse rows of the equations it meets.
         """
         n = self.dim
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    row = [ZERO] * (n * n)
-                    for m in range(n):
-                        coeff = self.brackets[i][j][m]
-                        if coeff != 0:
-                            row[k * n + m] += coeff
-                    for a in range(n):
-                        coeff = self.brackets[a][j][k]
-                        if coeff != 0:
-                            row[a * n + i] -= coeff
-                    for b in range(n):
-                        coeff = self.brackets[i][b][k]
-                        if coeff != 0:
-                            row[b * n + j] -= coeff
-                    rows.append(tuple(row))
-        basis = linalg.nullspace(tuple(rows), n_cols=n * n)
-        return tuple(
-            tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
-            for flat in basis
-        )
+        rows: dict = {}
+        for i, plane in enumerate(self._supports):
+            for j, cell in enumerate(plane):
+                for k, c in cell:
+                    if i < j:  # c[i][j][m] D[r][m], m = k, in row (i, j, r)
+                        for r in range(n):
+                            linalg.add_entry(rows, (i, j, r), r * n + k, c)
+                    for r in range(j):  # c[a][j][k] D[a][r], a = i, in row (r, j, k)
+                        linalg.add_entry(rows, (r, j, k), i * n + r, -c)
+                    for r in range(i + 1, n):  # c[i][b][k] D[b][r], b = j, in row (i, r, k)
+                        linalg.add_entry(rows, (i, r, k), j * n + r, -c)
+        _, basis = linalg.solve_affine(rows.values(), n * n)
+        flats = [linalg.to_dense(v, n * n) for v in basis]
+        return tuple(tuple(flat[r * n : r * n + n] for r in range(n)) for flat in flats)
 
     def derivations(self) -> tuple[Matrix, ...]:
         return self._derivations

@@ -5,19 +5,23 @@ floating point is used anywhere.  Matrices are immutable tuples of row tuples,
 which keeps them hashable (so higher layers can cache invariants) and makes
 "canonical form" a plain data-equality notion.
 
-The linear systems built by the higher layers are very sparse (a few percent
-of their entries are nonzero), so :func:`rref` eliminates on sparse rows,
-``{column: value}`` dicts that hold only the nonzero entries, and does
-arithmetic only where a row has them.  Reduced row echelon form is unique,
-so the result is the same canonical representative of the row space that
-any elimination order gives, returned in the dense representation above.
-Nullspace bases are enumerated in ascending free-column order.
+Linear systems go in as sparse rows, ``{column: value}`` dicts that hold
+only the nonzero entries: the systems the higher layers build have a few
+percent of their entries nonzero.  One eliminator, :func:`eliminate`,
+reduces every system, doing arithmetic only where a row has entries.
+:func:`solve_affine` is its sparse entry for a system with a right-hand
+side.  :func:`rref`, :func:`row_basis`, :func:`rank`, :func:`nullspace` and
+:func:`solve` are dense wrappers for callers that already hold dense
+matrices (subspace bases, the Killing form, operator matrices).  Reduced
+row echelon form is unique, so every elimination order gives the same
+canonical result; nullspace bases are in ascending free-column order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -103,31 +107,52 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return sub_matrices(matmul(a, b), matmul(b, a))
 
 
-def _subtract_multiple(row: dict, f: Fraction, other: dict) -> None:
-    """``row -= f * other`` in place on sparse rows, dropping zeros."""
+def to_dense(v: Mapping[int, Fraction], n: int) -> Vector:
+    """The length-``n`` vector with the entries of a sparse ``{column: value}``
+    vector and zeros elsewhere."""
+    out = [ZERO] * n
+    for c, x in v.items():
+        out[c] = x
+    return tuple(out)
+
+
+def add_entry(rows: dict, key, col: int, value: Fraction) -> None:
+    """``rows[key][col] += value`` in a system of sparse rows keyed by equation."""
+    row = rows.setdefault(key, {})
+    row[col] = row.get(col, ZERO) + value
+
+
+def _subtract_multiple(row: dict, f: Fraction, other: dict, index=None, owner=None) -> None:
+    """``row -= f * other`` in place on sparse rows, dropping zeros; with an
+    ``index``, record ``owner`` under each column the row gains or loses."""
     for c, y in other.items():
         v = row.get(c, ZERO) - f * y
         if v:
+            if index is not None and c not in row:
+                index[c].add(owner)
             row[c] = v
         else:
             del row[c]
+            if index is not None:
+                index[c].discard(owner)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns.
+def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The one row reducer: the RREF of sparse rows, as pivot -> tail.
 
-    Rows are added one at a time to a running RREF kept as sparse rows: each
-    is reduced against the pivots found so far, and a nonzero remainder is
-    scaled to a leading 1 at its leftmost column and eliminated from the
-    earlier pivot rows.  The result is the unique RREF of the row space,
-    with pivot rows in ascending pivot order and the zero rows kept at the
-    bottom (callers that want a basis drop them).
+    Rows are added one at a time to a running RREF: each is reduced against
+    the pivots found so far, and a nonzero remainder is scaled to a leading
+    1 at its leftmost column and cleared from the earlier pivot rows that
+    hold that column.  The result maps each pivot column to its row without
+    the leading 1; a tail never holds a pivot column.  Zero entries of the
+    input are ignored and the input is not modified.
     """
-    # pivot column -> its normalized row without the leading 1; these rows
-    # never hold another pivot column, so one pass reduces a new row fully
     tails: dict[int, dict[int, Fraction]] = {}
-    for dense_row in m:
-        row = {c: x for c, x in enumerate(dense_row) if x}
+    # column -> the pivots whose tails hold it, so a new pivot is cleared
+    # from those rows only
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
         for p in [c for c in row if c in tails]:
             _subtract_multiple(row, row.pop(p), tails[p])
         if not row:
@@ -135,18 +160,22 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         p = min(row)
         inv = ONE / row.pop(p)
         new = {c: x * inv for c, x in row.items()}
-        for tail in tails.values():
-            f = tail.pop(p, None)
-            if f is not None:
-                _subtract_multiple(tail, f, new)
+        for q in holders.pop(p, ()):
+            _subtract_multiple(tails[q], tails[q].pop(p), new, holders, q)
+        for c in new:
+            holders[c].add(p)
         tails[p] = new
+    return tails
 
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns (dense wrapper of
+    :func:`eliminate`): pivot rows in ascending pivot order, the zero rows
+    kept at the bottom (callers that want a basis drop them)."""
+    tails = eliminate(dict(enumerate(row)) for row in m)
     n_cols = len(m[0]) if m else 0
     pivots = tuple(sorted(tails))
-    reduced = [
-        tuple(ONE if c == p else tails[p].get(c, ZERO) for c in range(n_cols))
-        for p in pivots
-    ]
+    reduced = [to_dense({p: ONE, **tails[p]}, n_cols) for p in pivots]
     reduced.extend([(ZERO,) * n_cols] * (len(m) - len(pivots)))
     return tuple(reduced), pivots
 
@@ -161,54 +190,54 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
-    """Canonical basis of {x : m @ x = 0}, one vector per free column.
+def solve_affine(
+    rows: Iterable[Mapping[int, Fraction]], n_cols: int
+) -> tuple[dict[int, Fraction], tuple[dict[int, Fraction], ...]] | None:
+    """Full solution set of a sparse system in unknowns ``0 .. n_cols-1``.
 
-    The basis vector for free column f has entry 1 at f, zero at every other
-    free column, and the forced values at pivot columns; vectors are ordered
-    by ascending free column.  ``n_cols`` must be supplied when ``m`` has no
-    rows.
+    Each row is a ``{column: value}`` equation whose right-hand side sits at
+    column ``n_cols`` (absent: zero).  Returns ``None`` when the system is
+    inconsistent, else ``(particular, basis)`` as sparse vectors from one
+    elimination of the augmented rows: the particular solution sets every
+    free unknown to 0, and the canonical nullspace basis has one vector per
+    free column, ascending, with 1 at that column, 0 at every other free
+    column and the forced values at the pivot columns.
     """
+    tails = eliminate(rows)
+    if n_cols in tails:
+        return None  # a pivot in the RHS column means the system is inconsistent
+    particular = {p: tail[n_cols] for p, tail in tails.items() if n_cols in tail}
+    basis = {f: {f: ONE} for f in range(n_cols) if f not in tails}
+    for p, tail in tails.items():
+        for c, x in tail.items():
+            if c != n_cols:
+                basis[c][p] = -x
+    return particular, tuple(basis.values())
+
+
+def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
+    """Canonical basis of {x : m @ x = 0} (dense wrapper of
+    :func:`solve_affine`); ``n_cols`` must be supplied when ``m`` has no
+    rows."""
     if m:
         n_cols = len(m[0])
     elif n_cols is None:
         raise ValueError("nullspace of an empty matrix needs n_cols")
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [ZERO] * n_cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    _, basis = solve_affine((dict(enumerate(row)) for row in m), n_cols)
+    return tuple(to_dense(v, n_cols) for v in basis)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
-    """One solution of m @ x = rhs (free variables set to 0), or None."""
+    """One solution of m @ x = rhs (free variables set to 0), or None
+    (dense wrapper of :func:`solve_affine`)."""
     if not m:
         return () if is_zero_vector(rhs) or not rhs else None
     n_cols = len(m[0])
-    augmented = tuple(
-        row + (b,) for row, b in zip(m, rhs, strict=True)
+    solved = solve_affine(
+        ({**dict(enumerate(row)), n_cols: b} for row, b in zip(m, rhs, strict=True)),
+        n_cols,
     )
-    reduced, pivots = rref(augmented)
-    if n_cols in pivots:
-        return None  # a pivot in the RHS column means the system is inconsistent
-    x = [ZERO] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][n_cols]
-    return tuple(x)
-
-
-def solve_affine(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, Matrix] | None:
-    """Full solution set of m @ x = rhs as (particular, nullspace basis)."""
-    particular = solve(m, rhs)
-    if particular is None:
-        return None
-    return particular, nullspace(m, n_cols=len(particular))
+    return None if solved is None else to_dense(solved[0], n_cols)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -98,18 +98,16 @@ def _restricted_radical_action(g: LieAlgebra, radical: Subspace):
 
 def _commutant_dimension(matrices, size: int) -> int:
     """Dimension of the space of matrices commuting with all given ones."""
-    rows = []
-    for a in matrices:
-        for rr in range(size):
-            for cc in range(size):
-                row = [linalg.ZERO] * (size * size)
-                for k in range(size):
-                    row[rr * size + k] += a[k][cc]
-                    row[k * size + cc] -= a[rr][k]
-                rows.append(tuple(row))
-    if not rows:
-        return size * size
-    return size * size - linalg.rank(tuple(rows))
+    # X A - A X = 0, unknowns X[r][c] at column r*size + c, row (a, r, c)
+    rows: dict = {}
+    for index, a in enumerate(matrices):
+        for r, row in enumerate(a):
+            for c, x in enumerate(row):
+                if x:
+                    for t in range(size):
+                        linalg.add_entry(rows, (index, t, c), t * size + r, x)
+                        linalg.add_entry(rows, (index, r, t), c * size + t, -x)
+    return size * size - len(linalg.eliminate(rows.values()))
 
 
 def _absolutely_simple(alg: LieAlgebra) -> bool:

@@ -39,15 +39,12 @@ re-verifies any witness against the three axioms on the caller's ``g`` and
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .linalg import Vector
-from .liealg import LieAlgebra
-from .subspace import Subspace
+from .liealg import LieAlgebra, nonzero
 from .structures import (
     PAProduct,
     axiom2_residuals,
@@ -97,12 +94,15 @@ class SolutionSpace:
 
     Product coefficients are flattened as ``a[i][j][k]`` at index
     ``(i*d + j)*d + k``, the coefficient of ``e_k`` in ``e_i . e_j``.
-    ``particular`` is ``None`` exactly when the system is inconsistent; the
-    homogeneous ``basis`` spans the difference set of any two solutions.
+    ``particular`` and each vector of the homogeneous ``basis`` are stored
+    sparse, as their nonzero ``(flat index, value)`` pairs in ascending
+    index order.  ``particular`` is ``None`` exactly when the system is
+    inconsistent; the linearly independent ``basis`` spans the difference
+    set of any two solutions.
     """
 
     dim: int
-    particular: Optional[Vector]
+    particular: Optional[tuple]
     basis: tuple
 
     @property
@@ -119,48 +119,33 @@ class SolutionSpace:
             raise ValueError("the solution space is empty")
         if len(coefficients) != len(self.basis):
             raise ValueError("need one coefficient per basis vector")
-        flat = list(self.particular)
-        for c, support in zip(coefficients, self._basis_supports):
+        d = self.dim
+        flat = [linalg.ZERO] * d**3
+        for index, y in self.particular:
+            flat[index] = y
+        for c, vec in zip(coefficients, self.basis):
             c = linalg.frac(c)
             if c != 0:
-                for index, y in support:
+                for index, y in vec:
                     flat[index] += c * y
-        return _product_from_flat(self.dim, flat)
-
-    @cached_property
-    def _basis_supports(self) -> tuple:
-        """Each basis vector as its ``(flat index, value)`` nonzero pairs."""
-        return tuple(
-            tuple((index, y) for index, y in enumerate(vec) if y)
-            for vec in self.basis
-        )
+        cells = [tuple(flat[s : s + d]) for s in range(0, d**3, d)]
+        tensor = tuple(tuple(cells[s : s + d]) for s in range(0, d * d, d))
+        return PAProduct(dim=d, tensor=tensor)
 
     def contains(self, product: PAProduct) -> bool:
-        """Exact membership of a product's coefficient vector."""
+        """Exact membership: the product's offset from ``particular`` adds
+        no rank to the basis."""
         if self.is_empty or product.dim != self.dim:
             return False
-        flat = _flatten_product(product)
-        diff = tuple(a - b for a, b in zip(flat, self.particular))
-        if not self.basis:
-            return all(x == 0 for x in diff)
-        return Subspace.from_vectors(self.dim**3, self.basis).contains(diff)
-
-
-def _flatten_product(product: PAProduct) -> Vector:
-    d = product.dim
-    return tuple(
-        product.tensor[i][j][k] for i in range(d) for j in range(d) for k in range(d)
-    )
-
-
-def _product_from_flat(d: int, flat: Sequence[Fraction]) -> PAProduct:
-    tensor = tuple(
-        tuple(
-            tuple(flat[(i * d + j) * d + k] for k in range(d)) for j in range(d)
-        )
-        for i in range(d)
-    )
-    return PAProduct(dim=d, tensor=tensor)
+        d = self.dim
+        offset = {index: -y for index, y in self.particular}
+        for i, plane in enumerate(product._supports):
+            for j, cell in enumerate(plane):
+                for k, y in cell:
+                    index = (i * d + j) * d + k
+                    offset[index] = offset.get(index, linalg.ZERO) + y
+        rows = [dict(vec) for vec in self.basis]
+        return len(linalg.eliminate([*rows, offset])) == len(rows)
 
 
 def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
@@ -170,9 +155,10 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
     ``n``, so the solutions of (3) alone are exactly the tuples of ``d``
     derivations.  The space is therefore assembled in the coordinates of a
     derivation basis — one copy per left slot — and axiom (1) is solved in
-    those coordinates before converting back to the flat ``a[i][j][k]``
-    form.  The returned object is the same affine set the raw ``d**3``
-    system defines, just computed through a faithful reparametrization.
+    those coordinates, as sparse rows over the nonzeros of the derivations,
+    before converting back to the flat ``a[i][j][k]`` form.  The returned
+    object is the same affine set the raw ``d**3`` system defines, just
+    computed through a faithful reparametrization.
     """
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
@@ -180,55 +166,43 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
     ders = n.derivations()
     nder = len(ders)
     cols = d * nder
+    entries = [
+        [(k, j, v) for k, row in enumerate(der) for j, v in nonzero(row)] for der in ders
+    ]
+    at = defaultdict(list)  # (k, j) -> the nonzero (alpha, D_alpha[k][j])
+    for alpha, nonzeros in enumerate(entries):
+        for k, j, v in nonzeros:
+            at[k, j].append((alpha, v))
 
-    # Axiom (1) rows over x[(i, alpha)]: for i < j and each k,
-    #   sum_alpha x[i][alpha] D_alpha[k][j] - x[j][alpha] D_alpha[k][i]
-    #     = cg[i][j][k] - cn[i][j][k].
-    rows = []
-    rhs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                row = [linalg.ZERO] * cols
-                for alpha, der in enumerate(ders):
-                    row[i * nder + alpha] += der[k][j]
-                    row[j * nder + alpha] -= der[k][i]
-                rows.append(tuple(row))
-                rhs.append(g.brackets[i][j][k] - n.brackets[i][j][k])
-
-    if rows:
-        solved = linalg.solve_affine(tuple(rows), tuple(rhs))
-        if solved is None:
-            return SolutionSpace(dim=d, particular=None, basis=())
-        x_particular, x_basis = solved
-    else:
-        # no i < j pairs (d == 1): axiom (1) is vacuous and every
-        # derivation-coefficient tuple is a solution
-        x_particular = (linalg.ZERO,) * cols
-        x_basis = tuple(
-            tuple(linalg.ONE if t == s else linalg.ZERO for t in range(cols))
-            for s in range(cols)
-        )
-
-    def to_flat(x: Sequence[Fraction]) -> Vector:
-        flat = [linalg.ZERO] * (d**3)
+    def rows():
+        # Axiom (1) over x[(i, alpha)] at column i*nder + alpha: for i < j
+        # and each k,
+        #   sum_alpha x[i][alpha] D_alpha[k][j] - x[j][alpha] D_alpha[k][i]
+        #     = cg[i][j][k] - cn[i][j][k], the right-hand side at ``cols``.
         for i in range(d):
-            for alpha, der in enumerate(ders):
-                c = x[i * nder + alpha]
-                if c == 0:
-                    continue
-                base = i * d * d
+            for j in range(i + 1, d):
                 for k in range(d):
-                    row = der[k]
-                    for j in range(d):
-                        if row[j] != 0:
-                            flat[base + j * d + k] += c * row[j]
-        return tuple(flat)
+                    row = {i * nder + alpha: v for alpha, v in at.get((k, j), ())}
+                    row.update((j * nder + alpha, -v) for alpha, v in at.get((k, i), ()))
+                    row[cols] = g.brackets[i][j][k] - n.brackets[i][j][k]
+                    yield row
 
+    solved = linalg.solve_affine(rows(), cols)
+    if solved is None:
+        return SolutionSpace(dim=d, particular=None, basis=())
+
+    def to_flat(x: dict) -> tuple:
+        flat = {}
+        for col, c in x.items():
+            i, alpha = divmod(col, nder)
+            for k, j, v in entries[alpha]:
+                index = (i * d + j) * d + k
+                flat[index] = flat.get(index, linalg.ZERO) + c * v
+        return tuple(sorted((index, y) for index, y in flat.items() if y))
+
+    particular, basis = solved
     return SolutionSpace(
-        dim=d,
-        particular=to_flat(x_particular),
-        basis=tuple(to_flat(x) for x in x_basis),
+        dim=d, particular=to_flat(particular), basis=tuple(map(to_flat, basis))
     )
 
 
@@ -244,11 +218,11 @@ def _axiom2_holds(g: LieAlgebra, product: PAProduct) -> bool:
 
 
 def _splitting_order(d: int):
-    """All basis subsets, largest first, lexicographic within a size."""
-    subsets = []
-    for size in range(d, -1, -1):
-        subsets.extend(itertools.combinations(range(d), size))
-    return subsets
+    """All basis subsets, largest first, lexicographic within a size,
+    generated lazily."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(d), size) for size in range(d, -1, -1)
+    )
 
 
 def _split_descends(g: LieAlgebra, n: LieAlgebra, subset: Sequence[int]) -> bool:

@@ -384,22 +384,23 @@ def solve_rb_form(n: LieAlgebra, product: PAProduct) -> RBOperator | None:
     if product.dim != n.dim:
         raise ValueError("product and algebra dimensions differ")
     d = n.dim
-    rows = []
-    rhs = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                row = [linalg.ZERO] * (d * d)
-                for r_idx in range(d):
-                    coeff = n.brackets[r_idx][j][k]
-                    if coeff != 0:
-                        row[r_idx * d + i] += coeff
-                rows.append(tuple(row))
-                rhs.append(product.tensor[i][j][k])
-    solution = linalg.solve(tuple(rows), tuple(rhs))
-    if solution is None:
+    # x . y = {Rx, y}: a[i][j][k] = sum_r R[r][i] c[r][j][k], unknowns
+    # R[r][i] at column r*d + i and the right-hand side at column d*d
+    rows: dict = {}
+    for r, plane in enumerate(n._supports):
+        for j, cell in enumerate(plane):
+            for k, c in cell:
+                for i in range(d):
+                    linalg.add_entry(rows, (i, j, k), r * d + i, c)
+    for i, plane in enumerate(product._supports):
+        for j, cell in enumerate(plane):
+            for k, a in cell:
+                linalg.add_entry(rows, (i, j, k), d * d, a)
+    solved = linalg.solve_affine(rows.values(), d * d)
+    if solved is None:
         return None
-    matrix = tuple(tuple(solution[r * d + c] for c in range(d)) for r in range(d))
+    solution = linalg.to_dense(solved[0], d * d)
+    matrix = tuple(solution[r * d : r * d + d] for r in range(d))
     return RBOperator(dim=d, matrix=matrix, weight=Fraction(1))
 
 

@@ -64,19 +64,23 @@ def test_solve_inconsistent_returns_none():
 
 
 def test_solve_affine_particular_plus_nullspace():
-    m = linalg.mat([[1, 1, 0]])
-    result = linalg.solve_affine(m, linalg.vec([2]))
+    # x0 + x1 = 2 in three unknowns, the right-hand side at column 3
+    result = linalg.solve_affine([{0: F(1), 1: F(1), 3: F(2)}], 3)
     assert result is not None
     particular, basis = result
-    assert linalg.matvec(m, particular) == (F(2),)
-    assert len(basis) == 2
-    for row in basis:
-        assert linalg.matvec(m, row) == (F(0),)
+    assert particular == {0: F(2)}
+    assert basis == ({0: F(-1), 1: F(1)}, {2: F(1)})
 
 
 def test_solve_affine_inconsistent_returns_none():
-    m = linalg.mat([[1, 1], [1, 1]])
-    assert linalg.solve_affine(m, linalg.vec([0, 1])) is None
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1), 2: F(1)}]
+    assert linalg.solve_affine(rows, 2) is None
+
+
+def test_eliminate_ignores_zero_entries_and_leaves_its_input_alone():
+    rows = [{0: F(0), 1: F(2), 2: F(6)}, {1: F(1), 2: F(3)}]
+    assert linalg.eliminate(rows) == {1: {2: F(3)}}
+    assert rows == [{0: F(0), 1: F(2), 2: F(6)}, {1: F(1), 2: F(3)}]
 
 
 def test_det_and_inverse_exact():
@@ -166,6 +170,13 @@ def _sympy_rref(m, n_cols):
 ORACLE_SUITE = settings(max_examples=300, deadline=None)
 
 
+# rows whose order makes each new pivot be cleared from earlier rows: the
+# chain gains a column in an earlier row while clearing, the triangle loses
+# one, and the index of column holders must follow both
+CHAIN = ((F(1), F(1), F(0), F(0)), (F(0), F(1), F(1), F(0)), (F(0), F(0), F(1), F(1)))
+TRIANGLE = ((F(1), F(1), F(1)), (F(0), F(1), F(1)), (F(0), F(0), F(1)), (F(2), F(0), F(1)))
+
+
 @ORACLE_SUITE
 @given(matrices())
 @example((0, ()))
@@ -173,6 +184,8 @@ ORACLE_SUITE = settings(max_examples=300, deadline=None)
 @example((0, ((), (), ())))
 @example((4, ((F(0),) * 4,) * 3))
 @example((2, ((F(1), F(2)), (F(1), F(2)), (F(2), F(4)))))
+@example((4, CHAIN))
+@example((3, TRIANGLE))
 def test_rref_matches_dense_oracles(shape):
     n_cols, m = shape
     result = linalg.rref(m)
@@ -181,18 +194,44 @@ def test_rref_matches_dense_oracles(shape):
         assert result == _sympy_rref(m, n_cols)
 
 
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _reference_solution(reduced, pivots, n_cols):
+    """``(particular, basis)`` read off a reference RREF of the augmented
+    system (right-hand side at column ``n_cols``) as sparse vectors."""
+    particular = {}
+    basis = {f: {f: F(1)} for f in range(n_cols) if f not in pivots}
+    for row, p in zip(reduced, pivots):
+        for c in range(p + 1, len(row)):
+            if row[c] and c == n_cols:
+                particular[p] = row[c]
+            elif row[c] and c in basis:
+                basis[c][p] = -row[c]
+    return particular, tuple(basis.values())
+
+
 @ORACLE_SUITE
 @given(matrices())
 @example((3, ()))
 @example((0, ((), ())))
+@example((4, CHAIN))
+@example((3, TRIANGLE))
 def test_nullspace_vectors_are_annihilated(shape):
     n_cols, m = shape
-    _, pivots = rref_reference(m)
+    reduced, pivots = rref_reference(m)
     null = linalg.nullspace(m, n_cols=n_cols)
     assert len(null) == n_cols - len(pivots)
     for x in null:
         assert len(x) == n_cols
         assert linalg.is_zero_vector(linalg.matvec(m, x))
+    _, expected = _reference_solution(reduced, pivots, n_cols)
+    particular, basis = linalg.solve_affine(_sparse(m), n_cols)
+    assert particular == {}
+    assert basis == expected
+    assert all(x for v in basis for x in v.values())
+    assert null == tuple(linalg.to_dense(v, n_cols) for v in basis)
 
 
 @st.composite
@@ -206,12 +245,20 @@ def systems(draw):
 @given(systems())
 @example((0, ((), ()), (F(0), F(1))))
 @example((2, ((F(1), F(1)), (F(2), F(2))), (F(1), F(2))))
+@example((4, CHAIN, (F(1), F(0), F(2))))
+@example((3, TRIANGLE, (F(1), F(-1), F(3), F(1))))
 def test_solve_affine_fails_exactly_on_an_augmented_pivot(system):
     n_cols, m, rhs = system
-    _, pivots = rref_reference(tuple(row + (b,) for row, b in zip(m, rhs)))
-    result = linalg.solve_affine(m, rhs)
+    augmented = tuple(row + (b,) for row, b in zip(m, rhs))
+    reduced, pivots = rref_reference(augmented)
+    result = linalg.solve_affine(_sparse(augmented), n_cols)
     assert (result is None) == (n_cols in pivots)
-    if result is not None and m:
+    assert (linalg.solve(m, rhs) is None) == (result is None and bool(m))
+    if result is not None:
         particular, basis = result
-        assert linalg.matvec(m, particular) == rhs
+        assert (particular, basis) == _reference_solution(reduced, pivots, n_cols)
         assert len(basis) == n_cols - len(pivots)
+        if m:
+            dense = linalg.to_dense(particular, n_cols)
+            assert linalg.matvec(m, dense) == rhs
+            assert linalg.solve(m, rhs) == dense

@@ -24,7 +24,7 @@ from postlie.catalog import (
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
 from postlie.liealg import LieAlgebra
 from postlie.rules import nonexistence_certificate
-from postlie.samples import get_sample
+from postlie.samples import get_sample, sample_ids
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
     UNIQUE_SOLUTION_FAILS_RULE,
@@ -35,6 +35,7 @@ from postlie.search import (
     pa_search,
 )
 from postlie.structures import (
+    PAProduct,
     descendent_bracket,
     induced_bracket,
     rb_from_coordinate_split,
@@ -77,6 +78,51 @@ def test_solution_space_contains_shipped_products():
         assert space.contains(sample.product)
 
 
+def _flat(product):
+    return [x for plane in product.tensor for cell in plane for x in cell]
+
+
+def _raw_rows_hold(rows, rhs, product):
+    flat = _flat(product)
+    return all(
+        sum((x * flat[t] for t, x in row), F(0)) == b for row, b in zip(rows, rhs)
+    )
+
+
+def _perturbed(product, index):
+    d = product.dim
+    flat = _flat(product)
+    flat[index] += 1
+    return PAProduct(
+        dim=d,
+        tensor=tuple(
+            tuple(tuple(flat[(i * d + j) * d : (i * d + j + 1) * d]) for j in range(d))
+            for i in range(d)
+        ),
+    )
+
+
+@pytest.mark.parametrize("sample_id", sample_ids())
+def test_membership_agrees_with_the_raw_system(sample_id):
+    # a product lies in the space exactly when every raw linear row holds;
+    # a shifted diagonal coefficient a[i][i][k] keeps axiom (1) and can stay
+    # inside, any other shift breaks it
+    sample = get_sample(sample_id)
+    g, n = sample.g_bracket(), sample.n()
+    space = pa_linear_space(g, n)
+    dense_rows, rhs = raw_linear_system(g, n)
+    rows = [[(t, x) for t, x in enumerate(row) if x] for row in dense_rows]
+    d = n.dim
+    diagonal = [(i * d + i) * d + k for i in range(d) for k in range(d)]
+    verdicts = []
+    for product in [sample.product] + [
+        _perturbed(sample.product, t) for t in diagonal + list(range(1, d**3, 7))
+    ]:
+        verdicts.append(space.contains(product))
+        assert verdicts[-1] == _raw_rows_hold(rows, rhs, product)
+    assert verdicts[0] and not all(verdicts)
+
+
 def test_product_at_reconstructs_points():
     flat = get_algebra("abelian_2")
     space = pa_linear_space(flat, flat)
@@ -105,10 +151,15 @@ coefficient = st.one_of(
 def test_product_at_matches_the_dense_formula(coefficients):
     space = _wide_space()
     assert space.dimension == 60
-    flat = list(space.particular)
-    for c, vec in zip(coefficients, space.basis):
-        flat = [x + F(c) * y for x, y in zip(flat, vec)]
     d = space.dim
+    flat = [F(0)] * d**3
+    for index, y in space.particular:
+        flat[index] = y
+    for c, vec in zip(coefficients, space.basis):
+        dense = [F(0)] * d**3
+        for index, y in vec:
+            dense[index] = y
+        flat = [x + F(c) * y for x, y in zip(flat, dense)]
     expected = tuple(
         tuple(tuple(flat[(i * d + j) * d + k] for k in range(d)) for j in range(d))
         for i in range(d)
@@ -361,6 +412,23 @@ def test_a_huge_grid_height_stops_at_the_budget_without_allocating():
             "stage S3: budget of 5 grid points exhausted "
             "(grid height 100000000, 6 free parameters)"
         )
+
+
+def test_a_dim_24_abelian_pair_is_decided_within_the_memory_limit(tmp_path):
+    # 576 derivations, 13824 unknowns and a 7200-dimensional solution space:
+    # S1 and the solution space stay sparse, and S2 hits on its first subset
+    document = tmp_path / "abelian_24.json"
+    document.write_text(json.dumps({"kind": "algebra", "dim": 24, "entries": []}))
+    argv = [sys.executable, "-m", "postlie.cli", "search", "pa"]
+    argv += ["--g", str(document), "--n", str(document), "--json"]
+    result = subprocess.run(
+        argv, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["verdict"] == EXISTS
+    assert doc["linear_dimension"] == 7200
+    assert doc["subsets_checked"] == 1
 
 
 # ----------------------------------------------------------------------
