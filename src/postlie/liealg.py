@@ -43,6 +43,10 @@ from .subspace import Subspace
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, object]]
 
+# ``-e_k`` sides of the kernel carry this coefficient, which it negates
+# instead of multiplying
+MINUS_ONE = -ONE
+
 
 def _tensor_from_table(dim: int, table: BracketTable):
     c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
@@ -83,8 +87,18 @@ def add_bilinear(out: list, supports, xs, ys) -> list:
     for i, a in xs:
         row = supports[i]
         for j, b in ys:
-            # a basis-vector side (coefficient ``ONE``) costs no product
-            s = b if a is ONE else a if b is ONE else a * b
+            # a side of ``ONE`` or ``MINUS_ONE`` (a basis vector or its
+            # negative) costs no product
+            if a is ONE:
+                s = b
+            elif b is ONE:
+                s = a
+            elif a is MINUS_ONE:
+                s = -b
+            elif b is MINUS_ONE:
+                s = -a
+            else:
+                s = a * b
             for k, c in row[j]:
                 out[k] += s * c
     return out

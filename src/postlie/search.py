@@ -23,7 +23,13 @@ Three stages, cheapest first:
   checked pointwise on an integer grid laid over the free parameters of the
   S1 solution space.  The grid is exhausted in deterministic lexicographic
   order up to a configurable budget; running out of budget yields an
-  ``unknown`` verdict, never a negative one.  When the S1 space is a single
+  ``unknown`` verdict, never a negative one.  Axiom (2) is homogeneous of
+  degree two in ``g``'s bracket and the product, so both are scaled by the
+  lcm of their denominators and each point is checked in integers, by the
+  same residual kernel :func:`~postlie.structures.verify_pa` uses.  The
+  scaled product is stepped like an odometer: moving to the next point
+  adds in only the basis vectors whose digit changed.  The rational
+  witness is built only at a point that passes.  When the S1 space is a single
   point (no free parameter) and that point fails axiom (2), the verdict is
   negative: a rational linear system with a unique solution has that same
   unique solution over every extension field.
@@ -39,15 +45,17 @@ re-verifies any witness against the three axioms on the caller's ``g`` and
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .liealg import LieAlgebra, nonzero
+from .liealg import LieAlgebra, nonzero, tensor_supports
 from .structures import (
     PAProduct,
-    axiom2_residuals,
+    _units,
+    axiom2_kernel,
     pa_from_rb,
     rb_from_coordinate_split,
     verify_pa,
@@ -211,10 +219,69 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
 # ----------------------------------------------------------------------
 
 
-def _axiom2_holds(g: LieAlgebra, product: PAProduct) -> bool:
-    """Exact check of the representation axiom (2): stops at the first
-    nonzero residual."""
-    return next(axiom2_residuals(g, product), None) is None
+def _axiom2_holds(cg, p, units) -> bool:
+    """Exact check of the representation axiom (2) on the cell supports
+    ``cg`` of ``g``'s bracket and ``p`` of a product, with ``units`` in
+    their coefficient ring: stops at the first nonzero residual."""
+    return next(axiom2_kernel(cg, p, units), None) is None
+
+
+def _integer_bracket(g: LieAlgebra, space: SolutionSpace) -> tuple[int, tuple]:
+    """The lcm of every denominator in ``g``'s bracket and in the particular
+    solution and basis of ``space``, and the cell supports of that multiple
+    of ``g``'s bracket, an integer tensor."""
+    cells = [cell for plane in g._supports for cell in plane]
+    scale = math.lcm(
+        *(c.denominator for vec in (*cells, space.particular, *space.basis) for _, c in vec)
+    )
+    scaled = tuple(
+        tuple(tuple(int(c * scale) for c in cell) for cell in plane) for plane in g.brackets
+    )
+    return scale, tensor_supports(scaled)
+
+
+def _integer_grid(space: SolutionSpace, scale: int, height: int):
+    """The points of the grid ``[-height, height]**free`` on the free
+    parameters of ``space``, in lexicographic order (last digit fastest,
+    starting at every digit ``-height``), each as its digits together with
+    the cell supports of ``scale`` times the product there.
+
+    ``scale`` must clear every denominator of ``space``, so that those
+    products are integer tensors.  Stepping to the next point adds in only
+    the basis vectors whose digit changed, and rebuilds only the cells they
+    touch.  The digit list is updated in place between points.
+    """
+    d = space.dim
+    free = len(space.basis)
+    basis = [[(index, int(y * scale)) for index, y in vec] for vec in space.basis]
+    touched = [sorted({index // d for index, _ in vec}) for vec in basis]
+    flat = [0] * d**3
+    for index, y in space.particular:
+        flat[index] = int(y * scale)
+    for vec in basis:
+        for index, y in vec:
+            flat[index] -= height * y
+    cells = [nonzero(flat[s : s + d]) for s in range(0, d**3, d)]
+    p = [cells[s : s + d] for s in range(0, d * d, d)]
+    digits = [-height] * free
+    while True:
+        yield digits, p
+        changed = []
+        position = free - 1
+        while position >= 0 and digits[position] == height:
+            changed.append((position, -2 * height))
+            digits[position] = -height
+            position -= 1
+        if position < 0:
+            return
+        changed.append((position, 1))
+        digits[position] += 1
+        for position, step in changed:
+            for index, y in basis[position]:
+                flat[index] += step * y
+        for cell in {cell for position, _ in changed for cell in touched[position]}:
+            i, j = divmod(cell, d)
+            p[i][j] = nonzero(flat[cell * d : cell * d + d])
 
 
 def _splitting_order(d: int):
@@ -351,26 +418,24 @@ def pa_search(
     )
 
     # --- S3: bounded grid over the free parameters -------------------
-    # Point t has the base-(2h+1) digits of t, most significant first,
-    # shifted by -h: the lexicographic order of the grid [-h, h]**free.
+    # Axiom (2) is homogeneous of degree two in g's bracket and the
+    # product, so each point is checked on both scaled by the lcm of their
+    # denominators, in integers; the rational witness is built only at a
+    # point that passes.
     free = len(space.basis)
     height = int(grid_height)
-    base = 2 * height + 1
-    grid_size = base**free
-    for t in range(min(budget, grid_size)):
-        points_checked = t + 1
-        assignment = [0] * free
-        for position in range(free - 1, -1, -1):
-            t, digit = divmod(t, base)
-            assignment[position] = digit - height
-        candidate = space.product_at(assignment)
-        if not _axiom2_holds(g, candidate):
+    grid_size = (2 * height + 1) ** free
+    scale, cg = _integer_bracket(g, space)
+    units = _units(d, 1)
+    grid = _integer_grid(space, scale, height)
+    for points_checked, (digits, p) in itertools.islice(enumerate(grid, 1), budget):
+        if not _axiom2_holds(cg, p, units):
             continue
         cert = issue(
             EXISTS,
             f"stage S3: grid point #{points_checked} at height {height} "
             "satisfies the quadratic axiom; all three axioms re-verified",
-            witness=candidate,
+            witness=space.product_at(digits),
         )
         if cert is not None:
             return cert

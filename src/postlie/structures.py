@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector, frac
-from .liealg import LieAlgebra, add_bilinear, nonzero, tensor_supports, unit
+from .liealg import MINUS_ONE, LieAlgebra, add_bilinear, nonzero, tensor_supports, unit
 from .subspace import Subspace
 
 ProductTable = Mapping[tuple[int, int], Mapping[int, object]]
@@ -194,9 +194,12 @@ class PAVerification:
         }
 
 
-def _units(d: int) -> tuple[list, list]:
-    """``e_k`` and ``-e_k`` as ``(index, coefficient)`` pairs, for each ``k``."""
-    return [unit(k) for k in range(d)], [unit(k, -linalg.ONE) for k in range(d)]
+def _units(d: int, one=linalg.ONE) -> tuple[list, list, object]:
+    """``e_k`` and ``-e_k`` as ``(index, coefficient)`` pairs, for each ``k``,
+    and the zero coefficient: over the rationals by default, over the
+    integers for ``one=1``."""
+    minus_one = MINUS_ONE if one is linalg.ONE else -one
+    return [unit(k, one) for k in range(d)], [unit(k, minus_one) for k in range(d)], one - one
 
 
 def axiom2_residuals(g: LieAlgebra, product: PAProduct):
@@ -204,13 +207,24 @@ def axiom2_residuals(g: LieAlgebra, product: PAProduct):
     ``r = [e_i, e_j]_g . e_k - e_i . (e_j . e_k) + e_j . (e_i . e_k)``,
     generated lazily for ``i < j`` and every ``k`` in lexicographic order.
     """
-    d = g.dim
-    p, cg = product._supports, g._supports
-    plus, minus = _units(d)
+    return axiom2_kernel(g._supports, product._supports, _units(g.dim))
+
+
+def axiom2_kernel(cg, p, units):
+    """:func:`axiom2_residuals` on cell supports: ``cg`` of the bracket of
+    ``g``, ``p`` of the product, and ``units`` from :func:`_units` in the
+    same coefficient ring.
+
+    Each residual is homogeneous of degree two in the pair of tensors, so
+    scaling both by ``s`` scales it by ``s**2``: integer multiples of
+    rational tensors have the same zero residuals.
+    """
+    plus, minus, zero = units
+    d = len(plus)
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(d):
-                res = [linalg.ZERO] * d
+                res = [zero] * d
                 add_bilinear(res, p, cg[i][j], plus[k])
                 add_bilinear(res, p, minus[i], p[j][k])
                 add_bilinear(res, p, plus[j], p[i][k])
@@ -225,7 +239,7 @@ def axiom3_residuals(n: LieAlgebra, product: PAProduct):
     """
     d = n.dim
     p, cn = product._supports, n._supports
-    plus, minus = _units(d)
+    plus, minus, _ = _units(d)
     for i in range(d):
         for j in range(d):
             for k in range(j + 1, d):

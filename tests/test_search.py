@@ -28,7 +28,10 @@ from postlie.samples import get_sample, sample_ids
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
     UNIQUE_SOLUTION_FAILS_RULE,
+    SolutionSpace,
     _axiom2_holds,
+    _integer_bracket,
+    _integer_grid,
     _split_descends,
     _splitting_order,
     pa_linear_space,
@@ -36,6 +39,8 @@ from postlie.search import (
 )
 from postlie.structures import (
     PAProduct,
+    _units,
+    axiom2_residuals,
     descendent_bracket,
     induced_bracket,
     rb_from_coordinate_split,
@@ -174,7 +179,7 @@ def test_axiom2_check_on_the_wide_space_matches_the_definition(coefficients):
     candidate = _wide_space().product_at(coefficients)
     expected = axiom2_reference(g, candidate)
     assert verify_pa(g, n, candidate).axiom2 == expected
-    assert _axiom2_holds(g, candidate) == (not expected)
+    assert _axiom2_holds(g._supports, candidate._supports, _units(g.dim)) == (not expected)
 
 
 def test_linear_infeasible_pair_is_verified_negative():
@@ -352,6 +357,72 @@ def test_grid_height_changes_the_lattice():
     assert cert.verdict == EXISTS
     witness = cert.witness
     assert verify_pa(g, n, witness).ok
+
+
+def _r2_scaled(c):
+    return LieAlgebra.from_table(2, {(0, 1): {1: c}}, "r2_scaled")
+
+
+@pytest.mark.parametrize("c", [F(1, 2), F(2, 3)])
+def test_integer_check_agrees_with_the_rational_residuals(c):
+    # g's bracket has denominators, so S3 checks axiom (2) on both tensors
+    # scaled by their lcm; leaving either unscaled breaks the agreement
+    g, n = _r2_scaled(c), get_algebra("abelian_2")
+    space = pa_linear_space(g, n)
+    scale, cg = _integer_bracket(g, space)
+    assert scale == c.denominator
+    units = _units(g.dim, 1)
+    for height in (1, 2):
+        hits = 0
+        for digits, p in itertools.islice(_integer_grid(space, scale, height), 400):
+            expected = next(axiom2_residuals(g, space.product_at(digits)), None) is None
+            assert _axiom2_holds(cg, p, units) == expected, (height, digits)
+            hits += expected
+        assert hits
+
+
+def test_the_integer_grid_steps_through_every_carry():
+    # three free parameters with overlapping supports and denominators 2, 3, 6
+    space = SolutionSpace(
+        dim=2,
+        particular=((1, F(1, 3)), (6, F(-1, 2))),
+        basis=(
+            ((0, F(1)), (3, F(2, 3))),
+            ((3, F(1, 2)), (5, F(-1))),
+            ((0, F(1, 6)), (7, F(4))),
+        ),
+    )
+    scale, _ = _integer_bracket(get_algebra("abelian_2"), space)
+    assert scale == 6
+    for height in (1, 2):
+        base = 2 * height + 1
+        count = 0
+        for t, (digits, p) in enumerate(_integer_grid(space, scale, height)):
+            decoded = [t // base**2 - height, t // base % base - height, t % base - height]
+            assert digits == decoded
+            dense = [[[0] * 2 for _ in range(2)] for _ in range(2)]
+            for i, row in enumerate(p):
+                for j, cell in enumerate(row):
+                    for k, y in cell:
+                        assert type(y) is int and y
+                        dense[i][j][k] = y
+            product = space.product_at(decoded)
+            assert dense == [[[scale * y for y in cell] for cell in plane] for plane in product.tensor]
+            count += 1
+        assert count == base**3
+
+
+def test_a_budget_below_the_grid_size_checks_exactly_that_many_points(monkeypatch):
+    calls = []
+    check = search._axiom2_holds
+    monkeypatch.setattr(search, "_axiom2_holds", lambda *args: calls.append(args) or check(*args))
+    # the first hit of this grid is point #38
+    cert = pa_search(_r2_scaled(F(1, 2)), get_algebra("abelian_2"), budget=20, grid_height=1)
+    assert cert.verdict == UNKNOWN
+    assert cert.points_checked == len(calls) == 20
+    assert cert.trace[-1] == (
+        "stage S3: budget of 20 grid points exhausted (grid height 1, 6 free parameters)"
+    )
 
 
 def test_wide_space_exhausts_the_default_budget():
