@@ -406,8 +406,8 @@ def test_the_integer_grid_steps_through_every_carry():
                     for k, y in cell:
                         assert type(y) is int and y
                         dense[i][j][k] = y
-            product = space.product_at(decoded)
-            assert dense == [[[scale * y for y in cell] for cell in plane] for plane in product.tensor]
+            tensor = space.product_at(decoded).tensor
+            assert dense == [[[scale * y for y in cell] for cell in plane] for plane in tensor]
             count += 1
         assert count == base**3
 
