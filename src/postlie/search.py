@@ -171,12 +171,11 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
     d = g.dim
-    ders = n.derivations()
+    ders = n._derivations
     nder = len(ders)
     cols = d * nder
-    entries = [
-        [(k, j, v) for k, row in enumerate(der) for j, v in nonzero(row)] for der in ders
-    ]
+    # the nonzero (k, j, D_alpha[k][j]) of each sparse derivation D_alpha
+    entries = [[(*divmod(flat, d), v) for flat, v in der.items()] for der in ders]
     at = defaultdict(list)  # (k, j) -> the nonzero (alpha, D_alpha[k][j])
     for alpha, nonzeros in enumerate(entries):
         for k, j, v in nonzeros:

@@ -15,7 +15,7 @@ The irreducible module of dimension m has basis w_0, ..., w_{m-1} with
 
 which keeps every matrix integral.  ``module_action`` block-sums these over
 a partition, and ``semidirect`` builds sl2 ⋉ (module with optional bracket),
-verifying equivariance via :func:`liealg.semidirect_product`.
+checked by the Jacobi identity in :func:`liealg.semidirect_product`.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def semidirect(
     """sl2 ⋉ (⊕ irreducibles of the given dimensions, with optional bracket).
 
     ``module_table`` is a sparse bracket table on the module coordinates
-    (0-based within the module); it must be sl2-equivariant, which the
-    underlying construction verifies.
+    (0-based within the module); it must be an sl2-equivariant Lie
+    bracket, which the underlying construction verifies.
     """
     action = module_action(partition)
     return semidirect_product(sl2(), sum(partition), action, module_table, name)

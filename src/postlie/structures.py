@@ -474,14 +474,17 @@ def rb_from_decomposition(n: LieAlgebra, first: Subspace, second: Subspace) -> R
 
 
 def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator:
-    """Convenience wrapper: split along coordinate subsets."""
-    chosen = sorted(set(coords))
-    rest = [i for i in range(n.dim) if i not in chosen]
-    return rb_from_decomposition(
-        n,
-        Subspace.spanned_by_coordinates(n.dim, chosen),
-        Subspace.spanned_by_coordinates(n.dim, rest),
+    """:func:`rb_from_decomposition` on the spans of ``coords`` and of the
+    other coordinates: -1 on the diagonal outside ``coords``, 0 elsewhere."""
+    chosen = set(coords)
+    for part, label in ((chosen, "first"), (set(range(n.dim)) - chosen, "second")):
+        if any(k not in part for i in part for j in part for k, _ in n._supports[i][j]):
+            raise ValueError(f"{label} subspace is not a subalgebra")
+    matrix = tuple(
+        tuple(MINUS_ONE if r == c and r not in chosen else linalg.ZERO for c in range(n.dim))
+        for r in range(n.dim)
     )
+    return RBOperator(dim=n.dim, matrix=matrix, weight=Fraction(1))
 
 
 # ----------------------------------------------------------------------

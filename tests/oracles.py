@@ -103,6 +103,18 @@ def bilinear_reference(tensor, x, y):
     return tuple(out)
 
 
+def killing_reference(brackets):
+    """``K[i][j] = tr(ad e_i ad e_j)`` from dense ``ad`` matrices, where
+    ``ad e_i`` has ``c[i][m][k]`` in row ``k`` and column ``m``."""
+    d = len(brackets)
+    ads = [[[brackets[i][m][k] for m in range(d)] for k in range(d)] for i in range(d)]
+
+    def trace_of_product(a, b):
+        return sum((a[r][t] * b[t][r] for r in range(d) for t in range(d)), F(0))
+
+    return tuple(tuple(trace_of_product(ads[i], ads[j]) for j in range(d)) for i in range(d))
+
+
 def _unit(d, i):
     return tuple(F(1) if t == i else F(0) for t in range(d))
 
@@ -246,14 +258,14 @@ def split_descends_reference(g, n, subset):
     """The former S2 test of one coordinate splitting: both coordinate
     spans are subalgebras of ``n``, and the descendent bracket of minus the
     projection onto the rest equals ``g`` on the full tensor."""
-    from postlie.structures import descendent_bracket, rb_from_coordinate_split
+    from postlie.structures import descendent_bracket, rb_from_decomposition
     from postlie.subspace import Subspace
 
     rest = [i for i in range(n.dim) if i not in subset]
-    for part in (subset, rest):
-        if not n.is_subalgebra(Subspace.spanned_by_coordinates(n.dim, part)):
-            return False
-    op = rb_from_coordinate_split(n, subset)
+    parts = [Subspace.spanned_by_coordinates(n.dim, part) for part in (subset, rest)]
+    if not all(n.is_subalgebra(part) for part in parts):
+        return False
+    op = rb_from_decomposition(n, *parts)
     return descendent_bracket(n, op).brackets == g.brackets
 
 

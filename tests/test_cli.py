@@ -1,6 +1,10 @@
 """Command-line interface, exercised through real subprocesses: exit-code
-contract, document diagnostics, and byte-deterministic JSON output."""
+contract, document diagnostics, and byte-deterministic JSON output; the
+invariant reports are also pinned in process."""
 
+import contextlib
+import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -8,8 +12,8 @@ import sys
 
 import pytest
 
-from postlie import interchange
-from postlie.catalog import get_algebra
+from postlie import cli, interchange
+from postlie.catalog import catalog_ids, get_algebra
 from postlie.liealg import LieAlgebra
 from postlie.samples import get_sample
 
@@ -49,6 +53,33 @@ def test_catalog_show():
     result = run_cli("catalog", "show", "L5_1")
     assert result.returncode == 0
     assert "perfect" in result.stdout
+
+
+# sha256 over the stdout of ``catalog show <id> --json`` for every catalog
+# id in catalog order, then of ``invariants <file> --json`` for the shipped
+# catalog documents in file-name order, run in process.  A change that
+# alters any invariant report must update this pin and say why.
+INVARIANT_REPORTS_SHA256 = (
+    "8f5f75f50cf38319aec9d62cf7b9976db98944c55a22a9786b3a4e8ab20ace77"
+)
+
+
+def test_invariant_reports_are_byte_stable():
+    digest = hashlib.sha256()
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(argv)) == 0, argv
+        digest.update(out.getvalue().encode("utf-8"))
+
+    for entry_id in catalog_ids():
+        run("catalog", "show", entry_id, "--json")
+    documents = sorted(CATALOG.iterdir())
+    assert len(documents) == 60
+    for path in documents:
+        run("invariants", str(path), "--json")
+    assert digest.hexdigest() == INVARIANT_REPORTS_SHA256
 
 
 def test_catalog_export_round_trips():

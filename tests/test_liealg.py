@@ -17,6 +17,8 @@ from postlie.sl2 import irreducible_action, module_action, semidirect, sl2
 from postlie.subspace import Subspace
 from postlie.table import CLASSES, existence_table
 
+from oracles import NON_LIE_TABLE, killing_reference, rref_reference
+
 F = Fraction
 
 HEISENBERG = {(0, 1): {2: 1}}
@@ -167,24 +169,30 @@ def _in_basis(alg, columns):
     return LieAlgebra(alg.dim, brackets)
 
 
-@pytest.mark.parametrize(
-    "alg_id,columns,quotient_dim,quotient_class",
-    [
-        ("n3_plus_C", [(1, 0, 0, -1), (1, 0, -1, 0), (0, 1, 0, 1), (-1, 0, 1, 1)], 2, "abelian"),
-        (
-            "sl2_plus_C2",
-            [(0, 1, 1, -1, 1), (-1, -1, 0, 0, 1), (-1, 1, -1, 0, 1), (0, 1, 0, -1, 0), (0, 0, -1, 0, 0)],
-            3,
-            "semisimple",
-        ),
-    ],
-)
+# (catalog id, new basis as coordinate columns, dim and class of the
+# quotient by the center)
+REBASINGS = [
+    ("n3_plus_C", [(1, 0, 0, -1), (1, 0, -1, 0), (0, 1, 0, 1), (-1, 0, 1, 1)], 2, "abelian"),
+    (
+        "sl2_plus_C2",
+        [(0, 1, 1, -1, 1), (-1, -1, 0, 0, 1), (-1, 1, -1, 0, 1), (0, 1, 0, -1, 0), (0, 0, -1, 0, 0)],
+        3,
+        "semisimple",
+    ),
+]
+
+
+def _rebased(alg_id, columns):
+    return _in_basis(get_algebra(alg_id), [tuple(F(x) for x in col) for col in columns])
+
+
+@pytest.mark.parametrize("alg_id,columns,quotient_dim,quotient_class", REBASINGS)
 def test_center_and_radical_are_canonical_in_any_basis(
     alg_id, columns, quotient_dim, quotient_class
 ):
     # in these bases the center is not spanned by coordinate vectors and
     # the nullspace vectors that define it are not in reduced echelon form
-    alg = _in_basis(get_algebra(alg_id), [tuple(F(x) for x in col) for col in columns])
+    alg = _rebased(alg_id, columns)
     d = alg.dim
     for space in (alg.center(), alg.solvable_radical()):
         assert space == Subspace.from_vectors(d, space.basis)
@@ -192,6 +200,46 @@ def test_center_and_radical_are_canonical_in_any_basis(
     assert quotient.dim == quotient_dim
     assert getattr(quotient, f"is_{quotient_class}")()
     assert alg.quotient(alg.solvable_radical()).dim == d - alg.solvable_radical().dim
+
+
+def _radical_reference(alg):
+    """The Killing-orthogonal complement of [g, g], in reduced echelon form,
+    from the reference Killing form and dense elimination: [g, g] is spanned
+    by the bracket vectors of basis pairs."""
+    d = alg.dim
+    killing = killing_reference(alg.brackets)
+    rows = [
+        [sum((v[m] * killing[m][c] for m in range(d)), F(0)) for c in range(d)]
+        for i, plane in enumerate(alg.brackets)
+        for v in plane[i + 1 :]
+    ]
+    reduced, pivots = rref_reference(rows) if rows else ((), ())
+    complement = []
+    for f in (c for c in range(d) if c not in pivots):
+        v = [F(0)] * d
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        complement.append(v)
+    if not complement:
+        return ()
+    reduced, pivots = rref_reference(complement)
+    return reduced[: len(pivots)]
+
+
+def _invariant_cases():
+    cases = [
+        (entry_id, get_algebra(entry_id))
+        for entry_id in catalog_ids()
+        if get_entry(entry_id).builder is not None
+    ]
+    return cases + [(f"{alg_id} rebased", _rebased(alg_id, cols)) for alg_id, cols, *_ in REBASINGS]
+
+
+def test_killing_form_and_radical_match_the_definitions():
+    for label, alg in _invariant_cases():
+        assert alg.killing_form() == killing_reference(alg.brackets), label
+        assert alg.solvable_radical().basis == _radical_reference(alg), label
 
 
 def test_ideal_vs_subalgebra():
@@ -228,8 +276,29 @@ def test_direct_sum_block_structure():
 def test_semidirect_product_validates_action():
     # a non-homomorphism action must be rejected
     bad_action = [linalg.identity(2)] * 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Jacobi identity fails on basis triple"):
         semidirect_product(sl2(), 2, bad_action)
+    # a module index outside the module, even one inside the product
+    with pytest.raises(ValueError, match="module bracket index out of range"):
+        semidirect_product(sl2(), 2, module_action((2,)), {(-1, 0): {0: 1}})
+
+
+def test_semidirect_product_refuses_a_non_lie_module_bracket():
+    # the zero action is a homomorphism by derivations; only the module
+    # bracket breaks the Jacobi identity, on module triple (1, 2, 3)
+    zero = linalg.zero_matrix(3, 3)
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(2, 3, 4\)"):
+        semidirect_product(LieAlgebra.abelian(1), 3, [zero], NON_LIE_TABLE)
+
+
+def test_semidirect_product_refuses_an_action_that_is_not_by_derivations():
+    # one matrix is always a homomorphism from abelian_1, but diag(1, 0, 0)
+    # sends [e1, e2] = e3 to 0 and not to [e1, e2] = e3
+    n3 = get_algebra("n3")
+    assert n3.sparse_table() == {(0, 1): {2: F(1)}}
+    action = [linalg.mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])]
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis triple \(1, 2, 3\)"):
+        semidirect_product(LieAlgebra.abelian(1), 3, action, n3.sparse_table())
 
 
 def test_irreducible_action_weights_are_integral():

@@ -2,13 +2,14 @@
 checked on the shipped sample pairs and on small hand oracles."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from postlie import linalg
-from postlie.catalog import get_algebra
+from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra, fingerprint
 from postlie.samples import SAMPLES, get_sample, sample_ids
 from postlie.structures import (
@@ -158,6 +159,40 @@ def test_operators_rebuild_from_their_kernel_splits():
         rb_from_coordinate_split(n, (0, 1, 2)).matrix
         == get_sample("reductive_over_perfect").operator.matrix
     )
+
+
+def _operator_or_refusal(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_coordinate_split_operator_matches_the_general_decomposition():
+    # the diagonal shortcut agrees with the general route, refusals
+    # (and their messages) included, on every subset of every small algebra
+    checked = refused = 0
+    for entry_id in catalog_ids():
+        entry = get_entry(entry_id)
+        if entry.builder is None or entry.dim > 4:
+            continue
+        n = get_algebra(entry_id)
+        for size in range(n.dim + 1):
+            for subset in itertools.combinations(range(n.dim), size):
+                rest = [i for i in range(n.dim) if i not in subset]
+                expected = _operator_or_refusal(
+                    rb_from_decomposition,
+                    n,
+                    Subspace.spanned_by_coordinates(n.dim, subset),
+                    Subspace.spanned_by_coordinates(n.dim, rest),
+                )
+                assert _operator_or_refusal(rb_from_coordinate_split, n, subset) == expected, (
+                    entry_id,
+                    subset,
+                )
+                checked += 1
+                refused += isinstance(expected, str)
+    assert refused and refused < checked
 
 
 def test_rb_from_decomposition_rejects_bad_splits():
