@@ -11,7 +11,8 @@ The first cached datum is the sparse support of the tensor: the nonzero
 bilinear kernel over such supports, :func:`add_bilinear`, evaluates the
 bracket, the Jacobi residuals and the derivation test here, and products,
 axiom residuals and operator products in :mod:`postlie.structures`.  The
-Killing form, center, radical and derivations are built from the supports.
+Killing form, center, radical and derivations are built from the supports;
+bracket spans, the center and the radical are one sparse elimination each.
 
 Structural invariants provided here:
 
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector, ZERO, ONE, frac
-from .subspace import Subspace
+from .subspace import Subspace, coordinates_in_basis
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, object]]
 
@@ -74,12 +75,6 @@ def nonzero(v: Sequence[Fraction]) -> tuple:
 def unit(i: int, coeff: Fraction = ONE) -> tuple:
     """``coeff * e_i`` as ``(index, coefficient)`` pairs."""
     return ((i, coeff),)
-
-
-def _kernel(dim: int, rows) -> Subspace:
-    """The solutions of homogeneous sparse rows in ``dim`` unknowns."""
-    _, basis = linalg.solve_affine(rows, dim)
-    return Subspace.from_vectors(dim, [linalg.to_dense(v, dim) for v in basis])
 
 
 def tensor_supports(tensor) -> tuple:
@@ -153,9 +148,6 @@ class LieAlgebra:
         """Matrix of ad(x) = [x, -] acting on column vectors."""
         return linalg.transpose([self.bracket(x, self.basis_vector(j)) for j in range(self.dim)])
 
-    def ad_basis(self) -> tuple[Matrix, ...]:
-        return tuple(self.ad(self.basis_vector(i)) for i in range(self.dim))
-
     # ------------------------------------------------------------------
     # Jacobi identity
     # ------------------------------------------------------------------
@@ -203,8 +195,8 @@ class LieAlgebra:
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [u, v] over basis vectors u of a and v of b."""
-        vectors = [self.bracket(u, v) for u in a.basis for v in b.basis]
-        return Subspace.from_vectors(self.dim, vectors)
+        brackets = (self.bracket(u, v) for u in a.basis for v in b.basis)
+        return Subspace.span(self.dim, (dict(enumerate(w)) for w in brackets))
 
     @cached_property
     def _derived(self) -> Subspace:
@@ -251,7 +243,7 @@ class LieAlgebra:
             for j, cell in enumerate(plane):
                 for k, c in cell:
                     linalg.add_entry(rows, (j, k), i, c)
-        return _kernel(self.dim, rows.values())
+        return Subspace.kernel(self.dim, rows.values())
 
     def center(self) -> Subspace:
         return self._center
@@ -290,7 +282,7 @@ class LieAlgebra:
             for m, x in nonzero(d):
                 for c, k in nonzero(self._killing[m]):
                     linalg.add_entry(rows, r, c, x * k)
-        return _kernel(self.dim, rows.values())
+        return Subspace.kernel(self.dim, rows.values())
 
     def solvable_radical(self) -> Subspace:
         """Killing-orthogonal complement of [g, g] (characteristic zero)."""
@@ -445,19 +437,14 @@ class LieAlgebra:
 
     def restrict(self, space: Subspace) -> "LieAlgebra":
         """The bracket restricted to a subalgebra, in the subspace basis."""
-        from .subspace import coordinates_in_basis
-
-        if not self.is_subalgebra(space):
-            raise ValueError("subspace is not closed under the bracket")
         d = space.dim
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for a in range(d):
             for b in range(a + 1, d):
-                w = self.bracket(space.basis[a], space.basis[b])
-                coords = coordinates_in_basis(space, w)
-                if coords is None:  # cannot happen for a subalgebra
-                    raise AssertionError("bracket left the subalgebra")
-                entry = {k: coords[k] for k in range(d) if coords[k] != 0}
+                coords = coordinates_in_basis(space, self.bracket(space.basis[a], space.basis[b]))
+                if coords is None:
+                    raise ValueError("subspace is not closed under the bracket")
+                entry = dict(nonzero(coords))
                 if entry:
                     table[(a, b)] = entry
         return LieAlgebra.from_table(d, table)

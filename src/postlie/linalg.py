@@ -6,15 +6,14 @@ which keeps them hashable (so higher layers can cache invariants) and makes
 "canonical form" a plain data-equality notion.
 
 Linear systems go in as sparse rows, ``{column: value}`` dicts that hold
-only the nonzero entries: the systems the higher layers build have a few
-percent of their entries nonzero.  One eliminator, :func:`eliminate`,
-reduces every system, doing arithmetic only where a row has entries.
-:func:`solve_affine` is its sparse entry for a system with a right-hand
-side.  :func:`rref`, :func:`row_basis`, :func:`rank`, :func:`nullspace` and
-:func:`solve` are dense wrappers for callers that already hold dense
-matrices (subspace bases, the Killing form, operator matrices).  Reduced
-row echelon form is unique, so every elimination order gives the same
-canonical result; nullspace bases are in ascending free-column order.
+only the nonzero entries.  One eliminator, :func:`eliminate`, reduces every
+system and every subspace, doing arithmetic only where a row has entries;
+its step :func:`reduce_row` also reduces vectors against a subspace basis,
+and :func:`solve_affine` is its entry for a system with a right-hand side.
+:func:`rref`, :func:`rank`, :func:`solve`, :func:`nullspace` and
+:func:`row_basis` are dense wrappers for dense matrices (the Killing form,
+operator matrices).  Reduced row echelon form is unique, so every
+elimination order gives the same canonical result.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
         if any(len(row) != width for row in out):
             raise ValueError("ragged matrix rows")
     return out
-
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:
@@ -137,6 +132,15 @@ def _subtract_multiple(row: dict, f: Fraction, other: dict, index=None, owner=No
                 index[c].discard(owner)
 
 
+def reduce_row(row: dict, tails: Mapping[int, Mapping[int, Fraction]]) -> dict:
+    """Clear, in place, each pivot column of the sparse ``row`` (nonzero
+    entries only) with a multiple of its RREF pivot row; tails hold no
+    pivot column, so one pass leaves none behind.  Returns the row."""
+    for p in [c for c in row if c in tails]:
+        _subtract_multiple(row, row.pop(p), tails[p])
+    return row
+
+
 def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """The one row reducer: the RREF of sparse rows, as pivot -> tail.
 
@@ -152,9 +156,7 @@ def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fra
     # from those rows only
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for given in rows:
-        row = {c: x for c, x in given.items() if x}
-        for p in [c for c in row if c in tails]:
-            _subtract_multiple(row, row.pop(p), tails[p])
+        row = reduce_row({c: x for c, x in given.items() if x}, tails)
         if not row:
             continue
         p = min(row)

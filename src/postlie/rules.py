@@ -81,32 +81,26 @@ def _hypotheses(*checks: Check) -> Predicate:
 
 
 def _restricted_radical_action(g: LieAlgebra, radical: Subspace):
-    """Matrices of ad(e_i) restricted to the radical, in its basis."""
-    matrices = []
-    r = radical.dim
+    """Nonzero entries ``(i, row, col, value)`` of ad(e_i) on the radical."""
+    entries = []
     for i in range(g.dim):
-        cols = []
-        for vec in radical.basis:
-            image = g.bracket(g.basis_vector(i), vec)
-            coords = coordinates_in_basis(radical, image)
+        for col, vec in enumerate(radical.basis):
+            coords = coordinates_in_basis(radical, g.bracket(g.basis_vector(i), vec))
             if coords is None:
                 return None
-            cols.append(coords)
-        matrices.append(tuple(tuple(cols[c][rr] for c in range(r)) for rr in range(r)))
-    return tuple(matrices)
+            entries.extend((i, row, col, x) for row, x in enumerate(coords) if x)
+    return entries
 
 
-def _commutant_dimension(matrices, size: int) -> int:
-    """Dimension of the space of matrices commuting with all given ones."""
+def _commutant_dimension(entries, size: int) -> int:
+    """Dimension of the matrices commuting with all given ones (their nonzero
+    ``(index, row, col, value)`` entries)."""
     # X A - A X = 0, unknowns X[r][c] at column r*size + c, row (a, r, c)
     rows: dict = {}
-    for index, a in enumerate(matrices):
-        for r, row in enumerate(a):
-            for c, x in enumerate(row):
-                if x:
-                    for t in range(size):
-                        linalg.add_entry(rows, (index, t, c), t * size + r, x)
-                        linalg.add_entry(rows, (index, r, t), c * size + t, -x)
+    for index, r, c, x in entries:
+        for t in range(size):
+            linalg.add_entry(rows, (index, t, c), t * size + r, x)
+            linalg.add_entry(rows, (index, r, t), c * size + t, -x)
     return size * size - len(linalg.eliminate(rows.values()))
 
 
@@ -114,7 +108,10 @@ def _absolutely_simple(alg: LieAlgebra) -> bool:
     """Simple with scalar centroid, hence simple over every extension."""
     if not alg.is_simple():
         return False
-    return _commutant_dimension(alg.ad_basis(), alg.dim) == 1
+    # ad(e_i) has c[i][m][k] in row k, column m
+    sup = alg._supports
+    ads = [(i, k, m, c) for i in range(alg.dim) for m in range(alg.dim) for k, c in sup[i][m]]
+    return _commutant_dimension(ads, alg.dim) == 1
 
 
 def _radical_closures_full(g: LieAlgebra) -> bool:

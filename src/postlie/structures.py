@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .linalg import Matrix, Vector, frac
 from .liealg import MINUS_ONE, LieAlgebra, add_bilinear, nonzero, tensor_supports, unit
-from .subspace import Subspace
+from .subspace import Subspace, coordinate_set
 
 ProductTable = Mapping[tuple[int, int], Mapping[int, object]]
 
@@ -434,17 +434,9 @@ def negation_partner(op: RBOperator) -> RBOperator:
 def rb_kernels(n: LieAlgebra, op: RBOperator) -> tuple[Subspace, Subspace]:
     """Kernels of ``R`` and of ``R + w id`` (each a subalgebra when the
     operator verifies and its weight is nonzero)."""
-    shifted = tuple(
-        tuple(
-            op.matrix[r][c] + (op.weight if r == c else linalg.ZERO)
-            for c in range(op.dim)
-        )
-        for r in range(op.dim)
-    )
-    return (
-        Subspace.from_vectors(op.dim, linalg.nullspace(op.matrix, n_cols=op.dim)),
-        Subspace.from_vectors(op.dim, linalg.nullspace(shifted, n_cols=op.dim)),
-    )
+    rows = [dict(enumerate(row)) for row in op.matrix]
+    shifted = [{**row, r: row[r] + op.weight} for r, row in enumerate(rows)]
+    return Subspace.kernel(op.dim, rows), Subspace.kernel(op.dim, shifted)
 
 
 def rb_from_decomposition(n: LieAlgebra, first: Subspace, second: Subspace) -> RBOperator:
@@ -476,7 +468,7 @@ def rb_from_decomposition(n: LieAlgebra, first: Subspace, second: Subspace) -> R
 def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator:
     """:func:`rb_from_decomposition` on the spans of ``coords`` and of the
     other coordinates: -1 on the diagonal outside ``coords``, 0 elsewhere."""
-    chosen = set(coords)
+    chosen = coordinate_set(n.dim, coords)
     for part, label in ((chosen, "first"), (set(range(n.dim)) - chosen, "second")):
         if any(k not in part for i in part for j in part for k, _ in n._supports[i][j]):
             raise ValueError(f"{label} subspace is not a subalgebra")

@@ -1,8 +1,9 @@
 """Subspaces of an ambient rational vector space, in canonical form.
 
 A :class:`Subspace` stores the unique reduced-row-echelon basis of its row
-space, so two subspaces are equal iff their data are equal.  The lattice
-operations (sum, intersection) and membership tests are all exact.
+space, so two subspaces are equal iff their data are equal.  Each span,
+sum, kernel and intersection is one :func:`linalg.eliminate` call on sparse
+rows, and membership and coordinates use its step :func:`linalg.reduce_row`.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ZERO, ONE
+from .linalg import Matrix, Vector, ONE
 
 
 @dataclass(frozen=True)
@@ -24,11 +25,27 @@ class Subspace:
     basis: Matrix  # RREF rows, no zero rows
 
     @staticmethod
+    def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+        """The span of sparse ``{column: value}`` rows."""
+        return _from_tails(ambient_dim, linalg.eliminate(rows))
+
+    @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = linalg.mat(list(vectors))
         if rows and len(rows[0]) != ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return Subspace(ambient_dim, linalg.row_basis(rows))
+        return Subspace.span(ambient_dim, (dict(enumerate(row)) for row in rows))
+
+    @staticmethod
+    def kernel(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+        """The solutions of homogeneous sparse rows.  Solved with the columns
+        reversed, each free column's solution has its 1 there, 0 at the other
+        free columns and its other entries to its right: the RREF basis."""
+        last = ambient_dim - 1
+        reverse = ({last - c: x for c, x in row.items()} for row in rows)
+        _, basis = linalg.solve_affine(reverse, ambient_dim)
+        flipped = ({last - c: x for c, x in v.items()} for v in reversed(basis))
+        return Subspace(ambient_dim, tuple(linalg.to_dense(v, ambient_dim) for v in flipped))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -41,38 +58,38 @@ class Subspace:
     @staticmethod
     def spanned_by_coordinates(ambient_dim: int, indices: Iterable[int]) -> "Subspace":
         """Span of the given standard basis vectors (0-based indices)."""
-        vectors = []
-        for i in sorted(set(indices)):
-            v = [ZERO] * ambient_dim
-            v[i] = ONE
-            vectors.append(v)
-        return Subspace.from_vectors(ambient_dim, vectors)
+        return Subspace.span(ambient_dim, ({i: ONE} for i in coordinate_set(ambient_dim, indices)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @cached_property
+    def _tails(self) -> dict[int, dict[int, Fraction]]:
+        """The basis as :func:`linalg.eliminate` gives it: pivot -> tail."""
+        rows = [[(c, x) for c, x in enumerate(row) if x] for row in self.basis]
+        return {row[0][0]: dict(row[1:]) for row in rows}
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each basis row: the column of its leading 1."""
-        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
+        return tuple(self._tails)
+
+    def _rows(self) -> list[dict[int, Fraction]]:
+        return [{p: ONE, **tail} for p, tail in self._tails.items()]
 
     def reduce(self, vector: Sequence[Fraction]) -> tuple[Vector, Vector]:
         """``(coefficients, residual)`` of ``vector`` against the basis.
 
         In RREF every pivot column is zero outside its own row, so the
-        coefficient of a row is the vector's entry at that row's pivot and
-        one pass leaves the residual ``vector - sum(c_r * row_r)``.  The
+        coefficient of a row is the vector's entry at that row's pivot, and
+        :func:`linalg.reduce_row` leaves ``vector - sum(c_r * row_r)``.  The
         residual is zero exactly when the vector lies in the subspace.
         """
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        coeffs = tuple(vector[p] for p in self.pivots)
-        residual = list(vector)
-        for c, row in zip(coeffs, self.basis):
-            if c != 0:
-                residual = [x - c * y for x, y in zip(residual, row)]
-        return coeffs, tuple(residual)
+        residual = linalg.reduce_row({c: x for c, x in enumerate(vector) if x}, self._tails)
+        return tuple(vector[p] for p in self.pivots), linalg.to_dense(residual, self.ambient_dim)
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
         return not any(self.reduce(vector)[1])
@@ -83,40 +100,44 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(
-            self.ambient_dim, linalg.row_basis(self.basis + other.basis)
-        )
+        return Subspace.span(self.ambient_dim, self._rows() + other._rows())
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row reduce [A|A; B|0]; rows with zero left half give
-        the intersection in the right half."""
+        """Zassenhaus: row reduce ``[A|A; B|0]``.  The rows whose pivot lies in
+        the right half are zero in the left half, and their right halves are
+        the intersection's RREF basis."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         n = self.ambient_dim
-        block = [row + row for row in self.basis]
-        block += [row + linalg.zero_vector(n) for row in other.basis]
-        reduced, _ = linalg.rref(tuple(block))
-        vectors = [
-            row[n:]
-            for row in reduced
-            if linalg.is_zero_vector(row[:n]) and not linalg.is_zero_vector(row[n:])
-        ]
-        return Subspace.from_vectors(n, vectors)
+        block = [{**row, **{n + c: x for c, x in row.items()}} for row in self._rows()]
+        tails = linalg.eliminate(block + other._rows())
+        meet = {p - n: {c - n: x for c, x in tails[p].items()} for p in tails if p >= n}
+        return _from_tails(n, meet)
 
     def coordinate_support(self) -> tuple[int, ...]:
         """Indices of coordinates on which some basis vector is nonzero."""
-        support = set()
-        for row in self.basis:
-            for i, x in enumerate(row):
-                if x != 0:
-                    support.add(i)
-        return tuple(sorted(support))
+        return tuple(sorted({c for row in self._rows() for c in row}))
 
     def complement_candidate(self) -> "Subspace":
         """A coordinate complement: span of non-pivot standard basis vectors."""
-        pivots = set(self.pivots)
-        free = [i for i in range(self.ambient_dim) if i not in pivots]
+        free = set(range(self.ambient_dim)) - set(self.pivots)
         return Subspace.spanned_by_coordinates(self.ambient_dim, free)
+
+
+def _from_tails(ambient_dim: int, tails: Mapping[int, Mapping[int, Fraction]]) -> Subspace:
+    """The subspace whose RREF basis :func:`linalg.eliminate` returned."""
+    rows = ({p: ONE, **tails[p]} for p in sorted(tails))
+    return Subspace(ambient_dim, tuple(linalg.to_dense(row, ambient_dim) for row in rows))
+
+
+def coordinate_set(ambient_dim: int, indices: Iterable[int]) -> set[int]:
+    """``indices`` as a set; ``ValueError`` names the first that is not a
+    0-based coordinate index."""
+    chosen = set(indices)
+    bad = sorted(i for i in chosen if not 0 <= i < ambient_dim)
+    if bad:
+        raise ValueError(f"coordinate index {bad[0]} out of range for dimension {ambient_dim}")
+    return chosen
 
 
 def coordinates_in_basis(space: Subspace, vector: Sequence[Fraction]) -> Vector | None:

@@ -83,6 +83,40 @@ def rref_reference(m):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
+def coordinates_reference(columns, rhs):
+    """The x with ``sum(x_c * columns[c]) == rhs`` for independent
+    ``columns``, or None when ``rhs`` is outside their span."""
+    augmented = [[col[r] for col in columns] + [rhs[r]] for r in range(len(rhs))]
+    reduced, pivots = rref_reference(augmented)
+    if len(columns) in pivots:
+        return None
+    assert len(pivots) == len(columns)
+    x = [F(0)] * len(columns)
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][-1]
+    return tuple(x)
+
+
+def commutant_reference(matrices):
+    """Dimension of the space of matrices X with ``X A == A X`` for every
+    given square matrix A, by dense elimination of the equations
+    ``(XA - AX)[r][c] = sum_t X[r][t] A[t][c] - A[r][t] X[t][c] = 0``
+    over the unknowns X[r][t] at column ``r * size + t``."""
+    size = len(matrices[0])
+    rows = []
+    for a in matrices:
+        for r in range(size):
+            for c in range(size):
+                row = [F(0)] * size**2
+                for t in range(size):
+                    row[r * size + t] += a[t][c]
+                    row[t * size + c] -= a[r][t]
+                rows.append(tuple(row))
+    rows = [row for row in dict.fromkeys(rows) if any(row)]  # same row space
+    _, pivots = rref_reference(rows) if rows else ((), ())
+    return size * size - len(pivots)
+
+
 def gauss_consistent(rows, rhs):
     """Fraction Gaussian elimination; returns (consistent, free_count)."""
     n_cols = len(rows[0])

@@ -17,7 +17,13 @@ from postlie.sl2 import irreducible_action, module_action, semidirect, sl2
 from postlie.subspace import Subspace
 from postlie.table import CLASSES, existence_table
 
-from oracles import NON_LIE_TABLE, killing_reference, rref_reference
+from oracles import (
+    NON_LIE_TABLE,
+    bilinear_reference,
+    coordinates_reference,
+    killing_reference,
+    rref_reference,
+)
 
 F = Fraction
 
@@ -240,6 +246,23 @@ def test_killing_form_and_radical_match_the_definitions():
     for label, alg in _invariant_cases():
         assert alg.killing_form() == killing_reference(alg.brackets), label
         assert alg.solvable_radical().basis == _radical_reference(alg), label
+
+
+def test_restrictions_match_the_reference_coordinates():
+    for label, alg in _invariant_cases():
+        for space in (alg.derived_subalgebra(), alg.solvable_radical()):
+            restricted = alg.restrict(space)
+            basis = space.basis
+            for a in range(space.dim):
+                for b in range(space.dim):
+                    w = bilinear_reference(alg.brackets, basis[a], basis[b])
+                    assert restricted.brackets[a][b] == coordinates_reference(basis, w), label
+
+
+def test_restrict_refuses_a_subspace_that_is_not_closed():
+    heis = LieAlgebra.from_table(3, HEISENBERG)
+    with pytest.raises(ValueError, match="^subspace is not closed under the bracket$"):
+        heis.restrict(Subspace.spanned_by_coordinates(3, (0, 1)))
 
 
 def test_ideal_vs_subalgebra():

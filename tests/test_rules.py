@@ -4,11 +4,14 @@ consistent with the exhaustive-stage search on small pairs."""
 
 import pytest
 
-from postlie.catalog import get_algebra
+from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
 from postlie.liealg import LieAlgebra
 from postlie.rules import (
     RULES,
+    _absolutely_simple,
+    _commutant_dimension,
+    _radical_irreducible,
     applicable_rule,
     nonexistence_certificate,
     rule_by_id,
@@ -16,7 +19,7 @@ from postlie.rules import (
 from postlie.samples import get_sample, sample_ids
 from postlie.search import pa_search
 
-from oracles import NON_LIE_TABLE
+from oracles import NON_LIE_TABLE, commutant_reference, coordinates_reference
 
 # one pinned firing pair per rule: (rule id, g id, n id)
 FIRING_PAIRS = [
@@ -176,3 +179,43 @@ def test_a_non_lie_bracket_is_refused():
         nonexistence_certificate(n, n)
     with pytest.raises(ValueError, match=r"^n is not a Lie bracket.*\(1, 2, 3\)$"):
         nonexistence_certificate(get_algebra("sl2"), n)
+
+
+def _reference_ad(alg):
+    """Dense ``ad e_i``: ``c[i][m][k]`` in row ``k``, column ``m``."""
+    d = alg.dim
+    return [[[alg.brackets[i][m][k] for m in range(d)] for k in range(d)] for i in range(d)]
+
+
+def _reference_radical_action(alg):
+    """Dense matrices of ``ad e_i`` on the radical in its basis, by the
+    reference solve; None if the radical is not invariant."""
+    basis = alg.solvable_radical().basis
+    matrices = []
+    for i in range(alg.dim):
+        cols = [coordinates_reference(basis, alg.bracket(alg.basis_vector(i), v)) for v in basis]
+        if None in cols:
+            return None
+        matrices.append([[col[r] for col in cols] for r in range(len(basis))])
+    return matrices
+
+
+def test_commutants_agree_with_the_reference_on_the_catalog():
+    for entry_id in catalog_ids():
+        if get_entry(entry_id).builder is None:
+            continue
+        alg = get_algebra(entry_id)
+        ads = _reference_ad(alg)
+        expected = commutant_reference(ads)
+        entries = [
+            (i, r, c, x)
+            for i, m in enumerate(ads)
+            for r, row in enumerate(m)
+            for c, x in enumerate(row)
+            if x
+        ]
+        assert _commutant_dimension(entries, alg.dim) == expected, entry_id
+        assert _absolutely_simple(alg) == (alg.is_simple() and expected == 1), entry_id
+        action = _reference_radical_action(alg)
+        irreducible = action is not None and commutant_reference(action) == 1
+        assert _radical_irreducible(alg) == irreducible, entry_id

@@ -195,6 +195,14 @@ def test_coordinate_split_operator_matches_the_general_decomposition():
     assert refused and refused < checked
 
 
+@pytest.mark.parametrize("index", [-1, 4, 9])
+def test_coordinate_split_refuses_an_index_out_of_range(index):
+    # -1 would otherwise count from the end and give the split ({}, all)
+    n = get_algebra("sl2_plus_C")
+    with pytest.raises(ValueError, match=f"coordinate index {index} out of range for dimension 4"):
+        rb_from_coordinate_split(n, [index])
+
+
 def test_rb_from_decomposition_rejects_bad_splits():
     n = get_algebra("L5_1")
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from postlie.catalog import get_algebra
 from postlie.subspace import Subspace, coordinates_in_basis
 
-from oracles import rref_reference
+from oracles import coordinates_reference, rref_reference
 
 F = Fraction
 
@@ -32,6 +32,14 @@ def test_spanned_by_coordinates():
     assert s.contains((5, 0, -3, 0))
     assert not s.contains((0, 1, 0, 0))
     assert s.coordinate_support() == (0, 2)
+
+
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_spanned_by_coordinates_refuses_an_index_out_of_range(index):
+    # a negative index would otherwise count from the end, and one past the
+    # last coordinate would fail without naming it
+    with pytest.raises(ValueError, match=f"coordinate index {index} out of range for dimension 3"):
+        Subspace.spanned_by_coordinates(3, [0, index])
 
 
 def test_contains_subspace_and_ordering():
@@ -90,12 +98,28 @@ def _reference_rank(rows):
     return len(rref_reference(rows)[1]) if rows else 0
 
 
+def _reference_basis(rows):
+    """The nonzero rows of the reference RREF."""
+    return tuple(r for r in rref_reference(rows)[0] if any(r)) if rows else ()
+
+
+def _reference_intersection(rows, others, n):
+    """Zassenhaus through the reference elimination: the right halves of
+    the reduced rows of ``[A|A; B|0]`` whose left half is zero."""
+    if not rows or not others:
+        return ()
+    block = [list(r) + list(r) for r in rows] + [list(o) + [0] * n for o in others]
+    meet = [r[n:] for r in rref_reference(block)[0] if not any(r[:n]) and any(r[n:])]
+    return _reference_basis(meet)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_reducer_agrees_with_the_reference_elimination(data):
     n = data.draw(st.integers(min_value=1, max_value=5), label="n")
     row = st.lists(small, min_size=n, max_size=n)
     rows = data.draw(st.lists(row, max_size=4), label="rows")
+    others = data.draw(st.lists(row, max_size=4), label="others")
     if rows and data.draw(st.booleans(), label="inside"):
         coeffs = data.draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
         v = [sum(c * r[t] for c, r in zip(coeffs, rows)) for t in range(n)]
@@ -108,6 +132,16 @@ def test_reducer_agrees_with_the_reference_elimination(data):
     assert space.basis == tuple(r for r in reduced if any(r))
     assert space.pivots == pivots
 
+    other = Subspace.from_vectors(n, others)
+    assert space.sum(other).basis == _reference_basis(rows + others)
+    assert space.intersection(other).basis == _reference_intersection(rows, others, n)
+
+    kernel = Subspace.kernel(n, [dict(enumerate(r)) for r in rows])
+    assert kernel.dim == n - _reference_rank(rows)
+    assert kernel.basis == _reference_basis(list(kernel.basis))  # in RREF
+    for x in kernel.basis:
+        assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+
     inside = _reference_rank(rows + [v]) == _reference_rank(rows)
     assert space.contains(vector) == inside
     coords = coordinates_in_basis(space, vector)
@@ -117,17 +151,6 @@ def test_reducer_agrees_with_the_reference_elimination(data):
             sum((c * b[t] for c, b in zip(coords, space.basis)), F(0)) for t in range(n)
         )
         assert rebuilt == vector
-
-
-def _reference_coordinates(columns, rhs):
-    """The unique x with sum(x_c * columns[c]) == rhs (columns independent)."""
-    augmented = [[col[r] for col in columns] + [rhs[r]] for r in range(len(rhs))]
-    reduced, pivots = rref_reference(augmented)
-    assert len(columns) not in pivots and len(pivots) == len(columns)
-    x = [F(0)] * len(columns)
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][-1]
-    return tuple(x)
 
 
 @pytest.mark.parametrize(
@@ -146,5 +169,5 @@ def test_quotient_agrees_with_a_reference_solve(alg_id):
         assert q.dim == len(section) and q.is_lie()
         for a in range(q.dim):
             for b in range(q.dim):
-                x = _reference_coordinates(columns, alg.brackets[section[a]][section[b]])
+                x = coordinates_reference(columns, alg.brackets[section[a]][section[b]])
                 assert q.brackets[a][b] == x[: len(section)], (alg_id, a, b)
