@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .interchange import _entry_list
+from .interchange import _entry_list, _matrix_strings
 from .structures import PAProduct, RBOperator
 
 EXISTS = "exists"
@@ -73,7 +73,7 @@ class Certificate:
             doc["witness_operator"] = {
                 "dim": self.operator.dim,
                 "weight": str(self.operator.weight),
-                "matrix": [[str(x) for x in row] for row in self.operator.matrix],
+                "matrix": _matrix_strings(self.operator.matrix),
             }
         if self.rule_id is not None:
             doc["rule_id"] = self.rule_id

@@ -199,7 +199,8 @@ def _print_certificate(cert: Certificate) -> None:
 # ----------------------------------------------------------------------
 
 
-def _load_document(path: str, expected_kind: str) -> interchange.ParsedDocument:
+def _load_document(path: str, expected_kind: str) -> tuple[str, object]:
+    """The document's name (the file stem if it has none) and its value."""
     parsed = interchange.parse_file(path)
     if parsed.kind != expected_kind:
         raise interchange.InterchangeError(
@@ -207,33 +208,22 @@ def _load_document(path: str, expected_kind: str) -> interchange.ParsedDocument:
             where="kind",
             filename=path,
         )
-    return parsed
-
-
-def _algebra_from_file(path: str) -> tuple[str, LieAlgebra]:
-    parsed = _load_document(path, "algebra")
     return parsed.name or pathlib.Path(path).stem, parsed.value
 
 
 def _algebra_from_file_or_id(arg: str) -> tuple[str, LieAlgebra]:
     if pathlib.Path(arg).exists():
-        return _algebra_from_file(arg)
+        return _load_document(arg, "algebra")
     if "/" in arg or arg.endswith(".json"):
         raise OSError(f"no such file: {arg}")
     return arg, get_algebra(arg)
 
 
-def _product_from_file(path: str) -> tuple[str, PAProduct]:
-    parsed = _load_document(path, "product")
-    return parsed.name or pathlib.Path(path).stem, parsed.value
-
-
 def _operator_from_file(path: str, weight: Optional[Fraction]) -> tuple[str, RBOperator]:
-    parsed = _load_document(path, "operator")
-    op = parsed.value
+    name, op = _load_document(path, "operator")
     if weight is not None and weight != op.weight:
         op = RBOperator(dim=op.dim, matrix=op.matrix, weight=weight, name=op.name)
-    return parsed.name or pathlib.Path(path).stem, op
+    return name, op
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -342,7 +332,7 @@ def _cmd_catalog_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_jacobi(args: argparse.Namespace) -> int:
-    name, alg = _algebra_from_file(args.file)
+    name, alg = _load_document(args.file, "algebra")
     residuals = alg.jacobi_residuals()
     report = {
         "command": "check jacobi",
@@ -376,7 +366,7 @@ def _cmd_check_jacobi(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    name, alg = _algebra_from_file(args.file)
+    name, alg = _load_document(args.file, "algebra")
     report = _invariant_report(alg, name)
     if args.json:
         _emit_json({"command": "invariants", **report})
@@ -386,9 +376,9 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_pa(args: argparse.Namespace) -> int:
-    g_name, g = _algebra_from_file(args.g)
-    n_name, n = _algebra_from_file(args.n)
-    prod_name, product = _product_from_file(args.prod)
+    g_name, g = _load_document(args.g, "algebra")
+    n_name, n = _load_document(args.n, "algebra")
+    prod_name, product = _load_document(args.prod, "product")
     verification = verify_pa(g, n, product)
     report = {
         "command": "verify pa",
@@ -422,7 +412,7 @@ def _cmd_verify_pa(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_rb(args: argparse.Namespace) -> int:
-    n_name, n = _algebra_from_file(args.n)
+    n_name, n = _load_document(args.n, "algebra")
     op_name, op = _operator_from_file(args.op, args.weight)
     verification = verify_rb(n, op)
     report = {
@@ -454,7 +444,7 @@ def _cmd_verify_rb(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_pa_from_rb(args: argparse.Namespace) -> int:
-    n_name, n = _algebra_from_file(args.n)
+    n_name, n = _load_document(args.n, "algebra")
     op_name, op = _operator_from_file(args.op, args.weight)
     rb_check = verify_rb(n, op)
     if not rb_check.ok:

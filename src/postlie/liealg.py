@@ -8,11 +8,16 @@ computed once per instance and cached on it (``functools.cached_property``).
 
 The first cached datum is the sparse support of the tensor: the nonzero
 ``(k, c)`` pairs of each cell ``[e_i, e_j]`` (:func:`tensor_supports`).  One
-bilinear kernel over such supports, :func:`add_bilinear`, evaluates the
-bracket, the Jacobi residuals and the derivation test here, and products,
-axiom residuals and operator products in :mod:`postlie.structures`.  The
-Killing form, center, radical and derivations are built from the supports;
-bracket spans, the center and the radical are one sparse elimination each.
+bilinear kernel over such supports, :func:`add_bilinear`, evaluates every
+bracket here (of vectors, and of the sparse RREF rows of subspaces in
+bracket spans, which also decide subalgebras and ideals, and in
+restrictions), the Jacobi residuals and the derivation test, and products,
+axiom residuals and operator products in :mod:`postlie.structures`; a
+matrix acts as the one-row table of its sparse columns.  Membership and
+coordinates reduce sparse rows against a subspace's RREF tails
+(:func:`linalg.reduce_row`).  The Killing form, center, radical and
+derivations are built from the supports.  The dense ``brackets`` and
+``Subspace.basis`` stay canonical for equality and output.
 
 Structural invariants provided here:
 
@@ -42,7 +47,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector, ZERO, ONE, frac
-from .subspace import Subspace, coordinates_in_basis
+from .subspace import Subspace
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, object]]
 
@@ -141,6 +146,12 @@ class LieAlgebra:
             add_bilinear([ZERO] * self.dim, self._supports, nonzero(x), nonzero(y))
         )
 
+    def _bracket_row(self, xs, ys) -> dict[int, Fraction]:
+        """``[x, y]`` for ``x``, ``y`` as ``(index, coefficient)`` pairs, as
+        the sparse row of its nonzero entries."""
+        out = add_bilinear([ZERO] * self.dim, self._supports, xs, ys)
+        return {k: c for k, c in enumerate(out) if c}
+
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
@@ -195,8 +206,9 @@ class LieAlgebra:
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [u, v] over basis vectors u of a and v of b."""
-        brackets = (self.bracket(u, v) for u in a.basis for v in b.basis)
-        return Subspace.span(self.dim, (dict(enumerate(w)) for w in brackets))
+        vs = [v.items() for v in b._rows()]
+        rows = (self._bracket_row(u.items(), v) for u in a._rows() for v in vs)
+        return Subspace.span(self.dim, rows)
 
     @cached_property
     def _derived(self) -> Subspace:
@@ -278,8 +290,8 @@ class LieAlgebra:
     def _radical(self) -> Subspace:
         # (K d) . x = 0 for each basis vector d of [g, g]; K is symmetric
         rows: dict = {}
-        for r, d in enumerate(self._derived.basis):
-            for m, x in nonzero(d):
+        for r, d in enumerate(self._derived._rows()):
+            for m, x in d.items():
                 for c, k in nonzero(self._killing[m]):
                     linalg.add_entry(rows, r, c, x * k)
         return Subspace.kernel(self.dim, rows.values())
@@ -362,6 +374,7 @@ class LieAlgebra:
         return tuple(tuple(flat[r * n : r * n + n] for r in range(n)) for flat in flats)
 
     def is_derivation(self, matrix: Matrix) -> bool:
+        """Whether ``D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j]`` for all ``i < j``."""
         n = self.dim
         sup = self._supports
         cols = [nonzero(col) for col in linalg.transpose(matrix)]
@@ -369,7 +382,7 @@ class LieAlgebra:
             for j in range(i + 1, n):
                 rhs = add_bilinear([ZERO] * n, sup, cols[i], unit(j))
                 add_bilinear(rhs, sup, unit(i), cols[j])
-                if linalg.matvec(matrix, self.brackets[i][j]) != tuple(rhs):
+                if add_bilinear([ZERO] * n, (cols,), unit(0), sup[i][j]) != rhs:
                     return False
         return True
 
@@ -422,50 +435,37 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def is_subalgebra(self, space: Subspace) -> bool:
-        return all(
-            space.contains(self.bracket(u, v))
-            for a, u in enumerate(space.basis)
-            for v in space.basis[a + 1 :]
-        )
+        return space.contains_subspace(self.bracket_span(space, space))
 
     def is_ideal(self, space: Subspace) -> bool:
-        return all(
-            space.contains(self.bracket(self.basis_vector(i), v))
-            for i in range(self.dim)
-            for v in space.basis
-        )
+        return space.contains_subspace(self.bracket_span(self.full_space(), space))
 
     def restrict(self, space: Subspace) -> "LieAlgebra":
         """The bracket restricted to a subalgebra, in the subspace basis."""
-        d = space.dim
+        rows = [row.items() for row in space._rows()]
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a in range(d):
-            for b in range(a + 1, d):
-                coords = coordinates_in_basis(space, self.bracket(space.basis[a], space.basis[b]))
+        for a, u in enumerate(rows):
+            for b in range(a + 1, len(rows)):
+                coords = space._coordinates(self._bracket_row(u, rows[b]))
                 if coords is None:
                     raise ValueError("subspace is not closed under the bracket")
-                entry = dict(nonzero(coords))
-                if entry:
-                    table[(a, b)] = entry
-        return LieAlgebra.from_table(d, table)
+                if coords:
+                    table[(a, b)] = coords
+        return LieAlgebra.from_table(space.dim, table)
 
     def quotient(self, ideal: Subspace) -> "LieAlgebra":
         """Quotient by an ideal, in the basis of non-pivot coordinates."""
         if not self.is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        pivots = set(ideal.pivots)
-        section = [i for i in range(self.dim) if i not in pivots]
-        d = len(section)
+        section = [k for k in range(self.dim) if k not in ideal._tails]
+        position = {k: pos for pos, k in enumerate(section)}
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a in range(d):
-            for b in range(a + 1, d):
-                _, w = ideal.reduce(
-                    self.bracket(self.basis_vector(section[a]), self.basis_vector(section[b]))
-                )
-                entry = {pos: w[i] for pos, i in enumerate(section) if w[i] != 0}
-                if entry:
-                    table[(a, b)] = entry
-        return LieAlgebra.from_table(d, table)
+        for a, i in enumerate(section):
+            for b in range(a + 1, len(section)):
+                w = linalg.reduce_row(dict(self._supports[i][section[b]]), ideal._tails)
+                if w:
+                    table[(a, b)] = {position[k]: x for k, x in w.items()}
+        return LieAlgebra.from_table(len(section), table)
 
     def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The i<j sparse form of the bracket tensor."""

@@ -10,10 +10,10 @@ only the nonzero entries.  One eliminator, :func:`eliminate`, reduces every
 system and every subspace, doing arithmetic only where a row has entries;
 its step :func:`reduce_row` also reduces vectors against a subspace basis,
 and :func:`solve_affine` is its entry for a system with a right-hand side.
-:func:`rref`, :func:`rank`, :func:`solve`, :func:`nullspace` and
-:func:`row_basis` are dense wrappers for dense matrices (the Killing form,
-operator matrices).  Reduced row echelon form is unique, so every
-elimination order gives the same canonical result.
+:func:`rref`, :func:`rank` and :func:`solve` wrap it for dense matrices
+(the Killing form, operator matrices); :func:`nullspace` and
+:func:`row_basis` stay only as targets of the benchmark tracer.  RREF is
+unique, so every elimination order gives the same canonical result.
 """
 
 from __future__ import annotations
@@ -68,14 +68,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def sub_vectors(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def sub_matrices(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(sub_vectors(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
 def transpose(m: Matrix) -> Matrix:
     if not m:
         return ()
@@ -99,7 +91,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return sub_matrices(matmul(a, b), matmul(b, a))
+    return tuple(
+        tuple(x - y for x, y in zip(ra, rb, strict=True))
+        for ra, rb in zip(matmul(a, b), matmul(b, a), strict=True)
+    )
 
 
 def to_dense(v: Mapping[int, Fraction], n: int) -> Vector:

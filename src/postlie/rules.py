@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import linalg
-from .liealg import LieAlgebra
-from .subspace import Subspace, coordinates_in_basis
+from .liealg import LieAlgebra, unit
+from .subspace import Subspace
 from .certificates import NOT_EXISTS, UNKNOWN, Certificate
 
 Check = tuple[str, Callable[[LieAlgebra, LieAlgebra], bool]]
@@ -84,11 +84,11 @@ def _restricted_radical_action(g: LieAlgebra, radical: Subspace):
     """Nonzero entries ``(i, row, col, value)`` of ad(e_i) on the radical."""
     entries = []
     for i in range(g.dim):
-        for col, vec in enumerate(radical.basis):
-            coords = coordinates_in_basis(radical, g.bracket(g.basis_vector(i), vec))
+        for col, vec in enumerate(radical._rows()):
+            coords = radical._coordinates(g._bracket_row(unit(i), vec.items()))
             if coords is None:
                 return None
-            entries.extend((i, row, col, x) for row, x in enumerate(coords) if x)
+            entries.extend((i, row, col, x) for row, x in coords.items())
     return entries
 
 
@@ -117,8 +117,8 @@ def _absolutely_simple(alg: LieAlgebra) -> bool:
 def _radical_closures_full(g: LieAlgebra) -> bool:
     radical = g.solvable_radical()
     return all(
-        g.ad_closure(Subspace.from_vectors(g.dim, [vec])) == radical
-        for vec in radical.basis
+        g.ad_closure(Subspace.span(g.dim, [row])) == radical
+        for row in radical._rows()
     )
 
 

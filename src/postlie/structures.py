@@ -27,8 +27,10 @@ algebra does, and products, axiom-2 and axiom-3 residuals and operator
 products all run through the one kernel :func:`~postlie.liealg.add_bilinear`.
 The operator functions share one tensor ``t[i][j] = {R e_i, e_j}``: it is
 the product of a weight-one operator, the descendent bracket is
-``t[i][j] - t[j][i] + w {e_i, e_j}``, and the operator identity compares
-``{R e_i, R e_j}`` with ``R`` applied to that descendent entry.
+``t[i][j] - t[j][i] + w {e_i, e_j}`` (with ``w = 1`` and the product as
+``t``, the induced bracket), and the operator identity compares
+``{R e_i, R e_j}`` with ``R`` applied to that descendent entry, ``R`` acting
+as the one-row table of its sparse columns.
 
 Everything is exact rational arithmetic; all verification functions return
 complete residual listings rather than booleans alone.
@@ -129,18 +131,20 @@ def induced_bracket(n: LieAlgebra, product: PAProduct, name: str = "") -> LieAlg
     """
     if product.dim != n.dim:
         raise ValueError("product and algebra dimensions differ")
-    d = n.dim
-    brackets = tuple(
+    return LieAlgebra(n.dim, _skew_plus(product.tensor, n, 1), name or f"induced({n.name})")
+
+
+def _skew_plus(t, n: LieAlgebra, w) -> tuple:
+    """The tensor ``t[i][j] - t[j][i] + w {e_i, e_j}``: the induced bracket of
+    a product ``t`` (``w = 1``) and the descendent bracket of an operator."""
+    one = w == 1  # multiplying by 1 would cost a product per entry
+    return tuple(
         tuple(
-            tuple(
-                product.tensor[i][j][k] - product.tensor[j][i][k] + n.brackets[i][j][k]
-                for k in range(d)
-            )
-            for j in range(d)
+            tuple(a - b + (c if one else w * c) for a, b, c in zip(t[i][j], t[j][i], cell))
+            for j, cell in enumerate(plane)
         )
-        for i in range(d)
+        for i, plane in enumerate(n.brackets)
     )
-    return LieAlgebra(dim=d, brackets=brackets, name=name or f"induced({n.name})")
 
 
 @dataclass(frozen=True)
@@ -332,29 +336,34 @@ class RBVerification:
 
 def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple:
     """The tensor ``t[i][j] = {R e_i, e_j}`` shared by the operator functions."""
-    if op.dim != n.dim:
-        raise ValueError("operator and algebra dimensions differ")
     d = n.dim
     cn = n._supports
-    cols = [nonzero(col) for col in linalg.transpose(op.matrix)]
     return tuple(
         tuple(tuple(add_bilinear([linalg.ZERO] * d, cn, col, unit(j))) for j in range(d))
-        for col in cols
+        for col in _columns(n, op)
     )
 
 
+def _columns(n: LieAlgebra, op: RBOperator) -> list:
+    """``R e_i`` as ``(index, coefficient)`` pairs, for each ``i``.  As the
+    one-row table ``(columns,)`` the kernel applies ``R`` to a vector."""
+    if op.dim != n.dim:
+        raise ValueError("operator and algebra dimensions differ")
+    return [nonzero(col) for col in linalg.transpose(op.matrix)]
+
+
 def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
-    """Check ``{Rx, Ry} = R({Rx, y} + {x, Ry} + w {x, y})`` on basis pairs."""
-    descendent = descendent_bracket(n, op).brackets
-    cols = linalg.transpose(op.matrix)
+    """Check ``{Rx, Ry} = R({Rx, y} + {x, Ry} + w {x, y})`` on basis pairs,
+    from the operator's sparse columns and the descendent's supports."""
+    descendent = descendent_bracket(n, op)._supports
+    cols, d = _columns(n, op), n.dim
     residuals = []
-    for i in range(n.dim):
-        for j in range(i + 1, n.dim):
-            res = linalg.sub_vectors(
-                n.bracket(cols[i], cols[j]), op.apply(descendent[i][j])
-            )
+    for i in range(d):
+        for j in range(i + 1, d):
+            res = add_bilinear([linalg.ZERO] * d, n._supports, cols[i], cols[j])
+            add_bilinear(res, (cols,), unit(0, MINUS_ONE), descendent[i][j])
             if any(res):
-                residuals.append(((i, j), res))
+                residuals.append(((i, j), tuple(res)))
     return RBVerification(
         n_jacobi_ok=n.is_lie(), weight=op.weight, residuals=tuple(residuals)
     )
@@ -365,15 +374,7 @@ def descendent_bracket(n: LieAlgebra, op: RBOperator, name: str = "") -> LieAlge
     the operator verifies.  On basis vectors ``{e_i, R e_j} = -t[j][i]``
     for ``t[i][j] = {R e_i, e_j}``."""
     t = _operator_products(n, op)
-    d, w = n.dim, op.weight
-    brackets = tuple(
-        tuple(
-            tuple(a - b + w * c for a, b, c in zip(t[i][j], t[j][i], n.brackets[i][j]))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-    return LieAlgebra(dim=d, brackets=brackets, name=name or f"descendent({n.name})")
+    return LieAlgebra(n.dim, _skew_plus(t, n, op.weight), name or f"descendent({n.name})")
 
 
 def pa_from_rb(n: LieAlgebra, op: RBOperator, name: str = "") -> PAProduct:
@@ -434,6 +435,8 @@ def negation_partner(op: RBOperator) -> RBOperator:
 def rb_kernels(n: LieAlgebra, op: RBOperator) -> tuple[Subspace, Subspace]:
     """Kernels of ``R`` and of ``R + w id`` (each a subalgebra when the
     operator verifies and its weight is nonzero)."""
+    if op.dim != n.dim:
+        raise ValueError("operator and algebra dimensions differ")
     rows = [dict(enumerate(row)) for row in op.matrix]
     shifted = [{**row, r: row[r] + op.weight} for r, row in enumerate(rows)]
     return Subspace.kernel(op.dim, rows), Subspace.kernel(op.dim, shifted)

@@ -78,6 +78,12 @@ class Subspace:
     def _rows(self) -> list[dict[int, Fraction]]:
         return [{p: ONE, **tail} for p, tail in self._tails.items()]
 
+    def _coordinates(self, row: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """:meth:`reduce` of a sparse row (nonzero entries only; reduced in
+        place): its nonzero ``{basis index: coefficient}``, None if outside."""
+        coords = {r: row[p] for r, p in enumerate(self.pivots) if p in row}
+        return None if linalg.reduce_row(row, self._tails) else coords
+
     def reduce(self, vector: Sequence[Fraction]) -> tuple[Vector, Vector]:
         """``(coefficients, residual)`` of ``vector`` against the basis.
 

@@ -86,15 +86,71 @@ def rref_reference(m):
 def coordinates_reference(columns, rhs):
     """The x with ``sum(x_c * columns[c]) == rhs`` for independent
     ``columns``, or None when ``rhs`` is outside their span."""
-    augmented = [[col[r] for col in columns] + [rhs[r]] for r in range(len(rhs))]
+    solved = solve_columns_reference(columns, [rhs])
+    return None if solved is None else solved[0]
+
+
+def solve_columns_reference(columns, rhss):
+    """:func:`coordinates_reference` of each of the (one or more) ``rhss``
+    from one elimination, or None when one is outside the span."""
+    n = len(columns)
+    augmented = [[col[r] for col in columns] + [b[r] for b in rhss] for r in range(len(rhss[0]))]
     reduced, pivots = rref_reference(augmented)
-    if len(columns) in pivots:
+    if any(p >= n for p in pivots):
         return None
-    assert len(pivots) == len(columns)
-    x = [F(0)] * len(columns)
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][-1]
-    return tuple(x)
+    assert len(pivots) == n
+    return [tuple(reduced[r][n + m] for r in range(n)) for m in range(len(rhss))]
+
+
+def span_reference(vectors):
+    """The RREF basis of the span of the given vectors, zero rows dropped."""
+    reduced, pivots = rref_reference(vectors) if vectors else ((), ())
+    return reduced[: len(pivots)]
+
+
+def bracket_span_reference(brackets, xs, ys):
+    """The RREF basis of the span of ``[x, y]`` over ``x`` in ``xs`` and
+    ``y`` in ``ys``."""
+    return span_reference([bilinear_reference(brackets, x, y) for x in xs for y in ys])
+
+
+def restrict_reference(brackets, basis):
+    """The tensor of the bracket on the span of ``basis``, in that basis,
+    or None when the span is not closed under the bracket."""
+    k = len(basis)
+    if not k:
+        return ()
+    values = [bilinear_reference(brackets, u, v) for u in basis for v in basis]
+    coords = solve_columns_reference(basis, values)
+    return None if coords is None else tuple(tuple(coords[a * k : a * k + k]) for a in range(k))
+
+
+def quotient_reference(brackets, ideal_basis, section):
+    """The tensor of the bracket modulo the span of ``ideal_basis``, in the
+    unit vectors of the coordinates ``section``: the section part of the
+    coordinates of ``[e_a, e_b]`` in the ideal basis followed by them."""
+    d, k, s = len(brackets), len(ideal_basis), len(section)
+    if not s:
+        return ()
+    units = [_unit(d, i) for i in section]
+    values = [bilinear_reference(brackets, u, v) for u in units for v in units]
+    coords = solve_columns_reference(list(ideal_basis) + units, values)
+    return tuple(tuple(x[k:] for x in coords[a * s : a * s + s]) for a in range(s))
+
+
+def derivation_reference(brackets, matrix):
+    """Whether ``D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j]`` for all
+    ``i < j`` (both sides are antisymmetric), ``D`` acting on columns."""
+    d = len(brackets)
+    for i in range(d):
+        for j in range(i + 1, d):
+            rhs = _combine(
+                (1, bilinear_reference(brackets, _column(matrix, i), _unit(d, j))),
+                (1, bilinear_reference(brackets, _unit(d, i), _column(matrix, j))),
+            )
+            if _matvec(matrix, brackets[i][j]) != rhs:
+                return False
+    return True
 
 
 def commutant_reference(matrices):
@@ -132,8 +188,10 @@ def bilinear_reference(tensor, x, y):
     for i in range(d):
         for j in range(d):
             if x[i] and y[j]:
-                for k in range(d):
-                    out[k] += x[i] * y[j] * tensor[i][j][k]
+                s = x[i] * y[j]
+                for k, t in enumerate(tensor[i][j]):
+                    if t:
+                        out[k] += s * t
     return tuple(out)
 
 
@@ -158,7 +216,7 @@ def _column(matrix, i):
 
 
 def _matvec(matrix, v):
-    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in matrix)
+    return tuple(sum((a * b for a, b in zip(row, v) if b), F(0)) for row in matrix)
 
 
 def _combine(*terms):

@@ -20,9 +20,14 @@ from postlie.table import CLASSES, existence_table
 from oracles import (
     NON_LIE_TABLE,
     bilinear_reference,
+    bracket_span_reference,
     coordinates_reference,
+    derivation_reference,
     killing_reference,
+    quotient_reference,
+    restrict_reference,
     rref_reference,
+    span_reference,
 )
 
 F = Fraction
@@ -257,6 +262,70 @@ def test_restrictions_match_the_reference_coordinates():
                 for b in range(space.dim):
                     w = bilinear_reference(alg.brackets, basis[a], basis[b])
                     assert restricted.brackets[a][b] == coordinates_reference(basis, w), label
+
+
+def _oracle_subspaces(alg):
+    """The center, [g, g], the radical, each minimal coordinate ideal, each
+    single-coordinate span, and each span of two neighbouring coordinates
+    (which need not be closed, so ``restrict`` may refuse it)."""
+    d = alg.dim
+    yield from (alg.center(), alg.derived_subalgebra(), alg.solvable_radical())
+    yield from alg.minimal_coordinate_ideals()
+    for i in range(d):
+        yield Subspace.spanned_by_coordinates(d, [i])
+        if i + 1 < d:
+            yield Subspace.spanned_by_coordinates(d, [i, i + 1])
+
+
+def test_subspace_paths_match_the_dense_definitions():
+    seen = set()  # (closed, ideal): every combination but an ideal that is not closed
+    for entry_id in catalog_ids():
+        if get_entry(entry_id).builder is None:
+            continue
+        alg = get_algebra(entry_id)
+        c, units, full = alg.brackets, linalg.identity(alg.dim), alg.full_space()
+        for space in _oracle_subspaces(alg):
+            basis, label = space.basis, (entry_id, space.pivots)
+            expected = restrict_reference(c, basis)
+            assert alg.is_subalgebra(space) == (expected is not None), label
+            if expected is None:
+                with pytest.raises(ValueError, match="^subspace is not closed under the bracket$"):
+                    alg.restrict(space)
+            else:
+                assert alg.restrict(space).brackets == expected, label
+            assert alg.bracket_span(space, space).basis == bracket_span_reference(c, basis, basis), label
+            ad_span = bracket_span_reference(c, units, basis)
+            assert alg.bracket_span(full, space).basis == ad_span, label
+            ideal = len(span_reference(basis + ad_span)) == len(basis)
+            assert alg.is_ideal(space) == ideal, label
+            seen.add((expected is not None, ideal))
+            if ideal and 0 < space.dim < alg.dim:
+                section = [i for i in range(alg.dim) if i not in space.pivots]
+                assert alg.quotient(space).brackets == quotient_reference(c, basis, section), label
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_is_derivation_matches_the_definition():
+    # every basis matrix is checked by the library; the reference checks
+    # their sum weighted 1, 2, 3, ... and that sum with one entry moved by 1
+    outcomes = set()
+    for entry_id in catalog_ids():
+        if get_entry(entry_id).builder is None:
+            continue
+        alg = get_algebra(entry_id)
+        d = alg.dim
+        combined = [[F(0)] * d for _ in range(d)]
+        for weight, matrix in enumerate(alg.derivations(), 1):
+            assert alg.is_derivation(matrix), entry_id
+            for r in range(d):
+                for s in range(d):
+                    combined[r][s] += weight * matrix[r][s]
+        assert alg.is_derivation(linalg.mat(combined)) and derivation_reference(alg.brackets, combined), entry_id
+        combined[0][-1] += 1
+        holds = derivation_reference(alg.brackets, combined)
+        assert alg.is_derivation(linalg.mat(combined)) == holds, entry_id
+        outcomes.add(holds)
+    assert outcomes == {True, False}
 
 
 def test_restrict_refuses_a_subspace_that_is_not_closed():

@@ -149,6 +149,11 @@ def test_rb_kernels_are_the_expected_coordinate_subalgebras():
         assert n.is_subalgebra(part)
 
 
+def test_rb_kernels_refuses_an_operator_of_another_dimension():
+    with pytest.raises(ValueError, match="^operator and algebra dimensions differ$"):
+        rb_kernels(get_algebra("sl2"), RBOperator.zero(2))
+
+
 def test_operators_rebuild_from_their_kernel_splits():
     n = get_algebra("L5_1")
     assert (
