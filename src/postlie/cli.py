@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,7 +76,12 @@ EXIT_TABLE = 70
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code pinned to 64."""
+    """argparse with the usage exit code pinned to 64, and ``-p/q`` read as
+    a negative number (a value, as ``-1`` is) rather than as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -548,6 +554,16 @@ def build_parser() -> _Parser:
             help="machine-readable JSON output",
         )
 
+    def _operator_flags(p: _Parser) -> None:
+        p.add_argument("--n", required=True, metavar="FILE")
+        p.add_argument("--op", required=True, metavar="FILE")
+        p.add_argument(
+            "--weight",
+            type=_rational_flag,
+            default=None,
+            help="override the weight stored in the operator file",
+        )
+
     catalog = sub.add_parser("catalog", help="browse the bundled algebra catalog")
     catalog_sub = catalog.add_subparsers(
         dest="subcommand", required=True, parser_class=_Parser
@@ -589,14 +605,7 @@ def build_parser() -> _Parser:
     _json_flag(p)
     p.set_defaults(func=_cmd_verify_pa)
     p = verify_sub.add_parser("rb", help="verify the weighted operator identity on n")
-    p.add_argument("--n", required=True, metavar="FILE")
-    p.add_argument("--op", required=True, metavar="FILE")
-    p.add_argument(
-        "--weight",
-        type=_rational_flag,
-        default=None,
-        help="override the weight stored in the operator file",
-    )
+    _operator_flags(p)
     _json_flag(p)
     p.set_defaults(func=_cmd_verify_rb)
 
@@ -607,14 +616,7 @@ def build_parser() -> _Parser:
     p = derive_sub.add_parser(
         "pa-from-rb", help="product x . y = {Rx, y} of a verified operator"
     )
-    p.add_argument("--n", required=True, metavar="FILE")
-    p.add_argument("--op", required=True, metavar="FILE")
-    p.add_argument(
-        "--weight",
-        type=_rational_flag,
-        default=None,
-        help="override the weight stored in the operator file",
-    )
+    _operator_flags(p)
     _json_flag(p)
     p.set_defaults(func=_cmd_derive_pa_from_rb)
 

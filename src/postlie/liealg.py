@@ -16,8 +16,9 @@ axiom residuals and operator products in :mod:`postlie.structures`; a
 matrix acts as the one-row table of its sparse columns.  Membership and
 coordinates reduce sparse rows against a subspace's RREF tails
 (:func:`linalg.reduce_row`).  The Killing form, center, radical and
-derivations are built from the supports.  The dense ``brackets`` and
-``Subspace.basis`` stay canonical for equality and output.
+derivations are built from the supports.  No computation reads the dense
+``brackets``: it stays, with ``Subspace.basis``, as stored data for
+equality and output.
 
 Structural invariants provided here:
 
@@ -219,16 +220,15 @@ class LieAlgebra:
         return self._derived
 
     def _series(self, step) -> tuple[int, ...]:
-        """Dimensions of ``g, step(g), step(step(g)), ...`` until they stop
-        dropping (at zero or at a fixed point)."""
+        """Dimensions of ``g``, the cached ``[g, g]``, ``step([g, g])``, ...
+        until they stop dropping (at zero or at a fixed point)."""
         dims = [self.dim]
-        current = self.full_space()
-        while current.dim:
-            nxt = step(current)
-            if nxt.dim == current.dim:
-                break
+        current, nxt = self.full_space(), self._derived
+        while nxt.dim != current.dim:
             dims.append(nxt.dim)
-            current = nxt
+            if not nxt.dim:
+                break
+            current, nxt = nxt, step(nxt)
         return tuple(dims)
 
     @cached_property

@@ -16,9 +16,9 @@ Three stages, cheapest first:
   is a sign pattern on ``n``: ``n``'s bracket within the first part, its
   negation within the second, and zero across the two.  A subset yields a
   witness only when the bracket of ``g`` equals that pattern entry for
-  entry; the test reads the two bracket tensors directly, with no linear
-  algebra, and the operator and its product are built only for a subset
-  that matches.
+  entry; the test compares the cell supports of the two brackets, with no
+  linear algebra, and the operator and its product are built only for a
+  subset that matches.
 * **S3 — bounded quadratic search.**  The remaining quadratic axiom (2) is
   checked pointwise on an integer grid laid over the free parameters of the
   S1 solution space.  The grid is exhausted in deterministic lexicographic
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .liealg import LieAlgebra, nonzero, tensor_supports
+from .liealg import LieAlgebra, add_bilinear, nonzero
 from .structures import (
     PAProduct,
     _units,
@@ -181,6 +181,8 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
         for k, j, v in nonzeros:
             at[k, j].append((alpha, v))
 
+    plus, minus, _ = _units(d)
+
     def rows():
         # Axiom (1) over x[(i, alpha)] at column i*nder + alpha: for i < j
         # and each k,
@@ -188,10 +190,12 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
         #     = cg[i][j][k] - cn[i][j][k], the right-hand side at ``cols``.
         for i in range(d):
             for j in range(i + 1, d):
+                rhs = add_bilinear([linalg.ZERO] * d, g._supports, plus[i], plus[j])
+                add_bilinear(rhs, n._supports, minus[i], plus[j])
                 for k in range(d):
                     row = {i * nder + alpha: v for alpha, v in at.get((k, j), ())}
                     row.update((j * nder + alpha, -v) for alpha, v in at.get((k, i), ()))
-                    row[cols] = g.brackets[i][j][k] - n.brackets[i][j][k]
+                    row[cols] = rhs[k]
                     yield row
 
     solved = linalg.solve_affine(rows(), cols)
@@ -233,10 +237,10 @@ def _integer_bracket(g: LieAlgebra, space: SolutionSpace) -> tuple[int, tuple]:
     scale = math.lcm(
         *(c.denominator for vec in (*cells, space.particular, *space.basis) for _, c in vec)
     )
-    scaled = tuple(
-        tuple(tuple(int(c * scale) for c in cell) for cell in plane) for plane in g.brackets
+    return scale, tuple(
+        tuple(tuple((k, int(c * scale)) for k, c in cell) for cell in plane)
+        for plane in g._supports
     )
-    return scale, tensor_supports(scaled)
 
 
 def _integer_grid(space: SolutionSpace, scale: int, height: int):
@@ -307,18 +311,14 @@ def _split_descends(g: LieAlgebra, n: LieAlgebra, subset: Sequence[int]) -> bool
         first[i] = True
     for i in range(d):
         for j in range(d):
-            gb, nb = g.brackets[i][j], n.brackets[i][j]
+            gc, nc = g._supports[i][j], n._supports[i][j]
             if first[i] != first[j]:
-                if any(gb):
+                if gc:
                     return False
-                continue
-            for k in range(d):
-                if first[k] != first[i]:
-                    # closure of the part, and the matching zero in g
-                    if nb[k] or gb[k]:
-                        return False
-                elif gb[k] != (nb[k] if first[i] else -nb[k]):
-                    return False
+            elif any(first[k] != first[i] for k, _ in nc):
+                return False  # the part is not closed
+            elif gc != (nc if first[i] else tuple((k, -c) for k, c in nc)):
+                return False
     return True
 
 

@@ -23,14 +23,16 @@ trivial center and surjective inner-derivation map among complete algebras,
 and the two notions diverge in general.
 
 A :class:`PAProduct` caches the sparse supports of its tensor as an
-algebra does, and products, axiom-2 and axiom-3 residuals and operator
-products all run through the one kernel :func:`~postlie.liealg.add_bilinear`.
-The operator functions share one tensor ``t[i][j] = {R e_i, e_j}``: it is
-the product of a weight-one operator, the descendent bracket is
-``t[i][j] - t[j][i] + w {e_i, e_j}`` (with ``w = 1`` and the product as
-``t``, the induced bracket), and the operator identity compares
-``{R e_i, R e_j}`` with ``R`` applied to that descendent entry, ``R`` acting
-as the one-row table of its sparse columns.
+algebra does, and every product, residual and operator product runs on
+those supports through the one kernel :func:`~postlie.liealg.add_bilinear`;
+no computation reads the dense ``tensor`` or ``brackets``, which stay as
+stored data for equality and output.  One skew-plus,
+``t[i][j] - t[j][i] + w {e_i, e_j}`` on the supports of ``t``, is the
+induced bracket of a product (``w = 1``), with ``g``'s cell taken off the
+axiom-1 residual, and, for ``t[i][j] = {R e_i, e_j}`` (the product of a
+weight-one operator), the descendent bracket; the operator identity
+compares ``{R e_i, R e_j}`` with ``R`` applied to that descendent cell,
+``R`` acting as the one-row table of its sparse columns.
 
 Everything is exact rational arithmetic; all verification functions return
 complete residual listings rather than booleans alone.
@@ -131,20 +133,23 @@ def induced_bracket(n: LieAlgebra, product: PAProduct, name: str = "") -> LieAlg
     """
     if product.dim != n.dim:
         raise ValueError("product and algebra dimensions differ")
-    return LieAlgebra(n.dim, _skew_plus(product.tensor, n, 1), name or f"induced({n.name})")
-
-
-def _skew_plus(t, n: LieAlgebra, w) -> tuple:
-    """The tensor ``t[i][j] - t[j][i] + w {e_i, e_j}``: the induced bracket of
-    a product ``t`` (``w = 1``) and the descendent bracket of an operator."""
-    one = w == 1  # multiplying by 1 would cost a product per entry
-    return tuple(
-        tuple(
-            tuple(a - b + (c if one else w * c) for a, b, c in zip(t[i][j], t[j][i], cell))
-            for j, cell in enumerate(plane)
-        )
-        for i, plane in enumerate(n.brackets)
+    cells = _skew_plus(product._supports, n, 1)
+    return LieAlgebra.from_table(
+        n.dim, {ij: dict(nonzero(cell)) for ij, cell in cells}, name or f"induced({n.name})"
     )
+
+
+def _skew_plus(t, n: LieAlgebra, w):
+    """``((i, j), r)`` for each ``i < j`` in lexicographic order, ``r`` the
+    coordinate list of ``t[i][j] - t[j][i] + w {e_i, e_j}`` for the cell
+    supports ``t`` (see the module docstring for its four uses)."""
+    d = n.dim
+    plus, minus, _ = _units(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            res = add_bilinear([linalg.ZERO] * d, t, plus[i], plus[j])
+            add_bilinear(res, t, minus[j], plus[i])
+            yield (i, j), add_bilinear(res, n._supports, unit(i, w), plus[j])
 
 
 @dataclass(frozen=True)
@@ -259,19 +264,12 @@ def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerificatio
     """Exactly verify the three axioms plus Jacobi for both brackets."""
     if not (g.dim == n.dim == product.dim):
         raise ValueError("g, n and the product must share one dimension")
-    d = n.dim
-    p = product.tensor
-    cg = g.brackets
-    cn = n.brackets
-
+    plus, minus, _ = _units(n.dim)
     axiom1 = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            res = tuple(
-                p[i][j][k] - p[j][i][k] - cg[i][j][k] + cn[i][j][k] for k in range(d)
-            )
-            if any(x != 0 for x in res):
-                axiom1.append(((i, j), res))
+    for (i, j), res in _skew_plus(product._supports, n, 1):
+        add_bilinear(res, g._supports, minus[i], plus[j])
+        if any(res):
+            axiom1.append(((i, j), tuple(res)))
 
     return PAVerification(
         g_jacobi_ok=g.is_lie(),
@@ -334,36 +332,32 @@ class RBVerification:
         }
 
 
-def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple:
-    """The tensor ``t[i][j] = {R e_i, e_j}`` shared by the operator functions."""
-    d = n.dim
-    cn = n._supports
-    return tuple(
-        tuple(tuple(add_bilinear([linalg.ZERO] * d, cn, col, unit(j))) for j in range(d))
-        for col in _columns(n, op)
-    )
-
-
-def _columns(n: LieAlgebra, op: RBOperator) -> list:
-    """``R e_i`` as ``(index, coefficient)`` pairs, for each ``i``.  As the
-    one-row table ``(columns,)`` the kernel applies ``R`` to a vector."""
+def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple[list, tuple]:
+    """``R e_i`` as ``(index, coefficient)`` pairs, for each ``i``, and the
+    cell supports of ``t[i][j] = {R e_i, e_j}`` that the operator functions
+    share.  As the one-row table ``(columns,)`` the kernel applies ``R`` to
+    a vector."""
     if op.dim != n.dim:
         raise ValueError("operator and algebra dimensions differ")
-    return [nonzero(col) for col in linalg.transpose(op.matrix)]
+    d = n.dim
+    cols = [nonzero(col) for col in linalg.transpose(op.matrix)]
+    return cols, tuple(
+        tuple(nonzero(add_bilinear([linalg.ZERO] * d, n._supports, col, unit(j))) for j in range(d))
+        for col in cols
+    )
 
 
 def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
     """Check ``{Rx, Ry} = R({Rx, y} + {x, Ry} + w {x, y})`` on basis pairs,
-    from the operator's sparse columns and the descendent's supports."""
-    descendent = descendent_bracket(n, op)._supports
-    cols, d = _columns(n, op), n.dim
+    from the operator's sparse columns and the descendent's cells as
+    :func:`_skew_plus` gives them; no algebra is built."""
+    cols, t = _operator_products(n, op)
     residuals = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            res = add_bilinear([linalg.ZERO] * d, n._supports, cols[i], cols[j])
-            add_bilinear(res, (cols,), unit(0, MINUS_ONE), descendent[i][j])
-            if any(res):
-                residuals.append(((i, j), tuple(res)))
+    for (i, j), cell in _skew_plus(t, n, op.weight):
+        res = add_bilinear([linalg.ZERO] * n.dim, n._supports, cols[i], cols[j])
+        add_bilinear(res, (cols,), unit(0, MINUS_ONE), nonzero(cell))
+        if any(res):
+            residuals.append(((i, j), tuple(res)))
     return RBVerification(
         n_jacobi_ok=n.is_lie(), weight=op.weight, residuals=tuple(residuals)
     )
@@ -373,8 +367,10 @@ def descendent_bracket(n: LieAlgebra, op: RBOperator, name: str = "") -> LieAlge
     """``[x, y] = {Rx, y} + {x, Ry} + w {x, y}`` -- a Lie bracket whenever
     the operator verifies.  On basis vectors ``{e_i, R e_j} = -t[j][i]``
     for ``t[i][j] = {R e_i, e_j}``."""
-    t = _operator_products(n, op)
-    return LieAlgebra(n.dim, _skew_plus(t, n, op.weight), name or f"descendent({n.name})")
+    cells = _skew_plus(_operator_products(n, op)[1], n, op.weight)
+    return LieAlgebra.from_table(
+        n.dim, {ij: dict(nonzero(cell)) for ij, cell in cells}, name or f"descendent({n.name})"
+    )
 
 
 def pa_from_rb(n: LieAlgebra, op: RBOperator, name: str = "") -> PAProduct:
@@ -385,9 +381,9 @@ def pa_from_rb(n: LieAlgebra, op: RBOperator, name: str = "") -> PAProduct:
     """
     if op.weight != 1:
         raise ValueError("only weight-one operators induce a product this way")
-    return PAProduct(
-        dim=n.dim, tensor=_operator_products(n, op), name=name or f"op-product({n.name})"
-    )
+    t = _operator_products(n, op)[1]
+    table = {(i, j): dict(cell) for i, plane in enumerate(t) for j, cell in enumerate(plane)}
+    return PAProduct.from_table(n.dim, table, name or f"op-product({n.name})")
 
 
 def solve_rb_form(n: LieAlgebra, product: PAProduct) -> RBOperator | None:
@@ -578,10 +574,11 @@ def verify_double_embedding(phi: DoubleEmbedding, g: LieAlgebra, n: LieAlgebra) 
         )
     d = g.dim
     for block in (phi.j1, phi.j2):
-        cols = linalg.transpose(block)
+        cols = [nonzero(col) for col in linalg.transpose(block)]
         for i in range(d):
             for j in range(i + 1, d):
-                if linalg.matvec(block, g.brackets[i][j]) != n.bracket(cols[i], cols[j]):
+                image = add_bilinear([linalg.ZERO] * d, (cols,), unit(0), g._supports[i][j])
+                if image != add_bilinear([linalg.ZERO] * d, n._supports, cols[i], cols[j]):
                     return False
     stacked = phi.j1 + phi.j2
     if linalg.rank(stacked) != d:

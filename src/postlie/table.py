@@ -504,7 +504,7 @@ def _verify_exists_cell(row: str, col: str, witness: Witness) -> Cell:
                 f"cell ({row}, {col}): witness operator fails the weight-one identity"
             )
         expected = descendent_bracket(n_alg, op)
-        if expected.brackets != induced.brackets:
+        if expected != induced:
             raise TableVerificationError(
                 f"cell ({row}, {col}): operator descendent disagrees with product"
             )

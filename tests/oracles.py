@@ -248,6 +248,23 @@ def axiom1_reference(g, n, product):
     return tuple(found)
 
 
+def induced_reference(n, product):
+    """The tensor of ``[x, y] = x . y - y . x + {x, y}_n`` on basis vectors."""
+    d = n.dim
+    p = product.tensor
+    return tuple(
+        tuple(
+            _combine(
+                (1, bilinear_reference(p, _unit(d, i), _unit(d, j))),
+                (-1, bilinear_reference(p, _unit(d, j), _unit(d, i))),
+                (1, bilinear_reference(n.brackets, _unit(d, i), _unit(d, j))),
+            )
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+
+
 def axiom2_reference(g, product):
     """Nonzero residuals ``((i, j, k), r)`` of the representation axiom
 

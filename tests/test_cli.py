@@ -211,6 +211,20 @@ def test_verify_rb_and_weight_override():
     assert twisted.returncode == 1
 
 
+@pytest.mark.parametrize("command", [("verify", "rb"), ("derive", "pa-from-rb")])
+def test_a_negative_fractional_weight_may_be_a_separate_argument(command):
+    args = (*command, "--n", CATALOG / "L5_1.json", "--op", SAMPLES / "solvable_over_perfect_operator.json")
+    joined = run_cli(*args, "--weight=-1/2", "--json")
+    separate = run_cli(*args, "--weight", "-1/2", "--json")
+    assert joined.returncode == separate.returncode == 1
+    assert separate.stdout == joined.stdout
+    assert separate.stderr == joined.stderr
+    for bad in ("-x", "-1/0", "abc"):
+        refused = run_cli(*args, "--weight", bad)
+        assert refused.returncode == 64
+        assert "argument --weight" in refused.stderr
+
+
 def test_derive_pa_from_rb_emits_the_sample_product():
     result = run_cli(
         "derive",

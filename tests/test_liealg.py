@@ -78,6 +78,23 @@ def test_derived_and_lower_central_series():
     assert sl2().derived_series() == (3,)
 
 
+@pytest.mark.parametrize("alg_id", ["r2_plus_C", "n3", "sl2"])
+def test_both_series_reuse_the_one_derived_subalgebra(monkeypatch, alg_id):
+    alg = get_entry(alg_id).build()  # fresh, with nothing cached
+    original, full_pairs = LieAlgebra.bracket_span, []
+
+    def counting(self, a, b):
+        if a.dim == b.dim == self.dim:
+            full_pairs.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_span", counting)
+    alg.derived_subalgebra()
+    alg.derived_series()
+    alg.lower_central_series()
+    assert len(full_pairs) == 1
+
+
 def test_center_oracle():
     heis = LieAlgebra.from_table(3, HEISENBERG)
     center = heis.center()

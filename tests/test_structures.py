@@ -40,6 +40,7 @@ from oracles import (
     axiom3_reference,
     bilinear_reference,
     descendent_reference,
+    induced_reference,
     operator_product_reference,
     operator_residual_reference,
 )
@@ -288,6 +289,16 @@ def test_double_embedding_criterion():
     assert verify_double_embedding(good, s, s)
     degenerate = DoubleEmbedding.from_rows(ident, ident)  # difference not invertible
     assert not verify_double_embedding(degenerate, s, s)
+    # sl2 in the basis of the columns of p, whose brackets have several
+    # nonzero coordinates: p is an isomorphism onto sl2, the identity is not
+    p = linalg.mat([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    cols, inverse = linalg.transpose(p), linalg.inverse(p)
+    moved = LieAlgebra.from_table(3, {
+        (i, j): dict(enumerate(linalg.matvec(inverse, s.bracket(cols[i], cols[j]))))
+        for i, j in itertools.combinations(range(3), 2)
+    })
+    assert verify_double_embedding(DoubleEmbedding.from_rows(zero_m, p), moved, s)
+    assert not verify_double_embedding(good, moved, s)
     heis = LieAlgebra.from_table(3, {(0, 1): {2: 1}})
     with pytest.raises(NotSemisimpleError):
         verify_double_embedding(good, heis, heis)
@@ -408,6 +419,7 @@ def test_verify_pa_residuals_match_the_definitions(data):
     product = PAProduct(g.dim, _perturbed_tensor(data, product.tensor, "product"))
     report = verify_pa(g, n, product)
     assert report.axiom1 == axiom1_reference(g, n, product)
+    assert induced_bracket(n, product).brackets == induced_reference(n, product)
     assert report.axiom2 == axiom2_reference(g, product)
     assert report.axiom3 == axiom3_reference(n, product)
 

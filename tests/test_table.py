@@ -179,3 +179,22 @@ def test_tampered_witness_is_caught(monkeypatch):
     )
     with pytest.raises(TableVerificationError):
         existence_table()
+
+
+def test_each_operator_witness_builds_its_descendent_once(monkeypatch):
+    import postlie.structures as structures_module
+
+    operator_cells = sum(
+        witness.materialize()[3] is not None for witness in table_module._EXISTS.values()
+    )
+    original, built = structures_module.descendent_bracket, []
+
+    def counting(n, op, name=""):
+        built.append(op)
+        return original(n, op, name)
+
+    for module in (structures_module, table_module):
+        monkeypatch.setattr(module, "descendent_bracket", counting)
+    existence_table()
+    assert operator_cells == 10
+    assert len(built) == operator_cells
