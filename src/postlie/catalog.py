@@ -20,13 +20,12 @@ from the literature; they are stable identifiers, not derivations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import linalg, sl2 as sl2mod
-from .linalg import ZERO, ONE, frac
 from .liealg import Fingerprint, LieAlgebra, direct_sum, fingerprint
 
 
@@ -43,33 +42,28 @@ class ExternalDataRequired(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-def _from_matrices(mats: Sequence[Sequence[Sequence[int]]], name: str) -> LieAlgebra:
-    basis = [tuple(tuple(frac(x) for x in row) for row in m) for m in mats]
-    flat = [tuple(x for row in m for x in row) for m in basis]
-    coord_matrix = linalg.transpose(linalg.mat(flat))
-    dim = len(basis)
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = linalg.commutator(basis[i], basis[j])
-            rhs = tuple(x for row in comm for x in row)
-            coords = linalg.solve(coord_matrix, rhs)
-            if coords is None:
-                raise ValueError("commutator left the span of the basis")
-            entry = {k: coords[k] for k in range(dim) if coords[k] != 0}
-            if entry:
-                table[(i, j)] = entry
-    return LieAlgebra.from_table(dim, table, name)
+def _from_matrices(size: int, mats: Sequence[Mapping[tuple[int, int], int]], name: str) -> LieAlgebra:
+    """The span of ``size``-square integer matrices, each given by its
+    nonzero entries ``{(r, c): x}``: the coordinates of every commutator
+    ``[A_i, A_j]`` (``i < j``) flattened to columns ``r * size + c``, from one
+    :func:`linalg.coordinates` call."""
 
+    def bracket(a, b) -> dict[int, int]:
+        out: defaultdict[int, int] = defaultdict(int)
+        for (r, k), x in a.items():
+            for (t, c), y in b.items():
+                if k == t:  # a[r][k] b[k][c] in (a b)[r][c]
+                    out[r * size + c] += x * y
+                if c == r:  # b[t][r] a[r][k] in (b a)[t][k]
+                    out[t * size + k] -= x * y
+        return out
 
-def _unit(n: int, r: int, c: int) -> list[list[int]]:
-    m = [[0] * n for _ in range(n)]
-    m[r][c] = 1
-    return m
-
-
-def _msub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    flat = [{r * size + c: x for (r, c), x in m.items()} for m in mats]
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    coords = linalg.coordinates(flat, (bracket(mats[i], mats[j]) for i, j in pairs), size * size)
+    if None in coords:
+        raise ValueError("commutator left the span of the basis")
+    return LieAlgebra.from_table(len(mats), dict(zip(pairs, coords)), name)
 
 
 # ----------------------------------------------------------------------
@@ -407,15 +401,16 @@ _aux(
     "traceless 3-by-3 matrices (basis: two diagonal, three upper, three "
     "lower elementary matrices)",
     lambda: _from_matrices(
+        3,
         [
-            _msub(_unit(3, 0, 0), _unit(3, 1, 1)),
-            _msub(_unit(3, 1, 1), _unit(3, 2, 2)),
-            _unit(3, 0, 1),
-            _unit(3, 1, 2),
-            _unit(3, 0, 2),
-            _unit(3, 1, 0),
-            _unit(3, 2, 1),
-            _unit(3, 2, 0),
+            {(0, 0): 1, (1, 1): -1},
+            {(1, 1): 1, (2, 2): -1},
+            {(0, 1): 1},
+            {(1, 2): 1},
+            {(0, 2): 1},
+            {(1, 0): 1},
+            {(2, 1): 1},
+            {(2, 0): 1},
         ],
         "sl3",
     ),
@@ -425,12 +420,13 @@ _aux(
     5,
     "upper-triangular traceless 3-by-3 matrices (a complete solvable algebra)",
     lambda: _from_matrices(
+        3,
         [
-            _msub(_unit(3, 0, 0), _unit(3, 1, 1)),
-            _msub(_unit(3, 1, 1), _unit(3, 2, 2)),
-            _unit(3, 0, 1),
-            _unit(3, 1, 2),
-            _unit(3, 0, 2),
+            {(0, 0): 1, (1, 1): -1},
+            {(1, 1): 1, (2, 2): -1},
+            {(0, 1): 1},
+            {(1, 2): 1},
+            {(0, 2): 1},
         ],
         "b3",
     ),
@@ -439,10 +435,7 @@ _aux(
     "gl2",
     4,
     "all 2-by-2 matrices (reductive with 1-dimensional center)",
-    lambda: _from_matrices(
-        [_unit(2, 0, 0), _unit(2, 0, 1), _unit(2, 1, 0), _unit(2, 1, 1)],
-        "gl2",
-    ),
+    lambda: _from_matrices(2, [{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}], "gl2"),
 )
 _table_aux("n3", 3, "Heisenberg algebra on one generator pair", _N3)
 _table_aux(
@@ -517,11 +510,9 @@ for _sum_id, _parts in _SUMS.items():
 # ----------------------------------------------------------------------
 
 
-def catalog_ids(kind: str | None = None) -> tuple[str, ...]:
-    """All identifiers, optionally filtered by kind."""
-    return tuple(
-        sorted(e.entry_id for e in _ENTRIES.values() if kind is None or e.kind == kind)
-    )
+def catalog_ids() -> tuple[str, ...]:
+    """All identifiers, sorted."""
+    return tuple(sorted(_ENTRIES))
 
 
 def perfect_ids(include_stubs: bool = False) -> tuple[str, ...]:

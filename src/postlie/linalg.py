@@ -10,10 +10,12 @@ only the nonzero entries.  One eliminator, :func:`eliminate`, reduces every
 system and every subspace, doing arithmetic only where a row has entries;
 its step :func:`reduce_row` also reduces vectors against a subspace basis,
 and :func:`solve_affine` is its entry for a system with a right-hand side.
-:func:`rref`, :func:`rank` and :func:`solve` wrap it for dense matrices
-(the Killing form, operator matrices); :func:`nullspace` and
-:func:`row_basis` stay only as targets of the benchmark tracer.  RREF is
-unique, so every elimination order gives the same canonical result.
+:func:`coordinates` is the one change of basis (matrix algebras, inverses,
+decomposition operators, left-action products).  :func:`rref` and
+:func:`rank` wrap the eliminator for dense matrices (Killing form, embeddings);
+:func:`solve`, :func:`nullspace` and :func:`row_basis` have no package
+caller and stay for the tests and the benchmark tracer.  RREF is unique,
+so every elimination order gives the same canonical result.
 """
 
 from __future__ import annotations
@@ -187,6 +189,21 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def coordinates(basis: Sequence[Mapping], vectors: Iterable[Mapping], n_cols: int) -> list:
+    """The nonzero coefficients ``{a: c_a}`` of each sparse vector in the
+    independent sparse ``basis`` rows over columns ``0 .. n_cols-1``, or None
+    for a vector outside their span.  One :func:`eliminate` of
+    ``[basis | identity]`` serves every vector: :func:`reduce_row` turns
+    ``[v | 0]`` into ``[0 | -c]`` when ``v = sum(c_a basis[a])``, and leaves
+    a nonzero left half when ``v`` is outside the span."""
+    tails = eliminate({**row, n_cols + a: ONE} for a, row in enumerate(basis))
+    rows = (reduce_row({c: x for c, x in v.items() if x}, tails) for v in vectors)
+    return [
+        None if any(c < n_cols for c in row) else {c - n_cols: -x for c, x in row.items()}
+        for row in rows
+    ]
+
+
 def solve_affine(
     rows: Iterable[Mapping[int, Fraction]], n_cols: int
 ) -> tuple[dict[int, Fraction], tuple[dict[int, Fraction], ...]] | None:
@@ -238,15 +255,15 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError if singular."""
+    """Inverse of a square matrix, whose row ``i`` holds the coordinates of
+    ``e_i`` in the rows of ``m``; raises ValueError if singular."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    augmented = hstack(m, identity(n))
-    reduced, pivots = rref(augmented)
-    if pivots != tuple(range(n)):
+    rows = coordinates([dict(enumerate(row)) for row in m], ({i: ONE} for i in range(n)), n)
+    if None in rows:
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced[:n])
+    return tuple(to_dense(row, n) for row in rows)
 
 
 def det(m: Matrix) -> Fraction:
@@ -273,7 +290,3 @@ def det(m: Matrix) -> Fraction:
                 factor = rows[i][c] / pivot
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
     return result
-
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(ra + rb for ra, rb in zip(a, b, strict=True))

@@ -80,12 +80,12 @@ def _hypotheses(*checks: Check) -> Predicate:
 # ----------------------------------------------------------------------
 
 
-def _restricted_radical_action(g: LieAlgebra, radical: Subspace):
-    """Nonzero entries ``(i, row, col, value)`` of ad(e_i) on the radical."""
+def _restricted_action(g: LieAlgebra, space: Subspace):
+    """Nonzero entries ``(i, row, col, value)`` of ad(e_i) on ``space``, None if not invariant."""
     entries = []
     for i in range(g.dim):
-        for col, vec in enumerate(radical._rows()):
-            coords = radical._coordinates(g._bracket_row(unit(i), vec.items()))
+        for col, vec in enumerate(space._rows()):
+            coords = space._coordinates(g._bracket_row(unit(i), vec.items()))
             if coords is None:
                 return None
             entries.extend((i, row, col, x) for row, x in coords.items())
@@ -108,10 +108,7 @@ def _absolutely_simple(alg: LieAlgebra) -> bool:
     """Simple with scalar centroid, hence simple over every extension."""
     if not alg.is_simple():
         return False
-    # ad(e_i) has c[i][m][k] in row k, column m
-    sup = alg._supports
-    ads = [(i, k, m, c) for i in range(alg.dim) for m in range(alg.dim) for k, c in sup[i][m]]
-    return _commutant_dimension(ads, alg.dim) == 1
+    return _commutant_dimension(_restricted_action(alg, alg.full_space()), alg.dim) == 1
 
 
 def _radical_closures_full(g: LieAlgebra) -> bool:
@@ -124,7 +121,7 @@ def _radical_closures_full(g: LieAlgebra) -> bool:
 
 def _radical_irreducible(g: LieAlgebra) -> bool:
     radical = g.solvable_radical()
-    action = _restricted_radical_action(g, radical)
+    action = _restricted_action(g, radical)
     return action is not None and _commutant_dimension(action, radical.dim) == 1
 
 

@@ -451,17 +451,16 @@ def rb_from_decomposition(n: LieAlgebra, first: Subspace, second: Subspace) -> R
     for part, label in ((first, "first"), (second, "second")):
         if not n.is_subalgebra(part):
             raise ValueError(f"{label} subspace is not a subalgebra")
-    columns = tuple(first.basis) + tuple(second.basis)
-    change = linalg.transpose(columns)
-    diag = tuple(
-        tuple(
-            (-linalg.ONE if r == c and r >= first.dim else linalg.ZERO)
-            for c in range(n.dim)
-        )
-        for r in range(n.dim)
-    )
-    matrix = linalg.matmul(change, linalg.matmul(diag, linalg.inverse(change)))
-    return RBOperator(dim=n.dim, matrix=matrix, weight=Fraction(1))
+    # R e_c is minus the second part of e_c: the rows of ``second`` weighted
+    # by their coefficients in e_c, as a one-row table applied to -e_0
+    k = first.dim
+    seconds = (tuple(tuple(row.items()) for row in second._rows()),)
+    units = ({c: linalg.ONE} for c in range(n.dim))
+    cols = []
+    for coeffs in linalg.coordinates(first._rows() + second._rows(), units, n.dim):
+        weights = [(a - k, x) for a, x in coeffs.items() if a >= k]
+        cols.append(add_bilinear([linalg.ZERO] * n.dim, seconds, unit(0, MINUS_ONE), weights))
+    return RBOperator(dim=n.dim, matrix=linalg.transpose(cols), weight=Fraction(1))
 
 
 def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator:
@@ -497,25 +496,24 @@ def product_from_left_action(n: LieAlgebra, pairs: Sequence[Pair], name: str = "
     d = n.dim
     if len(pairs) != d:
         raise ValueError("need exactly dim pairs")
-    for idx, (_, der) in enumerate(pairs):
+    for idx, (v, der) in enumerate(pairs):
+        if len(v) != d:
+            raise ValueError(f"first component of pair {idx} does not have length {d}")
         if not n.is_derivation(der):
             raise ValueError(f"matrix in pair {idx} is not a derivation")
-    components = linalg.mat([p[0] for p in pairs])
-    coord_matrix = linalg.transpose(components)
-    tensor = []
-    for i in range(d):
-        coeffs = linalg.solve(coord_matrix, n.basis_vector(i))
-        if coeffs is None:
-            raise ValueError("first components of the pairs do not span")
-        left = linalg.zero_matrix(d, d)
-        for a, c in enumerate(coeffs):
-            if c != 0:
-                left = tuple(
-                    tuple(x + c * y for x, y in zip(rl, rp))
-                    for rl, rp in zip(left, pairs[a][1])
-                )
-        tensor.append(tuple(tuple(left[k][j] for k in range(d)) for j in range(d)))
-    return PAProduct(dim=d, tensor=tuple(tensor), name=name)
+    basis = [dict(enumerate(v)) for v, _ in pairs]
+    coords = linalg.coordinates(basis, ({i: linalg.ONE} for i in range(d)), d)
+    if None in coords:
+        raise ValueError("first components of the pairs do not span")
+    # e_i . e_j = L(e_i) e_j, column j of sum_a c_a D_a
+    table: dict = {}
+    for i, coeffs in enumerate(coords):
+        for a, c in coeffs.items():
+            for k, row in enumerate(pairs[a][1]):
+                for j, x in enumerate(row):
+                    if x:
+                        linalg.add_entry(table, (i, j), k, c * x)
+    return PAProduct.from_table(d, table, name)
 
 
 # ----------------------------------------------------------------------

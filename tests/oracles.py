@@ -363,6 +363,25 @@ def operator_residual_reference(n, matrix, weight):
     return tuple(found)
 
 
+def decomposition_operator_reference(first, second):
+    """Minus the projection onto the span of the ``second`` vectors along
+    the span of the ``first``, as ``C diag(0, .., 0, -1, .., -1) C^-1`` for
+    the change of basis ``C`` whose columns are the ``first`` vectors and
+    then the ``second`` ones."""
+    columns = list(first) + list(second)
+    d = len(columns)
+    # column c of C^-1 holds the coordinates of e_c in the columns of C
+    inverse_columns = solve_columns_reference(columns, [_unit(d, c) for c in range(d)])
+    diag = [F(0)] * len(first) + [F(-1)] * len(second)
+    return tuple(
+        tuple(
+            sum((columns[m][r] * diag[m] * inverse_columns[c][m] for m in range(d)), F(0))
+            for c in range(d)
+        )
+        for r in range(d)
+    )
+
+
 def split_descends_reference(g, n, subset):
     """The former S2 test of one coordinate splitting: both coordinate
     spans are subalgebras of ``n``, and the descendent bracket of minus the

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from postlie import linalg
 
-from oracles import rref_reference
+from oracles import rref_reference, solve_columns_reference
 
 try:
     import sympy
@@ -121,12 +121,6 @@ def test_row_basis_removes_dependent_rows():
     basis = linalg.row_basis(m)
     assert len(basis) == 2
     assert linalg.rank(basis) == 2
-
-
-def test_hstack_shape():
-    a = linalg.mat([[1, 2]])
-    b = linalg.mat([[3, 4]])
-    assert linalg.hstack(a, b) == linalg.mat([[1, 2, 3, 4]])
 
 
 # ----------------------------------------------------------------------
@@ -262,3 +256,75 @@ def test_solve_affine_fails_exactly_on_an_augmented_pivot(system):
             dense = linalg.to_dense(particular, n_cols)
             assert linalg.matvec(m, dense) == rhs
             assert linalg.solve(m, rhs) == dense
+
+
+@st.composite
+def bases_with_targets(draw):
+    """Independent rows, square or with more columns than rows, and targets
+    that are combinations of them or drawn freely (so inside or outside).
+
+    The rows start in echelon form, independent by construction, and are
+    then mixed by adding multiples of one row to another."""
+    n_cols = draw(st.integers(min_value=0, max_value=9))
+    k = draw(st.one_of(st.just(n_cols), st.integers(min_value=0, max_value=n_cols)))
+    pivots = sorted(draw(st.permutations(range(n_cols)))[:k])
+    rows = []
+    for p in pivots:
+        tail = st.lists(entry, min_size=n_cols - p - 1, max_size=n_cols - p - 1)
+        rows.append([F(0)] * p + [F(1)] + draw(tail))
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if k > 1 else 0):
+        a, b = draw(st.permutations(range(k)))[:2]
+        s = draw(small_fraction)
+        rows[a] = [x + s * y for x, y in zip(rows[a], rows[b])]
+    combination = st.lists(small_fraction, min_size=k, max_size=k).map(
+        lambda cs: tuple(sum((c * row[j] for c, row in zip(cs, rows)), F(0)) for j in range(n_cols))
+    )
+    free = st.lists(entry, min_size=n_cols, max_size=n_cols).map(tuple)
+    targets = draw(st.lists(st.one_of(combination, free), max_size=4))
+    return n_cols, tuple(tuple(row) for row in rows), tuple(targets)
+
+
+def _matrix_units(n, entries):
+    return tuple(F(entries.get((r, c), 0)) for r in range(n) for c in range(n))
+
+
+# sl3 flattened, eight rows in nine columns: a traceless commutator lies in
+# the span, the identity matrix does not
+SL3 = tuple(
+    _matrix_units(3, entries)
+    for entries in (
+        {(0, 0): 1, (1, 1): -1},
+        {(1, 1): 1, (2, 2): -1},
+        {(0, 1): 1},
+        {(1, 2): 1},
+        {(0, 2): 1},
+        {(1, 0): 1},
+        {(2, 1): 1},
+        {(2, 0): 1},
+    )
+)
+SL3_INSIDE = _matrix_units(3, {(0, 0): 1, (2, 2): -1})
+SL3_OUTSIDE = _matrix_units(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+
+
+@ORACLE_SUITE
+@given(bases_with_targets())
+@example((9, SL3, (SL3_INSIDE, SL3_OUTSIDE)))
+@example((0, (), ((),)))
+@example((2, (), ((F(0), F(0)), (F(1), F(0)))))
+def test_coordinates_match_the_dense_oracle(case):
+    n_cols, basis, targets = case
+    found = linalg.coordinates(_sparse(basis), _sparse(targets), n_cols)
+    assert len(found) == len(targets)
+    for target, coords in zip(targets, found):
+        expected = solve_columns_reference(basis, [target])
+        assert (coords is None) == (expected is None)
+        if coords is not None:
+            assert linalg.to_dense(coords, len(basis)) == expected[0]
+            assert all(coords.values())
+    if len(basis) == n_cols:
+        # row i of the inverse holds the coordinates of e_i in the rows
+        inverse = linalg.inverse(basis)
+        assert linalg.matmul(inverse, basis) == linalg.identity(n_cols)
+        units = [tuple(F(int(i == j)) for j in range(n_cols)) for i in range(n_cols)]
+        assert inverse == (tuple(solve_columns_reference(basis, units)) if basis else ())

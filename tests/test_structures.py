@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from postlie import linalg
 from postlie.catalog import catalog_ids, get_algebra, get_entry
@@ -39,6 +39,7 @@ from oracles import (
     axiom2_reference,
     axiom3_reference,
     bilinear_reference,
+    decomposition_operator_reference,
     descendent_reference,
     induced_reference,
     operator_product_reference,
@@ -211,17 +212,21 @@ def test_coordinate_split_refuses_an_index_out_of_range(index):
 
 def test_rb_from_decomposition_rejects_bad_splits():
     n = get_algebra("L5_1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first subspace is not a subalgebra"):
         rb_from_decomposition(
             n,
-            Subspace.spanned_by_coordinates(5, (0, 1)),  # not a subalgebra
+            Subspace.spanned_by_coordinates(5, (0, 1)),
             Subspace.spanned_by_coordinates(5, (2, 3, 4)),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="subspaces are not complementary"):
         rb_from_decomposition(
             n,
             Subspace.spanned_by_coordinates(5, (0, 1, 2)),
             Subspace.spanned_by_coordinates(5, (2, 3, 4)),  # overlaps
+        )
+    with pytest.raises(ValueError, match="ambient dimension differs"):
+        rb_from_decomposition(
+            n, Subspace.spanned_by_coordinates(4, (0, 1)), Subspace.spanned_by_coordinates(4, (2, 3))
         )
 
 
@@ -234,6 +239,25 @@ def test_rb_from_decomposition_on_oblique_subalgebras():
     assert verify_rb(r2, op).ok
     assert op.apply((1, 0)) == (F(0), F(0))
     assert op.apply((1, 1)) == (F(-1), F(-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rb_from_decomposition_matches_the_change_of_basis_formula(data):
+    # on an abelian algebra every subspace is a subalgebra, so any split of
+    # an invertible matrix's columns is a valid decomposition
+    d = data.draw(st.integers(min_value=1, max_value=5), label="dim")
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    columns = data.draw(
+        st.lists(st.tuples(*[entry] * d), min_size=d, max_size=d), label="columns"
+    )
+    assume(linalg.rank(columns) == d)
+    k = data.draw(st.integers(min_value=0, max_value=d), label="split")
+    first, second = columns[:k], columns[k:]
+    op = rb_from_decomposition(
+        LieAlgebra.abelian(d), Subspace.from_vectors(d, first), Subspace.from_vectors(d, second)
+    )
+    assert op.matrix == decomposition_operator_reference(first, second)
 
 
 def test_descendent_of_split_operator_is_the_direct_sum():
@@ -269,16 +293,20 @@ def test_product_from_left_action_error_paths():
     zero_m = linalg.zero_matrix(3, 3)
     not_der = linalg.mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # id is not one here
     e = lambda k: tuple(F(1) if i == k else F(0) for i in range(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix in pair 0 is not a derivation"):
         product_from_left_action(
             heis, ((e(0), not_der), (e(1), zero_m), (e(2), zero_m))
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first components of the pairs do not span"):
         product_from_left_action(
             heis, ((e(0), zero_m), (e(0), zero_m), (e(2), zero_m))
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need exactly dim pairs"):
         product_from_left_action(heis, ((e(0), zero_m),))
+    with pytest.raises(ValueError, match="first component of pair 1 does not have length 3"):
+        product_from_left_action(
+            heis, ((e(0), zero_m), (e(1)[:2], zero_m), (e(2), zero_m))
+        )
 
 
 def test_double_embedding_criterion():
