@@ -472,7 +472,7 @@ def _cmd_derive_pa_from_rb(args: argparse.Namespace) -> int:
     product = pa_from_rb(n, op, name=f"{op_name}_product")
     g = induced_bracket(n, product)
     pa_check = verify_pa(g, n, product)
-    doc = interchange.product_document(product)
+    doc = interchange.document_for(product)
     report = {
         "command": "derive pa-from-rb",
         "n": n_name,

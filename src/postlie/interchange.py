@@ -30,9 +30,11 @@ Kinds and their fields (``name``, ``basis`` and ``metadata`` optional):
 ``metadata`` may carry named subspaces:
 ``{"subspaces": {"<name>": [[...rational strings...], ...]}}``.
 
-Serialization is canonical (fixed key order, entries sorted by (i, j, k),
-subspace names sorted) so that identical objects always produce identical
-bytes, and parsing a serialized document returns an equal object.
+One builder, :func:`document_for`, writes every kind: the header
+(``kind``, ``name``, ``dim``, ``basis``), the kind's fields, then the
+metadata.  Serialization is canonical (fixed key order, entries sorted by
+(i, j, k), subspace names sorted) so that identical objects always produce
+identical bytes, and parsing a serialized document returns an equal object.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ __all__ = [
     "KINDS",
     "MAX_DIM",
     "algebra_document",
-    "product_document",
-    "operator_document",
-    "embedding_document",
     "document_for",
     "serialize",
     "parse_document",
@@ -94,9 +93,10 @@ class InterchangeError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical string of a rational: ``p`` or ``p/q`` in lowest terms."""
-    return str(Fraction(value))
+def format_rational(value) -> str:
+    """Canonical string of an exact rational (:func:`linalg.frac`: a float
+    raises ``TypeError``): ``p`` or ``p/q`` in lowest terms."""
+    return str(linalg.frac(value))
 
 
 def _parse_rational(text: object, where: str, filename: str) -> Fraction:
@@ -148,102 +148,49 @@ def _matrix_strings(matrix: Sequence[Sequence[Fraction]]) -> list[list[str]]:
     return [[format_rational(x) for x in row] for row in matrix]
 
 
-def _metadata_block(metadata: Optional[dict]) -> Optional[dict]:
-    if not metadata:
-        return None
-    subspaces = metadata.get("subspaces") or {}
-    block = {
-        "subspaces": {
-            name: [[format_rational(Fraction(x)) for x in vec] for vec in vectors]
-            for name, vectors in sorted(subspaces.items())
-        }
-    }
-    return block
-
-
-def _base_document(
-    kind: str, dim: int, name: str, basis: Optional[Sequence[str]]
-) -> dict:
-    labels = tuple(basis) if basis is not None else default_basis(dim)
-    if len(labels) != dim:
-        raise ValueError(f"need {dim} basis labels, got {len(labels)}")
-    return {"kind": kind, "name": name, "dim": dim, "basis": list(labels)}
-
-
-def algebra_document(
-    alg: LieAlgebra,
+def document_for(
+    obj: object,
     *,
     name: Optional[str] = None,
     basis: Optional[Sequence[str]] = None,
     metadata: Optional[dict] = None,
 ) -> dict:
-    doc = _base_document("algebra", alg.dim, name if name is not None else alg.name, basis)
-    doc["entries"] = _entry_list(alg.sparse_table())
-    block = _metadata_block(metadata)
-    if block is not None:
-        doc["metadata"] = block
-    return doc
-
-
-def product_document(
-    product: PAProduct,
-    *,
-    name: Optional[str] = None,
-    basis: Optional[Sequence[str]] = None,
-    metadata: Optional[dict] = None,
-) -> dict:
-    doc = _base_document(
-        "product", product.dim, name if name is not None else product.name, basis
-    )
-    doc["entries"] = _entry_list(product.sparse_table())
-    block = _metadata_block(metadata)
-    if block is not None:
-        doc["metadata"] = block
-    return doc
-
-
-def operator_document(
-    op: RBOperator,
-    *,
-    name: Optional[str] = None,
-    basis: Optional[Sequence[str]] = None,
-    metadata: Optional[dict] = None,
-) -> dict:
-    doc = _base_document("operator", op.dim, name if name is not None else op.name, basis)
-    doc["matrix"] = _matrix_strings(op.matrix)
-    doc["weight"] = format_rational(op.weight)
-    block = _metadata_block(metadata)
-    if block is not None:
-        doc["metadata"] = block
-    return doc
-
-
-def embedding_document(
-    emb: DoubleEmbedding,
-    *,
-    name: str = "",
-    basis: Optional[Sequence[str]] = None,
-    metadata: Optional[dict] = None,
-) -> dict:
-    doc = _base_document("embedding", emb.dim, name, basis)
-    doc["first"] = _matrix_strings(emb.j1)
-    doc["second"] = _matrix_strings(emb.j2)
-    block = _metadata_block(metadata)
-    if block is not None:
-        doc["metadata"] = block
-    return doc
-
-
-def document_for(obj: object, **kwargs) -> dict:
+    """The document of an algebra, product, operator or embedding: the
+    header, the kind's body, then the metadata block if there is one.
+    ``name=None`` writes the object's own name (an embedding has none)."""
     if isinstance(obj, LieAlgebra):
-        return algebra_document(obj, **kwargs)
-    if isinstance(obj, PAProduct):
-        return product_document(obj, **kwargs)
-    if isinstance(obj, RBOperator):
-        return operator_document(obj, **kwargs)
-    if isinstance(obj, DoubleEmbedding):
-        return embedding_document(obj, **kwargs)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        kind, body = "algebra", {"entries": _entry_list(obj.sparse_table())}
+    elif isinstance(obj, PAProduct):
+        kind, body = "product", {"entries": _entry_list(obj.sparse_table())}
+    elif isinstance(obj, RBOperator):
+        kind = "operator"
+        body = {"matrix": _matrix_strings(obj.matrix), "weight": format_rational(obj.weight)}
+    elif isinstance(obj, DoubleEmbedding):
+        kind = "embedding"
+        body = {"first": _matrix_strings(obj.j1), "second": _matrix_strings(obj.j2)}
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    labels = tuple(basis) if basis is not None else default_basis(obj.dim)
+    if len(labels) != obj.dim:
+        raise ValueError(f"need {obj.dim} basis labels, got {len(labels)}")
+    if name is None:
+        name = getattr(obj, "name", "")
+    doc = {"kind": kind, "name": name, "dim": obj.dim, "basis": list(labels), **body}
+    if metadata:
+        subspaces = metadata.get("subspaces") or {}
+        doc["metadata"] = {
+            "subspaces": {
+                label: [[format_rational(x) for x in vec] for vec in vectors]
+                for label, vectors in sorted(subspaces.items())
+            }
+        }
+    return doc
+
+
+def algebra_document(alg: LieAlgebra, **kwargs) -> dict:
+    """:func:`document_for` of an algebra, under the name the benchmark's
+    recorder (``perfbench/record.py``) calls."""
+    return document_for(alg, **kwargs)
 
 
 def serialize(obj: object, **kwargs) -> str:

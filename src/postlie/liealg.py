@@ -9,16 +9,15 @@ computed once per instance and cached on it (``functools.cached_property``).
 The first cached datum is the sparse support of the tensor: the nonzero
 ``(k, c)`` pairs of each cell ``[e_i, e_j]`` (:func:`tensor_supports`).  One
 bilinear kernel over such supports, :func:`add_bilinear`, evaluates every
-bracket here (of vectors, and of the sparse RREF rows of subspaces in
-bracket spans, which also decide subalgebras and ideals, and in
-restrictions), the Jacobi residuals and the derivation test, and products,
-axiom residuals and operator products in :mod:`postlie.structures`; a
-matrix acts as the one-row table of its sparse columns.  Membership and
+bracket here (of vectors, and of the sparse RREF rows ``Subspace.rows`` in
+bracket spans, ad-closures, subalgebra and ideal tests and restrictions),
+the Jacobi residuals and the derivation test, and products, axiom residuals
+and operator products in :mod:`postlie.structures`; a matrix acts as the
+one-row table of its sparse columns.  Membership, containment and
 coordinates reduce sparse rows against a subspace's RREF tails
 (:func:`linalg.reduce_row`).  The Killing form, center, radical and
 derivations are built from the supports.  No computation reads the dense
-``brackets``: it stays, with ``Subspace.basis``, as stored data for
-equality and output.
+``brackets``: it stays as stored data for equality and output.
 
 Structural invariants provided here:
 
@@ -88,10 +87,11 @@ def tensor_supports(tensor) -> tuple:
     return tuple(tuple(nonzero(cell) for cell in plane) for plane in tensor)
 
 
-def add_bilinear(out: list, supports, xs, ys) -> list:
+def add_bilinear(out, supports, xs, ys):
     """``out += sum_{i,j} x_i y_j t[i][j]`` for the tensor ``t`` with the
     given cell supports, ``x`` and ``y`` given as ``(index, coefficient)``
-    pairs; returns ``out``.  Brackets, products, axiom residuals and
+    pairs; ``out`` is a dense list or a mapping that reads a missing index
+    as zero, and is returned.  Brackets, products, axiom residuals and
     operator products all evaluate through this one loop."""
     for i, a in xs:
         row = supports[i]
@@ -150,8 +150,8 @@ class LieAlgebra:
     def _bracket_row(self, xs, ys) -> dict[int, Fraction]:
         """``[x, y]`` for ``x``, ``y`` as ``(index, coefficient)`` pairs, as
         the sparse row of its nonzero entries."""
-        out = add_bilinear([ZERO] * self.dim, self._supports, xs, ys)
-        return {k: c for k, c in enumerate(out) if c}
+        out = add_bilinear(defaultdict(lambda: ZERO), self._supports, xs, ys)
+        return {k: c for k, c in out.items() if c}
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
@@ -205,11 +205,13 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
+    def _brackets(self, a: Subspace, b: Subspace):
+        """The sparse rows ``[u, v]`` over the RREF rows u of a and v of b."""
+        return (self._bracket_row(u, v) for u in a.rows for v in b.rows)
+
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [u, v] over basis vectors u of a and v of b."""
-        vs = [v.items() for v in b._rows()]
-        rows = (self._bracket_row(u.items(), v) for u in a._rows() for v in vs)
-        return Subspace.span(self.dim, rows)
+        return Subspace.span(self.dim, self._brackets(a, b))
 
     @cached_property
     def _derived(self) -> Subspace:
@@ -290,8 +292,8 @@ class LieAlgebra:
     def _radical(self) -> Subspace:
         # (K d) . x = 0 for each basis vector d of [g, g]; K is symmetric
         rows: dict = {}
-        for r, d in enumerate(self._derived._rows()):
-            for m, x in d.items():
+        for r, d in enumerate(self._derived.rows):
+            for m, x in d:
                 for c, k in nonzero(self._killing[m]):
                     linalg.add_entry(rows, r, c, x * k)
         return Subspace.kernel(self.dim, rows.values())
@@ -391,11 +393,12 @@ class LieAlgebra:
         return self.center().dim == 0 and len(self._derivations) == self.dim
 
     def ad_closure(self, seed: Subspace) -> Subspace:
-        """Smallest ideal containing the given subspace."""
+        """Smallest ideal containing the given subspace: each step spans
+        the current rows and their brackets with the basis."""
         current = seed
         full = self.full_space()
         while True:
-            nxt = current.sum(self.bracket_span(full, current))
+            nxt = Subspace.span(self.dim, [*current._rows(), *self._brackets(full, current)])
             if nxt.dim == current.dim:
                 return nxt
             current = nxt
@@ -435,14 +438,14 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def is_subalgebra(self, space: Subspace) -> bool:
-        return space.contains_subspace(self.bracket_span(space, space))
+        return space._holds(self._brackets(space, space))
 
     def is_ideal(self, space: Subspace) -> bool:
-        return space.contains_subspace(self.bracket_span(self.full_space(), space))
+        return space._holds(self._brackets(self.full_space(), space))
 
     def restrict(self, space: Subspace) -> "LieAlgebra":
         """The bracket restricted to a subalgebra, in the subspace basis."""
-        rows = [row.items() for row in space._rows()]
+        rows = space.rows
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for a, u in enumerate(rows):
             for b in range(a + 1, len(rows)):

@@ -84,8 +84,8 @@ def _restricted_action(g: LieAlgebra, space: Subspace):
     """Nonzero entries ``(i, row, col, value)`` of ad(e_i) on ``space``, None if not invariant."""
     entries = []
     for i in range(g.dim):
-        for col, vec in enumerate(space._rows()):
-            coords = space._coordinates(g._bracket_row(unit(i), vec.items()))
+        for col, vec in enumerate(space.rows):
+            coords = space._coordinates(g._bracket_row(unit(i), vec))
             if coords is None:
                 return None
             entries.extend((i, row, col, x) for row, x in coords.items())
@@ -113,9 +113,10 @@ def _absolutely_simple(alg: LieAlgebra) -> bool:
 
 def _radical_closures_full(g: LieAlgebra) -> bool:
     radical = g.solvable_radical()
+    # one RREF row, with its leading 1, is the canonical row of its own span
     return all(
-        g.ad_closure(Subspace.span(g.dim, [row])) == radical
-        for row in radical._rows()
+        g.ad_closure(Subspace(g.dim, (row,))) == radical
+        for row in radical.rows
     )
 
 

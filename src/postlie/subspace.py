@@ -1,9 +1,11 @@
 """Subspaces of an ambient rational vector space, in canonical form.
 
 A :class:`Subspace` stores the unique reduced-row-echelon basis of its row
-space, so two subspaces are equal iff their data are equal.  Each span,
-sum, kernel and intersection is one :func:`linalg.eliminate` call on sparse
-rows, and membership and coordinates use its step :func:`linalg.reduce_row`.
+space as sparse rows, so two subspaces are equal iff their data are equal.
+Each span, sum, kernel and intersection is one :func:`linalg.eliminate`
+call on sparse rows, and membership, containment and coordinates reduce
+sparse rows against the stored ones with its step :func:`linalg.reduce_row`.
+The dense ``basis`` is a view for tests and output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ class Subspace:
     """A linear subspace of Q^ambient_dim with a canonical RREF basis."""
 
     ambient_dim: int
-    basis: Matrix  # RREF rows, no zero rows
+    # RREF rows, no zero rows: each row's nonzero ``(column, value)`` pairs
+    # in ascending column order, so its pivot ``(p, 1)`` comes first
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     @staticmethod
     def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
@@ -44,8 +48,8 @@ class Subspace:
         last = ambient_dim - 1
         reverse = ({last - c: x for c, x in row.items()} for row in rows)
         _, basis = linalg.solve_affine(reverse, ambient_dim)
-        flipped = ({last - c: x for c, x in v.items()} for v in reversed(basis))
-        return Subspace(ambient_dim, tuple(linalg.to_dense(v, ambient_dim) for v in flipped))
+        flipped = (tuple(sorted((last - c, x) for c, x in v.items())) for v in reversed(basis))
+        return Subspace(ambient_dim, tuple(flipped))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -53,7 +57,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, linalg.identity(ambient_dim))
+        return Subspace(ambient_dim, tuple(((i, ONE),) for i in range(ambient_dim)))
 
     @staticmethod
     def spanned_by_coordinates(ambient_dim: int, indices: Iterable[int]) -> "Subspace":
@@ -62,13 +66,17 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The RREF rows as dense vectors."""
+        return tuple(linalg.to_dense(dict(row), self.ambient_dim) for row in self.rows)
 
     @cached_property
     def _tails(self) -> dict[int, dict[int, Fraction]]:
-        """The basis as :func:`linalg.eliminate` gives it: pivot -> tail."""
-        rows = [[(c, x) for c, x in enumerate(row) if x] for row in self.basis]
-        return {row[0][0]: dict(row[1:]) for row in rows}
+        """The rows as :func:`linalg.eliminate` gives them: pivot -> tail."""
+        return {row[0][0]: dict(row[1:]) for row in self.rows}
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -76,7 +84,12 @@ class Subspace:
         return tuple(self._tails)
 
     def _rows(self) -> list[dict[int, Fraction]]:
-        return [{p: ONE, **tail} for p, tail in self._tails.items()]
+        return [dict(row) for row in self.rows]
+
+    def _holds(self, rows: Iterable[dict[int, Fraction]]) -> bool:
+        """Whether every sparse row (nonzero entries only; reduced in place)
+        lies in the subspace; stops at the first that leaves a remainder."""
+        return not any(linalg.reduce_row(row, self._tails) for row in rows)
 
     def _coordinates(self, row: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """:meth:`reduce` of a sparse row (nonzero entries only; reduced in
@@ -101,7 +114,9 @@ class Subspace:
         return not any(self.reduce(vector)[1])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return self._holds(other._rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -115,14 +130,14 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         n = self.ambient_dim
-        block = [{**row, **{n + c: x for c, x in row.items()}} for row in self._rows()]
+        block = [dict(row + tuple((n + c, x) for c, x in row)) for row in self.rows]
         tails = linalg.eliminate(block + other._rows())
         meet = {p - n: {c - n: x for c, x in tails[p].items()} for p in tails if p >= n}
         return _from_tails(n, meet)
 
     def coordinate_support(self) -> tuple[int, ...]:
         """Indices of coordinates on which some basis vector is nonzero."""
-        return tuple(sorted({c for row in self._rows() for c in row}))
+        return tuple(sorted({c for row in self.rows for c, _ in row}))
 
     def complement_candidate(self) -> "Subspace":
         """A coordinate complement: span of non-pivot standard basis vectors."""
@@ -132,8 +147,8 @@ class Subspace:
 
 def _from_tails(ambient_dim: int, tails: Mapping[int, Mapping[int, Fraction]]) -> Subspace:
     """The subspace whose RREF basis :func:`linalg.eliminate` returned."""
-    rows = ({p: ONE, **tails[p]} for p in sorted(tails))
-    return Subspace(ambient_dim, tuple(linalg.to_dense(row, ambient_dim) for row in rows))
+    rows = (((p, ONE), *sorted(tails[p].items())) for p in sorted(tails))
+    return Subspace(ambient_dim, tuple(rows))
 
 
 def coordinate_set(ambient_dim: int, indices: Iterable[int]) -> set[int]:

@@ -94,9 +94,12 @@ def test_product_and_operator_round_trip():
 
 def test_embedding_round_trip():
     emb = DoubleEmbedding.from_rows(linalg.identity(3), linalg.zero_matrix(3, 3))
-    parsed = parse_text(serialize(emb))
-    assert parsed.kind == "embedding"
-    assert parsed.value == emb
+    # an embedding carries no name, so ``name=None`` writes "" as it does by default
+    for kwargs, name in (({}, ""), ({"name": None}, ""), ({"name": "phi"}, "phi")):
+        parsed = parse_text(serialize(emb, **kwargs))
+        assert parsed.kind == "embedding"
+        assert parsed.value == emb
+        assert parsed.name == name
 
 
 def test_metadata_subspaces_round_trip():
@@ -106,6 +109,9 @@ def test_metadata_subspaces_round_trip():
     parsed = parse_text(text)
     assert parsed.subspaces == {"center": ((F(0), F(0), F(1)),)}
     assert serialize(parsed.value, name="n3", metadata=meta) == text
+    # a float coefficient is refused, not written as its binary expansion
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        serialize(alg, metadata={"subspaces": {"s": [[0.1, 1, 0]]}})
 
 
 def test_serialization_is_byte_deterministic():

@@ -367,6 +367,27 @@ def test_ad_closure_grows_to_smallest_ideal():
     assert closure == Subspace.spanned_by_coordinates(5, (3, 4))
 
 
+def _ad_closure_reference(brackets, units, seed):
+    """The dense fixpoint ``S -> S + [g, S]`` from the span of ``seed``."""
+    current = span_reference([seed])
+    while True:
+        grown = span_reference(list(current) + list(bracket_span_reference(brackets, units, current)))
+        if len(grown) == len(current):
+            return grown
+        current = grown
+
+
+@pytest.mark.parametrize(
+    "alg_id", ["sl2", "n3", "r2_plus_C", "gl2", "r2_plus_r2", "L5_1", "sl2_plus_C2", "n5"]
+)
+def test_ad_closure_matches_the_dense_fixpoint(alg_id):
+    alg = get_algebra(alg_id)
+    units = [alg.basis_vector(i) for i in range(alg.dim)]
+    for i, seed in enumerate(units):
+        closure = alg.ad_closure(Subspace.spanned_by_coordinates(alg.dim, [i]))
+        assert closure.basis == _ad_closure_reference(alg.brackets, units, seed), (alg_id, i)
+
+
 def test_minimal_coordinate_ideals_of_double_sum():
     both = direct_sum(sl2(), sl2())
     ideals = both.minimal_coordinate_ideals()

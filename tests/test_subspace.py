@@ -47,6 +47,8 @@ def test_contains_subspace_and_ordering():
     b = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
     assert b.contains_subspace(a)
     assert not a.contains_subspace(b)
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        a.contains_subspace(Subspace.full(4))
 
 
 def test_sum_and_intersection_dims():
@@ -134,13 +136,20 @@ def test_reducer_agrees_with_the_reference_elimination(data):
 
     other = Subspace.from_vectors(n, others)
     assert space.sum(other).basis == _reference_basis(rows + others)
+    assert space.sum(other) == other.sum(space)
     assert space.intersection(other).basis == _reference_intersection(rows, others, n)
+    assert space.contains_subspace(other) == (_reference_rank(rows + others) == _reference_rank(rows))
 
     kernel = Subspace.kernel(n, [dict(enumerate(r)) for r in rows])
     assert kernel.dim == n - _reference_rank(rows)
     assert kernel.basis == _reference_basis(list(kernel.basis))  # in RREF
     for x in kernel.basis:
         assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+
+    # every constructor stores the one canonical form: equal data, equal hash
+    for s in (space, kernel, space.intersection(other)):
+        rebuilt = Subspace.from_vectors(n, s.basis)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
 
     inside = _reference_rank(rows + [v]) == _reference_rank(rows)
     assert space.contains(vector) == inside
