@@ -64,8 +64,9 @@ __all__ = [
 
 KINDS = ("algebra", "product", "operator", "embedding")
 
-# Largest accepted ``dim``: objects are stored densely (a bracket or product
-# is a dim**3 tensor), so the cap bounds memory before anything is built.
+# Largest accepted ``dim``: search builds S1's system in the dim**3 product
+# coefficients and steps S3 on a flat dim**3 grid, so the cap bounds memory
+# before anything is built.
 MAX_DIM = 64
 
 
@@ -173,17 +174,21 @@ def document_for(
     labels = tuple(basis) if basis is not None else default_basis(obj.dim)
     if len(labels) != obj.dim:
         raise ValueError(f"need {obj.dim} basis labels, got {len(labels)}")
+    if len(set(labels)) != obj.dim or not all(isinstance(b, str) and b for b in labels):
+        raise ValueError(f"basis labels must be {obj.dim} distinct nonempty strings")
     if name is None:
         name = getattr(obj, "name", "")
     doc = {"kind": kind, "name": name, "dim": obj.dim, "basis": list(labels), **body}
     if metadata:
-        subspaces = metadata.get("subspaces") or {}
-        doc["metadata"] = {
-            "subspaces": {
-                label: [[format_rational(x) for x in vec] for vec in vectors]
-                for label, vectors in sorted(subspaces.items())
-            }
-        }
+        extra = sorted(set(metadata) - {"subspaces"})
+        if extra:
+            raise ValueError(f"unknown metadata fields {extra}")
+        spaces = {}
+        for label, vectors in sorted((metadata.get("subspaces") or {}).items()):
+            if any(len(vec) != obj.dim for vec in vectors):
+                raise ValueError(f"subspace {label}: each vector needs {obj.dim} components")
+            spaces[label] = [[format_rational(x) for x in vec] for vec in vectors]
+        doc["metadata"] = {"subspaces": spaces}
     return doc
 
 

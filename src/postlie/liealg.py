@@ -1,14 +1,15 @@
 """Lie algebras over the rationals as exact structure-constant tensors.
 
-A :class:`LieAlgebra` of dimension ``n`` stores the full antisymmetric tensor
-``c[i][j][k]`` with ``[e_i, e_j] = sum_k c[i][j][k] e_k`` (0-based indices).
-The tensor is an immutable nested tuple, so algebras are hashable and can be
-compared by data equality; all invariants are computed exactly, and each is
-computed once per instance and cached on it (``functools.cached_property``).
+A :class:`LieAlgebra` of dimension ``n`` stores the canonical cells of its
+antisymmetric tensor ``c[i][j][k]``, ``[e_i, e_j] = sum_k c[i][j][k] e_k``
+(0-based indices): ``cells[i][j]`` is the tuple of the nonzero ``(k, c)``
+pairs of ``[e_i, e_j]`` in ascending ``k``.  :func:`canonical_cells` is the
+one builder of that form, so algebras are hashable and compared by data
+equality; the dense ``brackets`` is a view for tests and output.  All
+invariants are computed exactly, and each is computed once per instance and
+cached on it (``functools.cached_property``).
 
-The first cached datum is the sparse support of the tensor: the nonzero
-``(k, c)`` pairs of each cell ``[e_i, e_j]`` (:func:`tensor_supports`).  One
-bilinear kernel over such supports, :func:`add_bilinear`, evaluates every
+One bilinear kernel over cells, :func:`add_bilinear`, evaluates every
 bracket here (of vectors, and of the sparse RREF rows ``Subspace.rows`` in
 bracket spans, ad-closures, subalgebra and ideal tests and restrictions),
 the Jacobi residuals and the derivation test, and products, axiom residuals
@@ -16,8 +17,7 @@ and operator products in :mod:`postlie.structures`; a matrix acts as the
 one-row table of its sparse columns.  Membership, containment and
 coordinates reduce sparse rows against a subspace's RREF tails
 (:func:`linalg.reduce_row`).  The Killing form, center, radical and
-derivations are built from the supports.  No computation reads the dense
-``brackets``: it stays as stored data for equality and output.
+derivations are built from the cells.
 
 Structural invariants provided here:
 
@@ -56,20 +56,20 @@ BracketTable = Mapping[tuple[int, int], Mapping[int, object]]
 MINUS_ONE = -ONE
 
 
-def _tensor_from_table(dim: int, table: BracketTable):
-    c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), component in table.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"bracket index ({i},{j}) out of range for dim {dim}")
-        if i == j:
-            raise ValueError(f"bracket [e{i},e{i}] must be zero")
-        for k, coeff in component.items():
-            if not 0 <= k < dim:
-                raise ValueError(f"component index {k} out of range for dim {dim}")
-            value = frac(coeff)
-            c[i][j][k] += value
-            c[j][i][k] -= value
-    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+def canonical_cells(dim: int, entries: Mapping[tuple[int, int, int], Fraction]) -> tuple:
+    """``cells[i][j]``: the nonzero ``(k, c)`` pairs, ascending in ``k``, of
+    the ``dim``-dimensional tensor with the ``{(i, j, k): c}`` entries (a
+    missing entry is zero).  The one stored form of brackets and products."""
+    cells = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in sorted(entries.items()):
+        if c:
+            cells[i][j].append((k, c))
+    return tuple(tuple(map(tuple, plane)) for plane in cells)
+
+
+def dense_tensor(dim: int, cells) -> tuple:
+    """The dense ``t[i][j][k]`` of canonical cells, a view for tests and output."""
+    return tuple(tuple(linalg.to_dense(dict(cell), dim) for cell in plane) for plane in cells)
 
 
 def nonzero(v: Sequence[Fraction]) -> tuple:
@@ -82,19 +82,14 @@ def unit(i: int, coeff: Fraction = ONE) -> tuple:
     return ((i, coeff),)
 
 
-def tensor_supports(tensor) -> tuple:
-    """``supports[i][j]``: the nonzero ``(k, c)`` pairs of cell ``t[i][j]``."""
-    return tuple(tuple(nonzero(cell) for cell in plane) for plane in tensor)
-
-
-def add_bilinear(out, supports, xs, ys):
+def add_bilinear(out, cells, xs, ys):
     """``out += sum_{i,j} x_i y_j t[i][j]`` for the tensor ``t`` with the
-    given cell supports, ``x`` and ``y`` given as ``(index, coefficient)``
+    given cells, ``x`` and ``y`` given as ``(index, coefficient)``
     pairs; ``out`` is a dense list or a mapping that reads a missing index
     as zero, and is returned.  Brackets, products, axiom residuals and
     operator products all evaluate through this one loop."""
     for i, a in xs:
-        row = supports[i]
+        row = cells[i]
         for j, b in ys:
             # a side of ``ONE`` or ``MINUS_ONE`` (a basis vector or its
             # negative) costs no product
@@ -118,7 +113,7 @@ class LieAlgebra:
     """An exact-rational Lie algebra given by structure constants."""
 
     dim: int
-    brackets: tuple  # brackets[i][j] is the component vector of [e_i, e_j]
+    cells: tuple  # cells[i][j]: the nonzero (k, c) of [e_i, e_j], ascending k
     name: str = field(default="", compare=False)
 
     @staticmethod
@@ -128,7 +123,19 @@ class LieAlgebra:
         Antisymmetry is enforced by construction; the Jacobi identity is not
         (use :meth:`jacobi_residuals` / :meth:`is_lie` to check it).
         """
-        return LieAlgebra(dim, _tensor_from_table(dim, table), name)
+        entries = defaultdict(lambda: ZERO)
+        for (i, j), component in table.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"bracket index ({i},{j}) out of range for dim {dim}")
+            if i == j:
+                raise ValueError(f"bracket [e{i},e{i}] must be zero")
+            for k, coeff in component.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"component index {k} out of range for dim {dim}")
+                value = frac(coeff)
+                entries[i, j, k] += value
+                entries[j, i, k] -= value
+        return LieAlgebra(dim, canonical_cells(dim, entries), name)
 
     @staticmethod
     def abelian(dim: int, name: str = "") -> "LieAlgebra":
@@ -139,18 +146,17 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _supports(self) -> tuple:
-        return tensor_supports(self.brackets)
+    def brackets(self) -> tuple:
+        """``brackets[i][j]``: the dense component vector of ``[e_i, e_j]``."""
+        return dense_tensor(self.dim, self.cells)
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        return tuple(
-            add_bilinear([ZERO] * self.dim, self._supports, nonzero(x), nonzero(y))
-        )
+        return tuple(add_bilinear([ZERO] * self.dim, self.cells, nonzero(x), nonzero(y)))
 
     def _bracket_row(self, xs, ys) -> dict[int, Fraction]:
         """``[x, y]`` for ``x``, ``y`` as ``(index, coefficient)`` pairs, as
         the sparse row of its nonzero entries."""
-        out = add_bilinear(defaultdict(lambda: ZERO), self._supports, xs, ys)
+        out = add_bilinear(defaultdict(lambda: ZERO), self.cells, xs, ys)
         return {k: c for k, c in out.items() if c}
 
     def basis_vector(self, i: int) -> Vector:
@@ -166,7 +172,7 @@ class LieAlgebra:
 
     @cached_property
     def _jacobi_residuals(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
-        sup = self._supports
+        cells = self.cells
         bad = []
         n = self.dim
         units = [unit(i) for i in range(n)]
@@ -174,9 +180,9 @@ class LieAlgebra:
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     total = [ZERO] * n
-                    add_bilinear(total, sup, sup[i][j], units[k])
-                    add_bilinear(total, sup, sup[j][k], units[i])
-                    add_bilinear(total, sup, sup[k][i], units[j])
+                    add_bilinear(total, cells, cells[i][j], units[k])
+                    add_bilinear(total, cells, cells[j][k], units[i])
+                    add_bilinear(total, cells, cells[k][i], units[j])
                     if any(total):
                         bad.append(((i, j, k), tuple(total)))
         return tuple(bad)
@@ -253,7 +259,7 @@ class LieAlgebra:
     def _center(self) -> Subspace:
         # x central iff sum_i x_i c[i][j][k] = 0 for all j, k.
         rows: dict = {}
-        for i, plane in enumerate(self._supports):
+        for i, plane in enumerate(self.cells):
             for j, cell in enumerate(plane):
                 for k, c in cell:
                     linalg.add_entry(rows, (j, k), i, c)
@@ -267,12 +273,12 @@ class LieAlgebra:
         # K[i][j] = tr(ad e_i ad e_j) = sum_{k,m} c[i][m][k] c[j][k][m]
         n = self.dim
         at = defaultdict(list)  # (k, m) -> the nonzero (j, c[j][k][m])
-        for j, plane in enumerate(self._supports):
+        for j, plane in enumerate(self.cells):
             for k, cell in enumerate(plane):
                 for m, c in cell:
                     at[k, m].append((j, c))
         rows = [[ZERO] * n for _ in range(n)]
-        for i, plane in enumerate(self._supports):
+        for i, plane in enumerate(self.cells):
             for m, cell in enumerate(plane):
                 for k, a in cell:
                     for j, b in at.get((k, m), ()):
@@ -307,7 +313,7 @@ class LieAlgebra:
     # ------------------------------------------------------------------
 
     def is_abelian(self) -> bool:
-        return not any(any(plane) for plane in self._supports)
+        return not any(any(plane) for plane in self.cells)
 
     def is_perfect(self) -> bool:
         return self.derived_subalgebra().dim == self.dim
@@ -358,7 +364,7 @@ class LieAlgebra:
         """
         n = self.dim
         rows: dict = {}
-        for i, plane in enumerate(self._supports):
+        for i, plane in enumerate(self.cells):
             for j, cell in enumerate(plane):
                 for k, c in cell:
                     if i < j:  # c[i][j][m] D[r][m], m = k, in row (i, j, r)
@@ -378,13 +384,13 @@ class LieAlgebra:
     def is_derivation(self, matrix: Matrix) -> bool:
         """Whether ``D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j]`` for all ``i < j``."""
         n = self.dim
-        sup = self._supports
+        cells = self.cells
         cols = [nonzero(col) for col in linalg.transpose(matrix)]
         for i in range(n):
             for j in range(i + 1, n):
-                rhs = add_bilinear([ZERO] * n, sup, cols[i], unit(j))
-                add_bilinear(rhs, sup, unit(i), cols[j])
-                if add_bilinear([ZERO] * n, (cols,), unit(0), sup[i][j]) != rhs:
+                rhs = add_bilinear([ZERO] * n, cells, cols[i], unit(j))
+                add_bilinear(rhs, cells, unit(i), cols[j])
+                if add_bilinear([ZERO] * n, (cols,), unit(0), cells[i][j]) != rhs:
                     return False
         return True
 
@@ -393,15 +399,20 @@ class LieAlgebra:
         return self.center().dim == 0 and len(self._derivations) == self.dim
 
     def ad_closure(self, seed: Subspace) -> Subspace:
-        """Smallest ideal containing the given subspace: each step spans
-        the current rows and their brackets with the basis."""
-        current = seed
-        full = self.full_space()
+        """Smallest ideal containing the given subspace.  Each step brackets
+        the basis only with the rows the step before added: those of the
+        new span whose pivot is new, which complete the old span.  It stops
+        when no bracket leaves a remainder against the span so far."""
+        current, added = seed, seed.rows
+        basis = self.full_space().rows
         while True:
-            nxt = Subspace.span(self.dim, [*current._rows(), *self._brackets(full, current)])
-            if nxt.dim == current.dim:
-                return nxt
-            current = nxt
+            brackets = (self._bracket_row(u, v) for u in basis for v in added)
+            remainders = [r for r in brackets if linalg.reduce_row(r, current._tails)]
+            if not remainders:
+                return current
+            grown = Subspace.span(self.dim, current._rows() + remainders)
+            added = [row for row in grown.rows if row[0][0] not in current._tails]
+            current = grown
 
     @cached_property
     def _basis_closures(self) -> tuple[Subspace, ...]:
@@ -465,7 +476,7 @@ class LieAlgebra:
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for a, i in enumerate(section):
             for b in range(a + 1, len(section)):
-                w = linalg.reduce_row(dict(self._supports[i][section[b]]), ideal._tails)
+                w = linalg.reduce_row(dict(self.cells[i][section[b]]), ideal._tails)
                 if w:
                     table[(a, b)] = {position[k]: x for k, x in w.items()}
         return LieAlgebra.from_table(len(section), table)
@@ -474,7 +485,7 @@ class LieAlgebra:
         """The i<j sparse form of the bracket tensor."""
         return {
             (i, j): dict(cell)
-            for i, plane in enumerate(self._supports)
+            for i, plane in enumerate(self.cells)
             for j, cell in enumerate(plane)
             if i < j and cell
         }

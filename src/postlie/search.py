@@ -16,7 +16,7 @@ Three stages, cheapest first:
   is a sign pattern on ``n``: ``n``'s bracket within the first part, its
   negation within the second, and zero across the two.  A subset yields a
   witness only when the bracket of ``g`` equals that pattern entry for
-  entry; the test compares the cell supports of the two brackets, with no
+  entry; the test compares the cells of the two brackets, with no
   linear algebra, and the operator and its product are built only for a
   subset that matches.
 * **S3 — bounded quadratic search.**  The remaining quadratic axiom (2) is
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .liealg import LieAlgebra, add_bilinear, nonzero
+from .liealg import LieAlgebra, add_bilinear, canonical_cells, nonzero
 from .structures import (
     PAProduct,
     _units,
@@ -128,17 +128,14 @@ class SolutionSpace:
         if len(coefficients) != len(self.basis):
             raise ValueError("need one coefficient per basis vector")
         d = self.dim
-        flat = [linalg.ZERO] * d**3
-        for index, y in self.particular:
-            flat[index] = y
+        flat = dict(self.particular)
         for c, vec in zip(coefficients, self.basis):
             c = linalg.frac(c)
             if c != 0:
                 for index, y in vec:
-                    flat[index] += c * y
-        cells = [tuple(flat[s : s + d]) for s in range(0, d**3, d)]
-        tensor = tuple(tuple(cells[s : s + d]) for s in range(0, d * d, d))
-        return PAProduct(dim=d, tensor=tensor)
+                    flat[index] = flat.get(index, linalg.ZERO) + c * y
+        entries = {(index // d // d, index // d % d, index % d): y for index, y in flat.items()}
+        return PAProduct(d, canonical_cells(d, entries))
 
     def contains(self, product: PAProduct) -> bool:
         """Exact membership: the product's offset from ``particular`` adds
@@ -147,7 +144,7 @@ class SolutionSpace:
             return False
         d = self.dim
         offset = {index: -y for index, y in self.particular}
-        for i, plane in enumerate(product._supports):
+        for i, plane in enumerate(product.cells):
             for j, cell in enumerate(plane):
                 for k, y in cell:
                     index = (i * d + j) * d + k
@@ -190,8 +187,8 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
         #     = cg[i][j][k] - cn[i][j][k], the right-hand side at ``cols``.
         for i in range(d):
             for j in range(i + 1, d):
-                rhs = add_bilinear([linalg.ZERO] * d, g._supports, plus[i], plus[j])
-                add_bilinear(rhs, n._supports, minus[i], plus[j])
+                rhs = add_bilinear([linalg.ZERO] * d, g.cells, plus[i], plus[j])
+                add_bilinear(rhs, n.cells, minus[i], plus[j])
                 for k in range(d):
                     row = {i * nder + alpha: v for alpha, v in at.get((k, j), ())}
                     row.update((j * nder + alpha, -v) for alpha, v in at.get((k, i), ()))
@@ -223,23 +220,23 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
 
 
 def _axiom2_holds(cg, p, units) -> bool:
-    """Exact check of the representation axiom (2) on the cell supports
-    ``cg`` of ``g``'s bracket and ``p`` of a product, with ``units`` in
-    their coefficient ring: stops at the first nonzero residual."""
+    """Exact check of the representation axiom (2) on the cells ``cg`` of
+    ``g``'s bracket and ``p`` of a product, with ``units`` in their
+    coefficient ring: stops at the first nonzero residual."""
     return next(axiom2_kernel(cg, p, units), None) is None
 
 
 def _integer_bracket(g: LieAlgebra, space: SolutionSpace) -> tuple[int, tuple]:
     """The lcm of every denominator in ``g``'s bracket and in the particular
-    solution and basis of ``space``, and the cell supports of that multiple
+    solution and basis of ``space``, and the cells of that multiple
     of ``g``'s bracket, an integer tensor."""
-    cells = [cell for plane in g._supports for cell in plane]
+    cells = [cell for plane in g.cells for cell in plane]
     scale = math.lcm(
         *(c.denominator for vec in (*cells, space.particular, *space.basis) for _, c in vec)
     )
     return scale, tuple(
         tuple(tuple((k, int(c * scale)) for k, c in cell) for cell in plane)
-        for plane in g._supports
+        for plane in g.cells
     )
 
 
@@ -247,7 +244,7 @@ def _integer_grid(space: SolutionSpace, scale: int, height: int):
     """The points of the grid ``[-height, height]**free`` on the free
     parameters of ``space``, in lexicographic order (last digit fastest,
     starting at every digit ``-height``), each as its digits together with
-    the cell supports of ``scale`` times the product there.
+    the cells of ``scale`` times the product there.
 
     ``scale`` must clear every denominator of ``space``, so that those
     products are integer tensors.  Stepping to the next point adds in only
@@ -311,7 +308,7 @@ def _split_descends(g: LieAlgebra, n: LieAlgebra, subset: Sequence[int]) -> bool
         first[i] = True
     for i in range(d):
         for j in range(d):
-            gc, nc = g._supports[i][j], n._supports[i][j]
+            gc, nc = g.cells[i][j], n.cells[i][j]
             if first[i] != first[j]:
                 if gc:
                     return False

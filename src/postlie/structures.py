@@ -22,12 +22,12 @@ product structure on ``(g, n)`` where ``g`` carries the descendent bracket
 trivial center and surjective inner-derivation map among complete algebras,
 and the two notions diverge in general.
 
-A :class:`PAProduct` caches the sparse supports of its tensor as an
-algebra does, and every product, residual and operator product runs on
-those supports through the one kernel :func:`~postlie.liealg.add_bilinear`;
-no computation reads the dense ``tensor`` or ``brackets``, which stay as
-stored data for equality and output.  One skew-plus,
-``t[i][j] - t[j][i] + w {e_i, e_j}`` on the supports of ``t``, is the
+A :class:`PAProduct` stores the canonical cells of its tensor as an
+algebra does (:func:`~postlie.liealg.canonical_cells`; the dense ``tensor``
+is a view for tests and output), and every product, residual and operator
+product runs on those cells through the one kernel
+:func:`~postlie.liealg.add_bilinear`.  One skew-plus,
+``t[i][j] - t[j][i] + w {e_i, e_j}`` on the cells of ``t``, is the
 induced bracket of a product (``w = 1``), with ``g``'s cell taken off the
 axiom-1 residual, and, for ``t[i][j] = {R e_i, e_j}`` (the product of a
 weight-one operator), the descendent bracket; the operator identity
@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, Vector, frac
-from .liealg import MINUS_ONE, LieAlgebra, add_bilinear, nonzero, tensor_supports, unit
+from .liealg import MINUS_ONE, LieAlgebra, add_bilinear, canonical_cells, dense_tensor, nonzero, unit
 from .subspace import Subspace, coordinate_set
 
 ProductTable = Mapping[tuple[int, int], Mapping[int, object]]
@@ -64,10 +64,10 @@ def _vec_str(v: Sequence[Fraction]) -> list[str]:
 
 @dataclass(frozen=True)
 class PAProduct:
-    """Bilinear product stored as a dense tensor ``p[i][j] = e_i . e_j``."""
+    """Bilinear product stored as the canonical cells of ``e_i . e_j``."""
 
     dim: int
-    tensor: tuple  # tensor[i][j] is the coordinate vector of e_i . e_j
+    cells: tuple  # cells[i][j]: the nonzero (k, c) of e_i . e_j, ascending k
     name: str = field(default="", compare=False)
 
     @staticmethod
@@ -77,38 +77,33 @@ class PAProduct:
         Unlike a bracket table the product is not antisymmetrized: the
         entry for ``(i, j)`` defines ``e_i . e_j`` only.
         """
-        tensor = [[[linalg.ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        entries = {}
         for (i, j), components in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product index ({i}, {j}) out of range")
             for k, coeff in components.items():
                 if not 0 <= k < dim:
                     raise ValueError(f"product target {k} out of range")
-                tensor[i][j][k] = frac(coeff)
-        return PAProduct(
-            dim=dim,
-            tensor=tuple(tuple(tuple(row) for row in plane) for plane in tensor),
-            name=name,
-        )
+                entries[i, j, k] = frac(coeff)
+        return PAProduct(dim, canonical_cells(dim, entries), name)
 
     @staticmethod
     def zero(dim: int, name: str = "") -> "PAProduct":
         return PAProduct.from_table(dim, {}, name)
 
     @cached_property
-    def _supports(self) -> tuple:
-        return tensor_supports(self.tensor)
+    def tensor(self) -> tuple:
+        """``tensor[i][j]``: the dense coordinate vector of ``e_i . e_j``."""
+        return dense_tensor(self.dim, self.cells)
 
     def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        return tuple(
-            add_bilinear([linalg.ZERO] * self.dim, self._supports, nonzero(x), nonzero(y))
-        )
+        return tuple(add_bilinear([linalg.ZERO] * self.dim, self.cells, nonzero(x), nonzero(y)))
 
     def left_mult(self, x: Sequence[Fraction]) -> Matrix:
         """Matrix of ``L(x): y -> x . y`` (columns are ``x . e_j``)."""
         xs = nonzero(x)
         cols = [
-            add_bilinear([linalg.ZERO] * self.dim, self._supports, xs, unit(j))
+            add_bilinear([linalg.ZERO] * self.dim, self.cells, xs, unit(j))
             for j in range(self.dim)
         ]
         return linalg.transpose(cols)
@@ -116,13 +111,13 @@ class PAProduct:
     def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         return {
             (i, j): dict(cell)
-            for i, plane in enumerate(self._supports)
+            for i, plane in enumerate(self.cells)
             for j, cell in enumerate(plane)
             if cell
         }
 
     def is_zero(self) -> bool:
-        return not any(any(plane) for plane in self._supports)
+        return not any(any(plane) for plane in self.cells)
 
 
 def induced_bracket(n: LieAlgebra, product: PAProduct, name: str = "") -> LieAlgebra:
@@ -133,7 +128,7 @@ def induced_bracket(n: LieAlgebra, product: PAProduct, name: str = "") -> LieAlg
     """
     if product.dim != n.dim:
         raise ValueError("product and algebra dimensions differ")
-    cells = _skew_plus(product._supports, n, 1)
+    cells = _skew_plus(product.cells, n, 1)
     return LieAlgebra.from_table(
         n.dim, {ij: dict(nonzero(cell)) for ij, cell in cells}, name or f"induced({n.name})"
     )
@@ -141,15 +136,15 @@ def induced_bracket(n: LieAlgebra, product: PAProduct, name: str = "") -> LieAlg
 
 def _skew_plus(t, n: LieAlgebra, w):
     """``((i, j), r)`` for each ``i < j`` in lexicographic order, ``r`` the
-    coordinate list of ``t[i][j] - t[j][i] + w {e_i, e_j}`` for the cell
-    supports ``t`` (see the module docstring for its four uses)."""
+    coordinate list of ``t[i][j] - t[j][i] + w {e_i, e_j}`` for the cells
+    ``t`` (see the module docstring for its four uses)."""
     d = n.dim
     plus, minus, _ = _units(d)
     for i in range(d):
         for j in range(i + 1, d):
             res = add_bilinear([linalg.ZERO] * d, t, plus[i], plus[j])
             add_bilinear(res, t, minus[j], plus[i])
-            yield (i, j), add_bilinear(res, n._supports, unit(i, w), plus[j])
+            yield (i, j), add_bilinear(res, n.cells, unit(i, w), plus[j])
 
 
 @dataclass(frozen=True)
@@ -216,11 +211,11 @@ def axiom2_residuals(g: LieAlgebra, product: PAProduct):
     ``r = [e_i, e_j]_g . e_k - e_i . (e_j . e_k) + e_j . (e_i . e_k)``,
     generated lazily for ``i < j`` and every ``k`` in lexicographic order.
     """
-    return axiom2_kernel(g._supports, product._supports, _units(g.dim))
+    return axiom2_kernel(g.cells, product.cells, _units(g.dim))
 
 
 def axiom2_kernel(cg, p, units):
-    """:func:`axiom2_residuals` on cell supports: ``cg`` of the bracket of
+    """:func:`axiom2_residuals` on cells: ``cg`` of the bracket of
     ``g``, ``p`` of the product, and ``units`` from :func:`_units` in the
     same coefficient ring.
 
@@ -247,7 +242,7 @@ def axiom3_residuals(n: LieAlgebra, product: PAProduct):
     every ``i`` and ``j < k`` in lexicographic order.
     """
     d = n.dim
-    p, cn = product._supports, n._supports
+    p, cn = product.cells, n.cells
     plus, minus, _ = _units(d)
     for i in range(d):
         for j in range(d):
@@ -266,8 +261,8 @@ def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerificatio
         raise ValueError("g, n and the product must share one dimension")
     plus, minus, _ = _units(n.dim)
     axiom1 = []
-    for (i, j), res in _skew_plus(product._supports, n, 1):
-        add_bilinear(res, g._supports, minus[i], plus[j])
+    for (i, j), res in _skew_plus(product.cells, n, 1):
+        add_bilinear(res, g.cells, minus[i], plus[j])
         if any(res):
             axiom1.append(((i, j), tuple(res)))
 
@@ -334,7 +329,7 @@ class RBVerification:
 
 def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple[list, tuple]:
     """``R e_i`` as ``(index, coefficient)`` pairs, for each ``i``, and the
-    cell supports of ``t[i][j] = {R e_i, e_j}`` that the operator functions
+    canonical cells of ``t[i][j] = {R e_i, e_j}`` that the operator functions
     share.  As the one-row table ``(columns,)`` the kernel applies ``R`` to
     a vector."""
     if op.dim != n.dim:
@@ -342,7 +337,7 @@ def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple[list, tuple]:
     d = n.dim
     cols = [nonzero(col) for col in linalg.transpose(op.matrix)]
     return cols, tuple(
-        tuple(nonzero(add_bilinear([linalg.ZERO] * d, n._supports, col, unit(j))) for j in range(d))
+        tuple(nonzero(add_bilinear([linalg.ZERO] * d, n.cells, col, unit(j))) for j in range(d))
         for col in cols
     )
 
@@ -354,7 +349,7 @@ def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
     cols, t = _operator_products(n, op)
     residuals = []
     for (i, j), cell in _skew_plus(t, n, op.weight):
-        res = add_bilinear([linalg.ZERO] * n.dim, n._supports, cols[i], cols[j])
+        res = add_bilinear([linalg.ZERO] * n.dim, n.cells, cols[i], cols[j])
         add_bilinear(res, (cols,), unit(0, MINUS_ONE), nonzero(cell))
         if any(res):
             residuals.append(((i, j), tuple(res)))
@@ -381,9 +376,7 @@ def pa_from_rb(n: LieAlgebra, op: RBOperator, name: str = "") -> PAProduct:
     """
     if op.weight != 1:
         raise ValueError("only weight-one operators induce a product this way")
-    t = _operator_products(n, op)[1]
-    table = {(i, j): dict(cell) for i, plane in enumerate(t) for j, cell in enumerate(plane)}
-    return PAProduct.from_table(n.dim, table, name or f"op-product({n.name})")
+    return PAProduct(n.dim, _operator_products(n, op)[1], name or f"op-product({n.name})")
 
 
 def solve_rb_form(n: LieAlgebra, product: PAProduct) -> RBOperator | None:
@@ -398,12 +391,12 @@ def solve_rb_form(n: LieAlgebra, product: PAProduct) -> RBOperator | None:
     # x . y = {Rx, y}: a[i][j][k] = sum_r R[r][i] c[r][j][k], unknowns
     # R[r][i] at column r*d + i and the right-hand side at column d*d
     rows: dict = {}
-    for r, plane in enumerate(n._supports):
+    for r, plane in enumerate(n.cells):
         for j, cell in enumerate(plane):
             for k, c in cell:
                 for i in range(d):
                     linalg.add_entry(rows, (i, j, k), r * d + i, c)
-    for i, plane in enumerate(product._supports):
+    for i, plane in enumerate(product.cells):
         for j, cell in enumerate(plane):
             for k, a in cell:
                 linalg.add_entry(rows, (i, j, k), d * d, a)
@@ -468,7 +461,7 @@ def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator
     other coordinates: -1 on the diagonal outside ``coords``, 0 elsewhere."""
     chosen = coordinate_set(n.dim, coords)
     for part, label in ((chosen, "first"), (set(range(n.dim)) - chosen, "second")):
-        if any(k not in part for i in part for j in part for k, _ in n._supports[i][j]):
+        if any(k not in part for i in part for j in part for k, _ in n.cells[i][j]):
             raise ValueError(f"{label} subspace is not a subalgebra")
     matrix = tuple(
         tuple(MINUS_ONE if r == c and r not in chosen else linalg.ZERO for c in range(n.dim))
@@ -576,8 +569,8 @@ def verify_double_embedding(phi: DoubleEmbedding, g: LieAlgebra, n: LieAlgebra) 
         cols = [nonzero(col) for col in linalg.transpose(block)]
         for i in range(d):
             for j in range(i + 1, d):
-                image = add_bilinear([linalg.ZERO] * d, (cols,), unit(0), g._supports[i][j])
-                if image != add_bilinear([linalg.ZERO] * d, n._supports, cols[i], cols[j]):
+                image = add_bilinear([linalg.ZERO] * d, (cols,), unit(0), g.cells[i][j])
+                if image != add_bilinear([linalg.ZERO] * d, n.cells, cols[i], cols[j]):
                     return False
     diff = tuple(
         tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(phi.j1, phi.j2)

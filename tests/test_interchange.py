@@ -264,6 +264,19 @@ def test_metadata_validation():
         )  # wrong vector length
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"basis": ["a", "a", "b"]}, "3 distinct nonempty strings"),
+        ({"metadata": {"subspaces": {"x": [[1, 2]]}}}, "subspace x: each vector needs 3"),
+        ({"metadata": {"other": 1}}, r"unknown metadata fields \['other'\]"),
+    ],
+)
+def test_serialize_refuses_what_the_parser_refuses(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        serialize(get_algebra("sl2"), **kwargs)
+
+
 def test_filename_appears_in_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")

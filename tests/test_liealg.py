@@ -14,6 +14,7 @@ from postlie import linalg
 from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra, direct_sum, fingerprint, semidirect_product
 from postlie.sl2 import irreducible_action, module_action, semidirect, sl2
+from postlie.structures import PAProduct
 from postlie.subspace import Subspace
 from postlie.table import CLASSES, existence_table
 
@@ -190,11 +191,12 @@ def _in_basis(alg, columns):
     """The same algebra written in the basis ``columns`` (coordinate vectors)."""
     change = linalg.transpose(linalg.mat(columns))
     back = linalg.inverse(change)
-    brackets = tuple(
-        tuple(linalg.matvec(back, alg.bracket(change_i, change_j)) for change_j in columns)
-        for change_i in columns
-    )
-    return LieAlgebra(alg.dim, brackets)
+    table = {
+        (i, j): dict(enumerate(linalg.matvec(back, alg.bracket(columns[i], columns[j]))))
+        for i in range(alg.dim)
+        for j in range(i + 1, alg.dim)
+    }
+    return LieAlgebra.from_table(alg.dim, table)
 
 
 # (catalog id, new basis as coordinate columns, dim and class of the
@@ -378,7 +380,7 @@ def _ad_closure_reference(brackets, units, seed):
 
 
 @pytest.mark.parametrize(
-    "alg_id", ["sl2", "n3", "r2_plus_C", "gl2", "r2_plus_r2", "L5_1", "sl2_plus_C2", "n5"]
+    "alg_id", ["sl2", "n3", "r2_plus_C", "gl2", "r2_plus_r2", "L5_1", "sl2_plus_C2", "n5", "sl3"]
 )
 def test_ad_closure_matches_the_dense_fixpoint(alg_id):
     alg = get_algebra(alg_id)
@@ -386,6 +388,11 @@ def test_ad_closure_matches_the_dense_fixpoint(alg_id):
     for i, seed in enumerate(units):
         closure = alg.ad_closure(Subspace.spanned_by_coordinates(alg.dim, [i]))
         assert closure.basis == _ad_closure_reference(alg.brackets, units, seed), (alg_id, i)
+    # seeded, as the radical rules seed it, with each row of the radical
+    radical = alg.solvable_radical()
+    for r, (row, seed) in enumerate(zip(radical.rows, radical.basis)):
+        closure = alg.ad_closure(Subspace(alg.dim, (row,)))
+        assert closure.basis == _ad_closure_reference(alg.brackets, units, seed), (alg_id, "radical", r)
 
 
 def test_minimal_coordinate_ideals_of_double_sum():
@@ -479,7 +486,7 @@ def test_fresh_copies_agree_with_cached_invariants_after_a_table_build():
         if get_entry(entry_id).builder is None:
             continue
         cached = get_algebra(entry_id)
-        fresh = LieAlgebra(cached.dim, cached.brackets)
+        fresh = LieAlgebra(cached.dim, cached.cells)
         assert fingerprint(fresh) == fingerprint(cached), entry_id
         for c in CLASSES:
             predicate = f"is_{c}"
@@ -487,6 +494,45 @@ def test_fresh_copies_agree_with_cached_invariants_after_a_table_build():
                 entry_id,
                 c,
             )
+
+
+# one bracket table: [e0, e1] = e2, [e0, e2] = -2 e0 + e2/2, [e1, e2] = 3 e1
+TABLE = {(0, 1): {2: 1}, (0, 2): {0: -2, 2: F(1, 2)}, (1, 2): {1: 3}}
+
+
+def _dense(table, antisymmetric):
+    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), cell in table.items():
+        for k, x in cell.items():
+            c[i][j][k] += x
+            if antisymmetric:
+                c[j][i][k] -= x
+    return tuple(tuple(map(tuple, plane)) for plane in c)
+
+
+def test_from_table_stores_one_canonical_form():
+    same_bracket = [
+        {(1, 2): {1: 3}, (0, 2): {2: F(1, 2), 0: -2}, (0, 1): {2: 1}},  # key order
+        {(0, 1): {2: 1, 0: 0}, (0, 2): {0: -2, 2: F(1, 2)}, (1, 2): {1: 3, 2: 0}},  # zeros
+        {(1, 0): {2: -1}, (0, 2): {0: -2, 2: F(1, 2)}, (2, 1): {1: -3}},  # (j, i), negated
+    ]
+    alg = LieAlgebra.from_table(3, TABLE)
+    assert alg.cells[0][2] == ((0, F(-2)), (2, F(1, 2)))
+    assert alg.cells[2][0] == ((0, F(2)), (2, F(-1, 2)))
+    assert alg.brackets == _dense(TABLE, antisymmetric=True)
+    for table in same_bracket:
+        other = LieAlgebra.from_table(3, table, name="other")
+        assert other.cells == alg.cells and other == alg and hash(other) == hash(alg)
+        assert other.brackets == alg.brackets
+
+    same_product = same_bracket[:2]
+    product = PAProduct.from_table(3, TABLE)
+    assert product.cells[1] == ((), (), ((1, F(3)),))
+    assert product.tensor == _dense(TABLE, antisymmetric=False)
+    for table in same_product:
+        other = PAProduct.from_table(3, table, name="other")
+        assert other.cells == product.cells and other == product
+        assert hash(other) == hash(product) and other.tensor == product.tensor
 
 
 def test_build_determinism():

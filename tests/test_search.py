@@ -96,15 +96,10 @@ def _raw_rows_hold(rows, rhs, product):
 
 def _perturbed(product, index):
     d = product.dim
-    flat = _flat(product)
-    flat[index] += 1
-    return PAProduct(
-        dim=d,
-        tensor=tuple(
-            tuple(tuple(flat[(i * d + j) * d : (i * d + j + 1) * d]) for j in range(d))
-            for i in range(d)
-        ),
-    )
+    table = product.sparse_table()
+    cell = table.setdefault((index // d // d, index // d % d), {})
+    cell[index % d] = cell.get(index % d, 0) + 1
+    return PAProduct.from_table(d, table)
 
 
 @pytest.mark.parametrize("sample_id", sample_ids())
@@ -179,7 +174,7 @@ def test_axiom2_check_on_the_wide_space_matches_the_definition(coefficients):
     candidate = _wide_space().product_at(coefficients)
     expected = axiom2_reference(g, candidate)
     assert verify_pa(g, n, candidate).axiom2 == expected
-    assert _axiom2_holds(g._supports, candidate._supports, _units(g.dim)) == (not expected)
+    assert _axiom2_holds(g.cells, candidate.cells, _units(g.dim)) == (not expected)
 
 
 def test_linear_infeasible_pair_is_verified_negative():

@@ -362,25 +362,10 @@ def test_axiom2_residuals_match_the_definition(data):
     # a verified sample product, changed in a few random coefficients (or
     # in none, so both outcomes of the check are drawn)
     g, n, product = data.draw(st.sampled_from(_verified_triples()), label="sample")
-    d = g.dim
-    index = st.integers(min_value=0, max_value=d - 1)
-    changes = data.draw(
-        st.dictionaries(
-            st.tuples(index, index, index),
-            st.fractions(min_value=-2, max_value=2, max_denominator=3),
-            max_size=3,
-        ),
-        label="changes",
-    )
-    tensor = [[list(cell) for cell in plane] for plane in product.tensor]
-    for (i, j, k), c in changes.items():
-        tensor[i][j][k] += c
-    candidate = PAProduct(
-        dim=d, tensor=tuple(tuple(tuple(cell) for cell in plane) for plane in tensor)
-    )
+    candidate = _perturbed_product(data, product, "changes")
     expected = axiom2_reference(g, candidate)
     assert verify_pa(g, n, candidate).axiom2 == expected
-    assert _axiom2_holds(g._supports, candidate._supports, _units(d)) == (not expected)
+    assert _axiom2_holds(g.cells, candidate.cells, _units(g.dim)) == (not expected)
 
 
 # ----------------------------------------------------------------------
@@ -409,17 +394,18 @@ def _perturbed_bracket(data, alg, label):
     return LieAlgebra.from_table(d, table)
 
 
-def _perturbed_tensor(data, tensor, label):
-    """A copy of a ``d x d x d`` tensor with up to three entries changed."""
-    d = len(tensor)
+def _perturbed_product(data, product, label):
+    """A copy of ``product`` with up to three entries of its tensor changed."""
+    d = product.dim
     index = st.integers(0, d - 1)
     changes = data.draw(
         st.dictionaries(st.tuples(index, index, index), small, max_size=3), label=label
     )
-    cells = [[list(cell) for cell in plane] for plane in tensor]
+    table = product.sparse_table()
     for (i, j, k), c in changes.items():
-        cells[i][j][k] += c
-    return tuple(tuple(tuple(cell) for cell in plane) for plane in cells)
+        cell = table.setdefault((i, j), {})
+        cell[k] = cell.get(k, 0) + c
+    return PAProduct.from_table(d, table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,8 +413,7 @@ def _perturbed_tensor(data, tensor, label):
 def test_bracket_and_product_match_the_bilinear_definition(data):
     alg = _perturbed_bracket(data, get_algebra(data.draw(st.sampled_from(KERNEL_IDS))), "bracket")
     d = alg.dim
-    zero = ((F(0),) * d,) * d
-    product = PAProduct(d, _perturbed_tensor(data, (zero,) * d, "product"))
+    product = _perturbed_product(data, PAProduct.zero(d), "product")
     x, y = (data.draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(2))
     assert alg.bracket(x, y) == bilinear_reference(alg.brackets, x, y)
     assert product.apply(x, y) == bilinear_reference(product.tensor, x, y)
@@ -444,7 +429,7 @@ def test_verify_pa_residuals_match_the_definitions(data):
     g, n, product = data.draw(st.sampled_from(_verified_triples()), label="sample")
     g = _perturbed_bracket(data, g, "g")
     n = _perturbed_bracket(data, n, "n")
-    product = PAProduct(g.dim, _perturbed_tensor(data, product.tensor, "product"))
+    product = _perturbed_product(data, product, "product")
     report = verify_pa(g, n, product)
     assert report.axiom1 == axiom1_reference(g, n, product)
     assert induced_bracket(n, product).brackets == induced_reference(n, product)
