@@ -56,6 +56,7 @@ from .search import pa_search
 from .structures import (
     PAProduct,
     RBOperator,
+    _violations,
     descendent_bracket,
     induced_bracket,
     pa_from_rb,
@@ -344,15 +345,7 @@ def _cmd_check_jacobi(args: argparse.Namespace) -> int:
         "command": "check jacobi",
         "name": name,
         "ok": not residuals,
-        "violations": [
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "k": k + 1,
-                "residual": [str(x) for x in res],
-            }
-            for (i, j, k), res in residuals
-        ],
+        "violations": _violations(residuals),
     }
     if args.json:
         _emit_json(report)

@@ -64,9 +64,9 @@ __all__ = [
 
 KINDS = ("algebra", "product", "operator", "embedding")
 
-# Largest accepted ``dim``: search builds S1's system in the dim**3 product
-# coefficients and steps S3 on a flat dim**3 grid, so the cap bounds memory
-# before anything is built.
+# Largest accepted ``dim``: search solves S1's system in dim * dim Der(n)
+# derivation coordinates (at most dim**3) and steps S3 on a flat dim**3
+# grid, so the cap bounds memory before anything is built.
 MAX_DIM = 64
 
 
@@ -178,6 +178,8 @@ def document_for(
         raise ValueError(f"basis labels must be {obj.dim} distinct nonempty strings")
     if name is None:
         name = getattr(obj, "name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {type(name).__name__}")
     doc = {"kind": kind, "name": name, "dim": obj.dim, "basis": list(labels), **body}
     if metadata:
         extra = sorted(set(metadata) - {"subspaces"})

@@ -2,10 +2,11 @@
 
 Three stages, cheapest first:
 
-* **S1 — linear feasibility.**  Axioms (1) and (3) of the product are linear
-  in the ``d**3`` product coefficients ``a[i][j][k]``.  The full affine
-  solution space of that subsystem is computed exactly; when it is empty the
-  search stops with a verified-negative certificate, because a rational
+* **S1 — linear feasibility.**  Axioms (1) and (3) of the product are linear.
+  S1 solves them in the ``d * dim Der(n)`` derivation coordinates of the
+  left multiplications ``L(e_i)``, which axiom (3) makes derivations of
+  ``n``.  The full affine solution space is computed exactly; when it is
+  empty the search stops with a verified-negative certificate, because a rational
   linear system that is inconsistent over the rationals stays inconsistent
   over every extension field.
 * **S2 — decomposition witnesses.**  Every splitting of the basis of ``n``
@@ -54,6 +55,7 @@ from . import linalg
 from .liealg import LieAlgebra, add_bilinear, canonical_cells, nonzero
 from .structures import (
     PAProduct,
+    _product_entries,
     _units,
     axiom2_kernel,
     pa_from_rb,
@@ -98,19 +100,22 @@ _UNIQUE_SOLUTION_FAILS_TEXT = (
 
 @dataclass(frozen=True)
 class SolutionSpace:
-    """Affine solution set of the linear axioms in flat coordinates.
+    """Affine solution set of the linear axioms in derivation coordinates.
 
-    Product coefficients are flattened as ``a[i][j][k]`` at index
-    ``(i*d + j)*d + k``, the coefficient of ``e_k`` in ``e_i . e_j``.
-    ``particular`` and each vector of the homogeneous ``basis`` are stored
-    sparse, as their nonzero ``(flat index, value)`` pairs in ascending
-    index order.  ``particular`` is ``None`` exactly when the system is
+    ``derivations`` is the canonical basis of ``Der(n)``, each ``D_alpha``
+    sparse as ``{k*d + j: D_alpha[k][j]}``.  A point ``x`` gives the left
+    multiplications ``L(e_i) = sum_alpha x[i][alpha] D_alpha``, with
+    ``x[i][alpha]`` at column ``i*len(derivations) + alpha``.
+    ``particular`` and each vector of the homogeneous ``basis`` are sparse
+    ``{column: value}`` vectors, as :func:`~postlie.linalg.solve_affine`
+    returns them.  ``particular`` is ``None`` exactly when the system is
     inconsistent; the linearly independent ``basis`` spans the difference
     set of any two solutions.
     """
 
     dim: int
-    particular: Optional[tuple]
+    derivations: tuple
+    particular: Optional[dict]
     basis: tuple
 
     @property
@@ -121,36 +126,43 @@ class SolutionSpace:
     def dimension(self) -> Optional[int]:
         return None if self.is_empty else len(self.basis)
 
+    def _entries(self, x: dict) -> dict:
+        """The product entries ``{(i, j, k): a}`` at the point ``x``."""
+        ders = self.derivations
+        left: dict = {}
+        for col, c in x.items():
+            i, alpha = divmod(col, len(ders))
+            for flat, v in ders[alpha].items():
+                linalg.add_entry(left, i, flat, c * v)
+        return _product_entries(self.dim, left)
+
     def product_at(self, coefficients: Sequence) -> PAProduct:
         """The product at ``particular + sum(c_b * basis_b)``."""
         if self.is_empty:
             raise ValueError("the solution space is empty")
         if len(coefficients) != len(self.basis):
             raise ValueError("need one coefficient per basis vector")
-        d = self.dim
-        flat = dict(self.particular)
-        for c, vec in zip(coefficients, self.basis):
-            c = linalg.frac(c)
-            if c != 0:
-                for index, y in vec:
-                    flat[index] = flat.get(index, linalg.ZERO) + c * y
-        entries = {(index // d // d, index // d % d, index % d): y for index, y in flat.items()}
-        return PAProduct(d, canonical_cells(d, entries))
+        x = dict(self.particular)
+        for c, vec in zip(map(linalg.frac, coefficients), self.basis):
+            if c:
+                for col, y in vec.items():
+                    x[col] = x.get(col, linalg.ZERO) + c * y
+        return PAProduct(self.dim, canonical_cells(self.dim, self._entries(x)))
 
     def contains(self, product: PAProduct) -> bool:
-        """Exact membership: the product's offset from ``particular`` adds
-        no rank to the basis."""
+        """Exact membership: each ``L(e_i)`` is a derivation, and their
+        coordinates' offset from ``particular`` adds no rank to the basis."""
         if self.is_empty or product.dim != self.dim:
             return False
-        d = self.dim
-        offset = {index: -y for index, y in self.particular}
-        for i, plane in enumerate(product.cells):
-            for j, cell in enumerate(plane):
-                for k, y in cell:
-                    index = (i * d + j) * d + k
-                    offset[index] = offset.get(index, linalg.ZERO) + y
-        rows = [dict(vec) for vec in self.basis]
-        return len(linalg.eliminate([*rows, offset])) == len(rows)
+        d, nder = self.dim, len(self.derivations)
+        left = ({k * d + j: v for j, cell in enumerate(row) for k, v in cell} for row in product.cells)
+        coords = linalg.coordinates(self.derivations, left, d * d)
+        if None in coords:
+            return False
+        offset = {i * nder + alpha: c for i, x in enumerate(coords) for alpha, c in x.items()}
+        for col, y in self.particular.items():
+            offset[col] = offset.get(col, linalg.ZERO) - y
+        return len(linalg.eliminate([*self.basis, offset])) == len(self.basis)
 
 
 def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
@@ -160,10 +172,10 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
     ``n``, so the solutions of (3) alone are exactly the tuples of ``d``
     derivations.  The space is therefore assembled in the coordinates of a
     derivation basis — one copy per left slot — and axiom (1) is solved in
-    those coordinates, as sparse rows over the nonzeros of the derivations,
-    before converting back to the flat ``a[i][j][k]`` form.  The returned
-    object is the same affine set the raw ``d**3`` system defines, just
-    computed through a faithful reparametrization.
+    those coordinates, as sparse rows over the nonzeros of the derivations.
+    The returned object is the same affine set the raw ``d**3`` system
+    defines, just computed through a faithful reparametrization, and no
+    product coefficient is built.
     """
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
@@ -171,12 +183,10 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
     ders = n._derivations
     nder = len(ders)
     cols = d * nder
-    # the nonzero (k, j, D_alpha[k][j]) of each sparse derivation D_alpha
-    entries = [[(*divmod(flat, d), v) for flat, v in der.items()] for der in ders]
     at = defaultdict(list)  # (k, j) -> the nonzero (alpha, D_alpha[k][j])
-    for alpha, nonzeros in enumerate(entries):
-        for k, j, v in nonzeros:
-            at[k, j].append((alpha, v))
+    for alpha, der in enumerate(ders):
+        for flat, v in der.items():
+            at[divmod(flat, d)].append((alpha, v))
 
     plus, minus, _ = _units(d)
 
@@ -197,21 +207,9 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
 
     solved = linalg.solve_affine(rows(), cols)
     if solved is None:
-        return SolutionSpace(dim=d, particular=None, basis=())
-
-    def to_flat(x: dict) -> tuple:
-        flat = {}
-        for col, c in x.items():
-            i, alpha = divmod(col, nder)
-            for k, j, v in entries[alpha]:
-                index = (i * d + j) * d + k
-                flat[index] = flat.get(index, linalg.ZERO) + c * v
-        return tuple(sorted((index, y) for index, y in flat.items() if y))
-
+        return SolutionSpace(dim=d, derivations=ders, particular=None, basis=())
     particular, basis = solved
-    return SolutionSpace(
-        dim=d, particular=to_flat(particular), basis=tuple(map(to_flat, basis))
-    )
+    return SolutionSpace(dim=d, derivations=ders, particular=particular, basis=basis)
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +224,14 @@ def _axiom2_holds(cg, p, units) -> bool:
     return next(axiom2_kernel(cg, p, units), None) is None
 
 
-def _integer_bracket(g: LieAlgebra, space: SolutionSpace) -> tuple[int, tuple]:
-    """The lcm of every denominator in ``g``'s bracket and in the particular
-    solution and basis of ``space``, and the cells of that multiple
-    of ``g``'s bracket, an integer tensor."""
+def _integer_bracket(g: LieAlgebra, images: Sequence[dict]) -> tuple[int, tuple]:
+    """The lcm of every denominator in ``g``'s bracket and in the product
+    entries ``images`` (not in the coordinates: a derivation basis has
+    denominators too), and the cells of that multiple of ``g``'s bracket."""
     cells = [cell for plane in g.cells for cell in plane]
     scale = math.lcm(
-        *(c.denominator for vec in (*cells, space.particular, *space.basis) for _, c in vec)
+        *(c.denominator for cell in cells for _, c in cell),
+        *(a.denominator for image in images for a in image.values()),
     )
     return scale, tuple(
         tuple(tuple((k, int(c * scale)) for k, c in cell) for cell in plane)
@@ -240,24 +239,27 @@ def _integer_bracket(g: LieAlgebra, space: SolutionSpace) -> tuple[int, tuple]:
     )
 
 
-def _integer_grid(space: SolutionSpace, scale: int, height: int):
+def _integer_grid(d: int, images: Sequence[dict], scale: int, height: int):
     """The points of the grid ``[-height, height]**free`` on the free
-    parameters of ``space``, in lexicographic order (last digit fastest,
-    starting at every digit ``-height``), each as its digits together with
-    the cells of ``scale`` times the product there.
+    parameters, in lexicographic order (last digit fastest, starting at
+    every digit ``-height``), each as its digits together with the cells of
+    ``scale`` times the product there.
 
-    ``scale`` must clear every denominator of ``space``, so that those
-    products are integer tensors.  Stepping to the next point adds in only
-    the basis vectors whose digit changed, and rebuilds only the cells they
-    touch.  The digit list is updated in place between points.
+    ``images`` holds the product entries of the particular solution, then
+    of each basis vector; ``scale`` must clear their denominators.  Stepping
+    to the next point adds in only the basis vectors whose digit changed,
+    and rebuilds only the cells they touch.  The digit list is updated in
+    place between points.
     """
-    d = space.dim
-    free = len(space.basis)
-    basis = [[(index, int(y * scale)) for index, y in vec] for vec in space.basis]
+    particular, *basis = (
+        [((i * d + j) * d + k, int(a * scale)) for (i, j, k), a in image.items()]
+        for image in images
+    )
+    free = len(basis)
     touched = [sorted({index // d for index, _ in vec}) for vec in basis]
     flat = [0] * d**3
-    for index, y in space.particular:
-        flat[index] = int(y * scale)
+    for index, y in particular:
+        flat[index] = y
     for vec in basis:
         for index, y in vec:
             flat[index] -= height * y
@@ -421,9 +423,10 @@ def pa_search(
     free = len(space.basis)
     height = int(grid_height)
     grid_size = (2 * height + 1) ** free
-    scale, cg = _integer_bracket(g, space)
+    images = [space._entries(x) for x in (space.particular, *space.basis)]
+    scale, cg = _integer_bracket(g, images)
     units = _units(d, 1)
-    grid = _integer_grid(space, scale, height)
+    grid = _integer_grid(d, images, scale, height)
     for points_checked, (digits, p) in itertools.islice(enumerate(grid, 1), budget):
         if not _axiom2_holds(cg, p, units):
             continue

@@ -30,9 +30,9 @@ product runs on those cells through the one kernel
 ``t[i][j] - t[j][i] + w {e_i, e_j}`` on the cells of ``t``, is the
 induced bracket of a product (``w = 1``), with ``g``'s cell taken off the
 axiom-1 residual, and, for ``t[i][j] = {R e_i, e_j}`` (the product of a
-weight-one operator), the descendent bracket; the operator identity
-compares ``{R e_i, R e_j}`` with ``R`` applied to that descendent cell,
-``R`` acting as the one-row table of its sparse columns.
+weight-one operator), the descendent bracket.  One homomorphism residual,
+``{phi e_i, phi e_j} - phi(c_ij)`` with ``phi`` the one-row table of its
+sparse columns, checks the operator identity and both embedding blocks.
 
 Everything is exact rational arithmetic; all verification functions return
 complete residual listings rather than booleans alone.
@@ -53,8 +53,13 @@ from .subspace import Subspace, coordinate_set
 ProductTable = Mapping[tuple[int, int], Mapping[int, object]]
 
 
-def _vec_str(v: Sequence[Fraction]) -> list[str]:
-    return [str(x) for x in v]
+def _violations(residuals) -> list[dict]:
+    """The JSON rows of a residual listing: the 1-based indices ``i, j``
+    (and ``k``) of each residual, then its coordinates as strings."""
+    return [
+        {**dict(zip("ijk", (t + 1 for t in index))), "residual": [str(x) for x in res]}
+        for index, res in residuals
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -183,18 +188,9 @@ class PAVerification:
             "axiom3_ok": not self.axiom3,
             "left_multiplication_is_representation": not self.axiom2,
             "left_multiplication_acts_by_derivations": not self.axiom3,
-            "axiom1_violations": [
-                {"i": i + 1, "j": j + 1, "residual": _vec_str(res)}
-                for (i, j), res in self.axiom1
-            ],
-            "axiom2_violations": [
-                {"i": i + 1, "j": j + 1, "k": k + 1, "residual": _vec_str(res)}
-                for (i, j, k), res in self.axiom2
-            ],
-            "axiom3_violations": [
-                {"i": i + 1, "j": j + 1, "k": k + 1, "residual": _vec_str(res)}
-                for (i, j, k), res in self.axiom3
-            ],
+            "axiom1_violations": _violations(self.axiom1),
+            "axiom2_violations": _violations(self.axiom2),
+            "axiom3_violations": _violations(self.axiom3),
         }
 
 
@@ -320,10 +316,7 @@ class RBVerification:
             "ok": self.ok,
             "n_jacobi_ok": self.n_jacobi_ok,
             "weight": str(self.weight),
-            "violations": [
-                {"i": i + 1, "j": j + 1, "residual": _vec_str(res)}
-                for (i, j), res in self.residuals
-            ],
+            "violations": _violations(self.residuals),
         }
 
 
@@ -347,15 +340,20 @@ def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:
     from the operator's sparse columns and the descendent's cells as
     :func:`_skew_plus` gives them; no algebra is built."""
     cols, t = _operator_products(n, op)
-    residuals = []
-    for (i, j), cell in _skew_plus(t, n, op.weight):
+    cells = ((ij, nonzero(cell)) for ij, cell in _skew_plus(t, n, op.weight))
+    residuals = tuple(_homomorphism_residuals(n, cols, cells))
+    return RBVerification(n_jacobi_ok=n.is_lie(), weight=op.weight, residuals=residuals)
+
+
+def _homomorphism_residuals(n: LieAlgebra, cols, cells):
+    """``((i, j), r)`` for each nonzero ``r = {phi e_i, phi e_j}_n - phi(c)``,
+    in the order of the ``((i, j), c)`` in ``cells``, for the linear map
+    ``phi`` with the sparse columns ``cols`` (the one-row table ``(cols,)``)."""
+    for (i, j), cell in cells:
         res = add_bilinear([linalg.ZERO] * n.dim, n.cells, cols[i], cols[j])
-        add_bilinear(res, (cols,), unit(0, MINUS_ONE), nonzero(cell))
+        add_bilinear(res, (cols,), unit(0, MINUS_ONE), cell)
         if any(res):
-            residuals.append(((i, j), tuple(res)))
-    return RBVerification(
-        n_jacobi_ok=n.is_lie(), weight=op.weight, residuals=tuple(residuals)
-    )
+            yield (i, j), tuple(res)
 
 
 def descendent_bracket(n: LieAlgebra, op: RBOperator, name: str = "") -> LieAlgebra:
@@ -498,15 +496,25 @@ def product_from_left_action(n: LieAlgebra, pairs: Sequence[Pair], name: str = "
     coords = linalg.coordinates(basis, ({i: linalg.ONE} for i in range(d)), d)
     if None in coords:
         raise ValueError("first components of the pairs do not span")
-    # e_i . e_j = L(e_i) e_j, column j of sum_a c_a D_a
-    table: dict = {}
+    # L(e_i) = sum_a c_a D_a, each D_a sparse as {k*d + j: D_a[k][j]}
+    ders = [nonzero([x for row in der for x in row]) for _, der in pairs]
+    left: dict = {}
     for i, coeffs in enumerate(coords):
         for a, c in coeffs.items():
-            for k, row in enumerate(pairs[a][1]):
-                for j, x in enumerate(row):
-                    if x:
-                        linalg.add_entry(table, (i, j), k, c * x)
-    return PAProduct.from_table(d, table, name)
+            for flat, x in ders[a]:
+                linalg.add_entry(left, i, flat, c * x)
+    return PAProduct(d, canonical_cells(d, _product_entries(d, left)), name)
+
+
+def _product_entries(d: int, left) -> dict:
+    """The entries ``{(i, j, k): a}`` of the product whose left
+    multiplication ``L(e_i)`` is the sparse matrix ``left[i]``,
+    ``{k*d + j: L(e_i)[k][j]}`` (a missing slot is zero): ``e_i . e_j`` is
+    column ``j`` of ``L(e_i)``.  The one flattening of left multiplications
+    into product coefficients."""
+    return {
+        (i, flat % d, flat // d): a for i, matrix in left.items() for flat, a in matrix.items() if a
+    }
 
 
 # ----------------------------------------------------------------------
@@ -539,9 +547,6 @@ class DoubleEmbedding:
             raise ValueError("both blocks must be square of equal size")
         return DoubleEmbedding(dim=d, j1=m1, j2=m2)
 
-    def apply(self, v: Vector) -> tuple[Vector, Vector]:
-        return linalg.matvec(self.j1, v), linalg.matvec(self.j2, v)
-
 
 def verify_double_embedding(phi: DoubleEmbedding, g: LieAlgebra, n: LieAlgebra) -> bool:
     """Decide whether ``phi`` certifies a product structure on ``(g, n)``
@@ -565,13 +570,10 @@ def verify_double_embedding(phi: DoubleEmbedding, g: LieAlgebra, n: LieAlgebra) 
             "the paired-embedding criterion requires a semisimple target"
         )
     d = g.dim
-    for block in (phi.j1, phi.j2):
-        cols = [nonzero(col) for col in linalg.transpose(block)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                image = add_bilinear([linalg.ZERO] * d, (cols,), unit(0), g.cells[i][j])
-                if image != add_bilinear([linalg.ZERO] * d, n.cells, cols[i], cols[j]):
-                    return False
+    cells = [((i, j), g.cells[i][j]) for i in range(d) for j in range(i + 1, d)]
+    blocks = ([nonzero(col) for col in linalg.transpose(b)] for b in (phi.j1, phi.j2))
+    if any(next(_homomorphism_residuals(n, cols, cells), None) for cols in blocks):
+        return False
     diff = tuple(
         tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(phi.j1, phi.j2)
     )

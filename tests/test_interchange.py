@@ -270,6 +270,7 @@ def test_metadata_validation():
         ({"basis": ["a", "a", "b"]}, "3 distinct nonempty strings"),
         ({"metadata": {"subspaces": {"x": [[1, 2]]}}}, "subspace x: each vector needs 3"),
         ({"metadata": {"other": 1}}, r"unknown metadata fields \['other'\]"),
+        ({"name": 5}, "name must be a string, got int"),
     ],
 )
 def test_serialize_refuses_what_the_parser_refuses(kwargs, message):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postlie import interchange, search, table
+from postlie import interchange, search, structures, table
 from postlie.catalog import (
     FINGERPRINT_COLLISIONS,
     catalog_ids,
@@ -149,19 +149,24 @@ coefficient = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(st.lists(coefficient, min_size=60, max_size=60))
 def test_product_at_matches_the_dense_formula(coefficients):
+    # e_i . e_j is column j of L(e_i) = sum_alpha x[i][alpha] D_alpha, read
+    # here from the dense derivation matrices of n
     space = _wide_space()
     assert space.dimension == 60
     d = space.dim
-    flat = [F(0)] * d**3
-    for index, y in space.particular:
-        flat[index] = y
+    ders = get_algebra("scaling5").derivations()
+    nder = len(ders)
+    x = [F(0)] * (d * nder)
+    for col, y in space.particular.items():
+        x[col] = y
     for c, vec in zip(coefficients, space.basis):
-        dense = [F(0)] * d**3
-        for index, y in vec:
-            dense[index] = y
-        flat = [x + F(c) * y for x, y in zip(flat, dense)]
+        for col, y in vec.items():
+            x[col] += F(c) * y
     expected = tuple(
-        tuple(tuple(flat[(i * d + j) * d + k] for k in range(d)) for j in range(d))
+        tuple(
+            tuple(sum((x[i * nder + a] * ders[a][k][j] for a in range(nder)), F(0)) for k in range(d))
+            for j in range(d)
+        )
         for i in range(d)
     )
     assert space.product_at(coefficients).tensor == expected
@@ -291,6 +296,24 @@ def test_a_pair_with_no_coordinate_split_falls_through_to_the_grid():
     assert verify_pa(g, n, cert.witness).ok
 
 
+def test_verdicts_of_s1_and_s2_build_no_product_coefficients(monkeypatch):
+    # S1 decides (n3_plus_r2, L5_1) and S2 decides (L5_1, L5_1): neither
+    # flattens a left multiplication into product coefficients
+    pairs = [("n3_plus_r2", "L5_1"), ("L5_1", "L5_1")]
+    expected = [pa_search(get_algebra(g_id), get_algebra(n_id)) for g_id, n_id in pairs]
+    assert expected[0].rule_id == LINEAR_INFEASIBLE_RULE
+    assert expected[1].operator is not None
+
+    def refuse(*args):
+        raise AssertionError("product coefficients were built")
+
+    monkeypatch.setattr(search, "_product_entries", refuse)
+    monkeypatch.setattr(structures, "_product_entries", refuse)
+    got = [pa_search(get_algebra(g_id), get_algebra(n_id)) for g_id, n_id in pairs]
+    assert got == expected
+    assert [c.as_dict() for c in got] == [c.as_dict() for c in expected]
+
+
 class _Refused:
     ok = False
 
@@ -364,47 +387,89 @@ def test_integer_check_agrees_with_the_rational_residuals(c):
     # scaled by their lcm; leaving either unscaled breaks the agreement
     g, n = _r2_scaled(c), get_algebra("abelian_2")
     space = pa_linear_space(g, n)
-    scale, cg = _integer_bracket(g, space)
+    images = _images(space)
+    scale, cg = _integer_bracket(g, images)
     assert scale == c.denominator
     units = _units(g.dim, 1)
     for height in (1, 2):
         hits = 0
-        for digits, p in itertools.islice(_integer_grid(space, scale, height), 400):
+        for digits, p in itertools.islice(_integer_grid(g.dim, images, scale, height), 400):
             expected = next(axiom2_residuals(g, space.product_at(digits)), None) is None
             assert _axiom2_holds(cg, p, units) == expected, (height, digits)
             hits += expected
         assert hits
 
 
+def _images(space):
+    """The product entries of the particular solution and of each basis
+    vector, the input of the integer grid."""
+    return [space._entries(x) for x in (space.particular, *space.basis)]
+
+
+def _integer_tensor(p, d):
+    """The dense tensor of the integer cells ``p``; every stored entry is a
+    nonzero ``int``."""
+    dense = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, row in enumerate(p):
+        for j, cell in enumerate(row):
+            for k, y in cell:
+                assert type(y) is int and y
+                dense[i][j][k] = y
+    return dense
+
+
 def test_the_integer_grid_steps_through_every_carry():
-    # three free parameters with overlapping supports and denominators 2, 3, 6
+    # three free parameters in derivation coordinates on abelian_2, whose
+    # derivation basis is the four matrix units: x[i][alpha] at column
+    # 4*i + alpha, with overlapping supports and denominators 2, 3, 6
+    flat = get_algebra("abelian_2")
     space = SolutionSpace(
         dim=2,
-        particular=((1, F(1, 3)), (6, F(-1, 2))),
-        basis=(
-            ((0, F(1)), (3, F(2, 3))),
-            ((3, F(1, 2)), (5, F(-1))),
-            ((0, F(1, 6)), (7, F(4))),
-        ),
+        derivations=flat._derivations,
+        particular={1: F(1, 3), 6: F(-1, 2)},
+        basis=({0: F(1), 3: F(2, 3)}, {3: F(1, 2), 5: F(-1)}, {0: F(1, 6), 7: F(4)}),
     )
-    scale, _ = _integer_bracket(get_algebra("abelian_2"), space)
+    images = _images(space)
+    scale, _ = _integer_bracket(flat, images)
     assert scale == 6
     for height in (1, 2):
         base = 2 * height + 1
         count = 0
-        for t, (digits, p) in enumerate(_integer_grid(space, scale, height)):
+        for t, (digits, p) in enumerate(_integer_grid(2, images, scale, height)):
             decoded = [t // base**2 - height, t // base % base - height, t % base - height]
             assert digits == decoded
-            dense = [[[0] * 2 for _ in range(2)] for _ in range(2)]
-            for i, row in enumerate(p):
-                for j, cell in enumerate(row):
-                    for k, y in cell:
-                        assert type(y) is int and y
-                        dense[i][j][k] = y
             tensor = space.product_at(decoded).tensor
-            assert dense == [[[scale * y for y in cell] for cell in plane] for plane in tensor]
+            assert _integer_tensor(p, 2) == [
+                [[scale * y for y in cell] for cell in plane] for plane in tensor
+            ]
             count += 1
         assert count == base**3
+
+
+def test_the_integer_scale_clears_a_fractional_derivation_basis():
+    # f23's derivation basis has denominator 3, so the product entries, not
+    # the derivation coordinates, set the scale.  On the S1 space of
+    # (abelian_5, f23) both have denominator 2; the second space has
+    # integer coordinates on D_3 and D_9 (of the ten, x[i][alpha] at column
+    # 10*i + alpha), whose entries are thirds
+    g, n = get_algebra("abelian_5"), get_algebra("f23")
+    d = n.dim
+    solved = pa_linear_space(g, n)
+    built = SolutionSpace(
+        dim=d,
+        derivations=n._derivations,
+        particular={3: F(1)},
+        basis=({9: F(1)}, {13: F(-2)}, {19: F(1), 4: F(1)}),
+    )
+    for space, expected_scale in ((solved, 2), (built, 3)):
+        images = _images(space)
+        scale, _ = _integer_bracket(g, images)
+        assert scale == expected_scale
+        for digits, p in itertools.islice(_integer_grid(d, images, scale, 2), 200):
+            tensor = space.product_at(digits).tensor
+            assert _integer_tensor(p, d) == [
+                [[scale * y for y in cell] for cell in plane] for plane in tensor
+            ], digits
 
 
 def test_a_budget_below_the_grid_size_checks_exactly_that_many_points(monkeypatch):
