@@ -638,6 +638,27 @@ def test_recorded_search_certificates_are_byte_stable():
     assert digest.hexdigest() == SEARCH_CERTIFICATES_SHA256
 
 
+# the same digest over every recorded pair at each (budget, grid_height)
+# below, the settings in the outer loop: short and long budgets and the
+# three grid heights S3 meets at the default budget
+SEARCH_SETTINGS = ((3, 2), (6000, 2), (512, 1), (512, 0))
+SEARCH_SETTINGS_SHA256 = (
+    "1518643c83eade97e57b00ea038e1ab8cb42b0880b39ca9326f20b293b0d905a"
+)
+
+
+def test_search_certificates_across_budgets_and_heights_are_byte_stable():
+    pairs = json.loads(SEARCH_PAIRS.read_text(encoding="utf-8"))
+    digest = hashlib.sha256()
+    for budget, height in SEARCH_SETTINGS:
+        for pair in pairs:
+            g = interchange.parse_document(pair["g"]).value
+            n = interchange.parse_document(pair["n"]).value
+            cert = pa_search(g, n, budget=budget, grid_height=height, g_name=g.name, n_name=n.name)
+            digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == SEARCH_SETTINGS_SHA256
+
+
 # sha256 of the rule certificates below; a change that alters a rule
 # verdict or its trace must update this pin and say why
 RULE_CERTIFICATES_SHA256 = (
