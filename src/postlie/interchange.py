@@ -64,9 +64,9 @@ __all__ = [
 
 KINDS = ("algebra", "product", "operator", "embedding")
 
-# Largest accepted ``dim``: search solves S1's system in dim * dim Der(n)
-# derivation coordinates (at most dim**3) and steps S3 on a flat dim**3
-# grid, so the cap bounds memory before anything is built.
+# Largest accepted ``dim``: search solves S1 and steps S3's odometer in the
+# dim * dim Der(n) derivation coordinates (at most dim**3 of them, integers
+# in S3), so the cap bounds memory before anything is built.
 MAX_DIM = 64
 
 

@@ -39,6 +39,7 @@ entry is basis-aligned).
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,7 +93,7 @@ def add_bilinear(out, cells, xs, ys):
         row = cells[i]
         for j, b in ys:
             # a side of ``ONE`` or ``MINUS_ONE`` (a basis vector or its
-            # negative) costs no product
+            # negative) costs no product, and ``s`` of ``ONE`` none per entry
             if a is ONE:
                 s = b
             elif b is ONE:
@@ -104,7 +105,7 @@ def add_bilinear(out, cells, xs, ys):
             else:
                 s = a * b
             for k, c in row[j]:
-                out[k] += s * c
+                out[k] += c if s is ONE else s * c
     return out
 
 
@@ -375,6 +376,30 @@ class LieAlgebra:
                     for r in range(i + 1, n):  # c[i][b][k] D[b][r], b = j, in row (i, r, k)
                         linalg.add_entry(rows, (i, r, k), j * n + r, -c)
         return linalg.solve_affine(rows.values(), n * n)[1]
+
+    @cached_property
+    def _derivation_constants(self) -> tuple[tuple, ...]:
+        """Structure constants of ``Der(n)`` in the basis ``_derivations``:
+        entry ``gamma`` holds the nonzero ``((alpha, beta), C)``, ``alpha <
+        beta`` ascending, of ``[D_alpha, D_beta] = sum_gamma C D_gamma``.
+        Each commutator is a sparse matrix product, read at the free column
+        of each ``D_gamma`` (its largest key), where ``solve_affine`` puts 1
+        for ``D_gamma`` and 0 for every other basis vector.
+        """
+        n, ders = self.dim, self._derivations
+        free = {max(der): gamma for gamma, der in enumerate(ders)}
+        constants = [[] for _ in ders]
+        for alpha, beta in itertools.combinations(range(len(ders)), 2):
+            bracket = defaultdict(lambda: ZERO)
+            for a, b, sign in ((ders[alpha], ders[beta], ONE), (ders[beta], ders[alpha], MINUS_ONE)):
+                for km, v in a.items():  # a[k][m] b[m][j] at k*n + j
+                    for mj, w in b.items():
+                        if km % n == mj // n:
+                            bracket[km - km % n + mj % n] += sign * v * w
+            for col, c in bracket.items():
+                if c and col in free:
+                    constants[free[col]].append(((alpha, beta), c))
+        return tuple(map(tuple, constants))
 
     def derivations(self) -> tuple[Matrix, ...]:
         n = self.dim

@@ -20,18 +20,19 @@ Three stages, cheapest first:
   entry; the test compares the cells of the two brackets, with no
   linear algebra, and the operator and its product are built only for a
   subset that matches.
-* **S3 — bounded quadratic search.**  The remaining quadratic axiom (2) is
-  checked pointwise on an integer grid laid over the free parameters of the
-  S1 solution space.  The grid is exhausted in deterministic lexicographic
-  order up to a configurable budget; running out of budget yields an
-  ``unknown`` verdict, never a negative one.  Axiom (2) is homogeneous of
-  degree two in ``g``'s bracket and the product, so both are scaled by the
-  lcm of their denominators and each point is checked in integers, by the
-  same residual kernel :func:`~postlie.structures.verify_pa` uses.  The
-  scaled product is stepped like an odometer: moving to the next point
-  adds in only the basis vectors whose digit changed.  The rational
-  witness is built only at a point that passes.  When the S1 space is a single
-  point (no free parameter) and that point fails axiom (2), the verdict is
+* **S3 — bounded quadratic search.**  The remaining quadratic axiom (2),
+  that ``L: g -> Der(n)`` is a Lie homomorphism, is checked pointwise on an
+  integer grid laid over the free parameters of the S1 solution space.  The
+  grid is exhausted in deterministic lexicographic order up to a
+  configurable budget; running out of budget yields an ``unknown``
+  verdict, never a negative one.  A point is checked in its ``d * dim
+  Der(n)`` derivation coordinates scaled to integers, by one equation per
+  ``i < j`` and basis derivation, built on demand from the structure
+  constants of ``Der(n)`` cached on ``n``; the equation that rejected the
+  last point goes first.  The coordinates step like an odometer, adding in
+  only the basis vectors whose digit changed, and the rational witness is
+  built only at a point that passes.  When the S1 space is a single point
+  (no free parameter) and that point fails axiom (2), the verdict is
   negative: a rational linear system with a unique solution has that same
   unique solution over every extension field.
 
@@ -52,12 +53,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .liealg import LieAlgebra, add_bilinear, canonical_cells, nonzero
+from .liealg import LieAlgebra, add_bilinear, canonical_cells
 from .structures import (
     PAProduct,
     _product_entries,
     _units,
-    axiom2_kernel,
     pa_from_rb,
     rb_from_coordinate_split,
     verify_pa,
@@ -126,16 +126,6 @@ class SolutionSpace:
     def dimension(self) -> Optional[int]:
         return None if self.is_empty else len(self.basis)
 
-    def _entries(self, x: dict) -> dict:
-        """The product entries ``{(i, j, k): a}`` at the point ``x``."""
-        ders = self.derivations
-        left: dict = {}
-        for col, c in x.items():
-            i, alpha = divmod(col, len(ders))
-            for flat, v in ders[alpha].items():
-                linalg.add_entry(left, i, flat, c * v)
-        return _product_entries(self.dim, left)
-
     def product_at(self, coefficients: Sequence) -> PAProduct:
         """The product at ``particular + sum(c_b * basis_b)``."""
         if self.is_empty:
@@ -147,7 +137,8 @@ class SolutionSpace:
             if c:
                 for col, y in vec.items():
                     x[col] = x.get(col, linalg.ZERO) + c * y
-        return PAProduct(self.dim, canonical_cells(self.dim, self._entries(x)))
+        entries = _product_entries(self.dim, self.derivations, x)
+        return PAProduct(self.dim, canonical_cells(self.dim, entries))
 
     def contains(self, product: PAProduct) -> bool:
         """Exact membership: each ``L(e_i)`` is a derivation, and their
@@ -188,7 +179,7 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
         for flat, v in der.items():
             at[divmod(flat, d)].append((alpha, v))
 
-    plus, minus, _ = _units(d)
+    plus, minus = _units(d)
 
     def rows():
         # Axiom (1) over x[(i, alpha)] at column i*nder + alpha: for i < j
@@ -205,10 +196,7 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
                     row[cols] = rhs[k]
                     yield row
 
-    solved = linalg.solve_affine(rows(), cols)
-    if solved is None:
-        return SolutionSpace(dim=d, derivations=ders, particular=None, basis=())
-    particular, basis = solved
+    particular, basis = linalg.solve_affine(rows(), cols) or (None, ())
     return SolutionSpace(dim=d, derivations=ders, particular=particular, basis=basis)
 
 
@@ -217,73 +205,80 @@ def pa_linear_space(g: LieAlgebra, n: LieAlgebra) -> SolutionSpace:
 # ----------------------------------------------------------------------
 
 
-def _axiom2_holds(cg, p, units) -> bool:
-    """Exact check of the representation axiom (2) on the cells ``cg`` of
-    ``g``'s bracket and ``p`` of a product, with ``units`` in their
-    coefficient ring: stops at the first nonzero residual."""
-    return next(axiom2_kernel(cg, p, units), None) is None
-
-
-def _integer_bracket(g: LieAlgebra, images: Sequence[dict]) -> tuple[int, tuple]:
-    """The lcm of every denominator in ``g``'s bracket and in the product
-    entries ``images`` (not in the coordinates: a derivation basis has
-    denominators too), and the cells of that multiple of ``g``'s bracket."""
-    cells = [cell for plane in g.cells for cell in plane]
-    scale = math.lcm(
-        *(c.denominator for cell in cells for _, c in cell),
-        *(a.denominator for image in images for a in image.values()),
-    )
-    return scale, tuple(
-        tuple(tuple((k, int(c * scale)) for k, c in cell) for cell in plane)
-        for plane in g.cells
-    )
-
-
-def _integer_grid(d: int, images: Sequence[dict], scale: int, height: int):
-    """The points of the grid ``[-height, height]**free`` on the free
-    parameters, in lexicographic order (last digit fastest, starting at
-    every digit ``-height``), each as its digits together with the cells of
-    ``scale`` times the product there.
-
-    ``images`` holds the product entries of the particular solution, then
-    of each basis vector; ``scale`` must clear their denominators.  Stepping
-    to the next point adds in only the basis vectors whose digit changed,
-    and rebuilds only the cells they touch.  The digit list is updated in
-    place between points.
+def _homomorphism_equations(g: LieAlgebra, n: LieAlgebra, scale: int):
+    """Axiom (2) as the homomorphism ``L: g -> Der(n)``: for ``i < j`` and
+    each basis derivation ``gamma``, generated lazily in that order,
+    ``sum_k g[i][j][k] x[k][gamma] = sum_{a<b} C (x[i][a] x[j][b] - x[i][b]
+    x[j][a])``, ``C`` the coordinate on ``D_gamma`` of ``[D_a, D_b]``.  Times
+    ``scale**2`` and the lcm ``m`` of the denominators of ``g[i][j]`` and of
+    those ``C``, it is the integer terms ``(k, m scale g)`` of its left side
+    and ``(ia, jb, ib, ja, m C)`` of its right, by index in ``X = scale * x``.
     """
+    nder = len(n._derivations)
+    for i, j in itertools.combinations(range(g.dim), 2):
+        cell, si, sj = g.cells[i][j], i * nder, j * nder
+        for gamma, constants in enumerate(n._derivation_constants):
+            m = math.lcm(*(c.denominator for _, c in cell), *(c.denominator for _, c in constants))
+            linear = [(k * nder + gamma, c.numerator * (m // c.denominator) * scale) for k, c in cell]
+            yield linear, [
+                (si + a, sj + b, si + b, sj + a, c.numerator * (m // c.denominator)) for (a, b), c in constants
+            ]
+
+
+def _axiom2_holds(X: list, equations: list, pending) -> bool:
+    """Exact check of axiom (2) at the integer point ``X`` of
+    :func:`_odometer`, by the equations of :func:`_homomorphism_equations`:
+    ``equations`` holds those drawn so far from ``pending``.  The check stops
+    at the first equation that fails and moves it to the front, where the
+    next point meets it first."""
+    for index, equation in enumerate(itertools.chain(equations, pending)):
+        if index == len(equations):
+            equations.append(equation)
+        linear, quadratic = equation
+        residual = 0
+        for ia, jb, ib, ja, c in quadratic:
+            residual += c * (X[ia] * X[jb] - X[ib] * X[ja])
+        for k, c in linear:
+            residual -= c * X[k]
+        if residual:
+            equations[0], equations[index] = equation, equations[0]
+            return False
+    return True
+
+
+def _coordinate_scale(space: SolutionSpace) -> int:
+    """The lcm of the denominators of ``particular`` and ``basis``."""
+    vectors = (space.particular, *space.basis)
+    return math.lcm(*(y.denominator for vec in vectors for y in vec.values()))
+
+
+def _odometer(space: SolutionSpace, scale: int, height: int):
+    """The points of the grid ``[-height, height]**free`` in lexicographic
+    order (last digit fastest, from every digit ``-height``), each as its
+    digits and ``X = scale * x``, ``scale`` a multiple of
+    :func:`_coordinate_scale`.  A step adds in only the basis vectors whose
+    digit changed; both lists are updated in place between points."""
     particular, *basis = (
-        [((i * d + j) * d + k, int(a * scale)) for (i, j, k), a in image.items()]
-        for image in images
+        [(col, int(y * scale)) for col, y in vec.items()] for vec in (space.particular, *space.basis)
     )
-    free = len(basis)
-    touched = [sorted({index // d for index, _ in vec}) for vec in basis]
-    flat = [0] * d**3
-    for index, y in particular:
-        flat[index] = y
-    for vec in basis:
-        for index, y in vec:
-            flat[index] -= height * y
-    cells = [nonzero(flat[s : s + d]) for s in range(0, d**3, d)]
-    p = [cells[s : s + d] for s in range(0, d * d, d)]
-    digits = [-height] * free
+    X = [0] * (space.dim * len(space.derivations))
+    for step, vec in zip((1, *[-height] * len(basis)), (particular, *basis)):
+        for col, y in vec:
+            X[col] += step * y
+    digits = [-height] * len(basis)
     while True:
-        yield digits, p
-        changed = []
-        position = free - 1
+        yield digits, X
+        position = len(basis) - 1
         while position >= 0 and digits[position] == height:
-            changed.append((position, -2 * height))
             digits[position] = -height
+            for col, y in basis[position]:
+                X[col] -= 2 * height * y
             position -= 1
         if position < 0:
             return
-        changed.append((position, 1))
         digits[position] += 1
-        for position, step in changed:
-            for index, y in basis[position]:
-                flat[index] += step * y
-        for cell in {cell for position, _ in changed for cell in touched[position]}:
-            i, j = divmod(cell, d)
-            p[i][j] = nonzero(flat[cell * d : cell * d + d])
+        for col, y in basis[position]:
+            X[col] += y
 
 
 def _splitting_order(d: int):
@@ -416,19 +411,14 @@ def pa_search(
     )
 
     # --- S3: bounded grid over the free parameters -------------------
-    # Axiom (2) is homogeneous of degree two in g's bracket and the
-    # product, so each point is checked on both scaled by the lcm of their
-    # denominators, in integers; the rational witness is built only at a
-    # point that passes.
     free = len(space.basis)
     height = int(grid_height)
     grid_size = (2 * height + 1) ** free
-    images = [space._entries(x) for x in (space.particular, *space.basis)]
-    scale, cg = _integer_bracket(g, images)
-    units = _units(d, 1)
-    grid = _integer_grid(d, images, scale, height)
-    for points_checked, (digits, p) in itertools.islice(enumerate(grid, 1), budget):
-        if not _axiom2_holds(cg, p, units):
+    scale = _coordinate_scale(space)
+    equations, pending = [], _homomorphism_equations(g, n, scale)
+    grid = _odometer(space, scale, height)
+    for points_checked, (digits, X) in itertools.islice(enumerate(grid, 1), budget):
+        if not _axiom2_holds(X, equations, pending):
             continue
         cert = issue(
             EXISTS,

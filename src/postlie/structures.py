@@ -40,6 +40,7 @@ complete residual listings rather than booleans alone.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -144,7 +145,7 @@ def _skew_plus(t, n: LieAlgebra, w):
     coordinate list of ``t[i][j] - t[j][i] + w {e_i, e_j}`` for the cells
     ``t`` (see the module docstring for its four uses)."""
     d = n.dim
-    plus, minus, _ = _units(d)
+    plus, minus = _units(d)
     for i in range(d):
         for j in range(i + 1, d):
             res = add_bilinear([linalg.ZERO] * d, t, plus[i], plus[j])
@@ -194,12 +195,9 @@ class PAVerification:
         }
 
 
-def _units(d: int, one=linalg.ONE) -> tuple[list, list, object]:
-    """``e_k`` and ``-e_k`` as ``(index, coefficient)`` pairs, for each ``k``,
-    and the zero coefficient: over the rationals by default, over the
-    integers for ``one=1``."""
-    minus_one = MINUS_ONE if one is linalg.ONE else -one
-    return [unit(k, one) for k in range(d)], [unit(k, minus_one) for k in range(d)], one - one
+def _units(d: int) -> tuple[list, list]:
+    """``e_k`` and ``-e_k`` as ``(index, coefficient)`` pairs, for each ``k``."""
+    return [unit(k) for k in range(d)], [unit(k, MINUS_ONE) for k in range(d)]
 
 
 def axiom2_residuals(g: LieAlgebra, product: PAProduct):
@@ -207,24 +205,13 @@ def axiom2_residuals(g: LieAlgebra, product: PAProduct):
     ``r = [e_i, e_j]_g . e_k - e_i . (e_j . e_k) + e_j . (e_i . e_k)``,
     generated lazily for ``i < j`` and every ``k`` in lexicographic order.
     """
-    return axiom2_kernel(g.cells, product.cells, _units(g.dim))
-
-
-def axiom2_kernel(cg, p, units):
-    """:func:`axiom2_residuals` on cells: ``cg`` of the bracket of
-    ``g``, ``p`` of the product, and ``units`` from :func:`_units` in the
-    same coefficient ring.
-
-    Each residual is homogeneous of degree two in the pair of tensors, so
-    scaling both by ``s`` scales it by ``s**2``: integer multiples of
-    rational tensors have the same zero residuals.
-    """
-    plus, minus, zero = units
-    d = len(plus)
+    d = g.dim
+    cg, p = g.cells, product.cells
+    plus, minus = _units(d)
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(d):
-                res = [zero] * d
+                res = [linalg.ZERO] * d
                 add_bilinear(res, p, cg[i][j], plus[k])
                 add_bilinear(res, p, minus[i], p[j][k])
                 add_bilinear(res, p, plus[j], p[i][k])
@@ -239,7 +226,7 @@ def axiom3_residuals(n: LieAlgebra, product: PAProduct):
     """
     d = n.dim
     p, cn = product.cells, n.cells
-    plus, minus, _ = _units(d)
+    plus, minus = _units(d)
     for i in range(d):
         for j in range(d):
             for k in range(j + 1, d):
@@ -255,7 +242,7 @@ def verify_pa(g: LieAlgebra, n: LieAlgebra, product: PAProduct) -> PAVerificatio
     """Exactly verify the three axioms plus Jacobi for both brackets."""
     if not (g.dim == n.dim == product.dim):
         raise ValueError("g, n and the product must share one dimension")
-    plus, minus, _ = _units(n.dim)
+    plus, minus = _units(n.dim)
     axiom1 = []
     for (i, j), res in _skew_plus(product.cells, n, 1):
         add_bilinear(res, g.cells, minus[i], plus[j])
@@ -496,25 +483,23 @@ def product_from_left_action(n: LieAlgebra, pairs: Sequence[Pair], name: str = "
     coords = linalg.coordinates(basis, ({i: linalg.ONE} for i in range(d)), d)
     if None in coords:
         raise ValueError("first components of the pairs do not span")
-    # L(e_i) = sum_a c_a D_a, each D_a sparse as {k*d + j: D_a[k][j]}
-    ders = [nonzero([x for row in der for x in row]) for _, der in pairs]
-    left: dict = {}
-    for i, coeffs in enumerate(coords):
-        for a, c in coeffs.items():
-            for flat, x in ders[a]:
-                linalg.add_entry(left, i, flat, c * x)
-    return PAProduct(d, canonical_cells(d, _product_entries(d, left)), name)
+    ders = [{k * d + j: x for k, row in enumerate(der) for j, x in enumerate(row) if x} for _, der in pairs]
+    x = {i * d + a: c for i, coeffs in enumerate(coords) for a, c in coeffs.items()}
+    return PAProduct(d, canonical_cells(d, _product_entries(d, ders, x)), name)
 
 
-def _product_entries(d: int, left) -> dict:
+def _product_entries(d: int, ders: Sequence[Mapping], x: Mapping) -> dict:
     """The entries ``{(i, j, k): a}`` of the product whose left
-    multiplication ``L(e_i)`` is the sparse matrix ``left[i]``,
-    ``{k*d + j: L(e_i)[k][j]}`` (a missing slot is zero): ``e_i . e_j`` is
-    column ``j`` of ``L(e_i)``.  The one flattening of left multiplications
-    into product coefficients."""
-    return {
-        (i, flat % d, flat // d): a for i, matrix in left.items() for flat, a in matrix.items() if a
-    }
+    multiplication is ``L(e_i) = sum_a x[i*len(ders) + a] ders[a]``, each
+    ``ders[a]`` sparse as ``{k*d + j: D_a[k][j]}``: ``e_i . e_j`` is column
+    ``j`` of ``L(e_i)``.  The one flattening of left multiplications into
+    product coefficients."""
+    entries = defaultdict(lambda: linalg.ZERO)
+    for col, c in x.items():
+        i, a = divmod(col, len(ders))
+        for flat, v in ders[a].items():
+            entries[i, flat % d, flat // d] += c * v
+    return entries
 
 
 # ----------------------------------------------------------------------

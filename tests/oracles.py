@@ -153,6 +153,39 @@ def derivation_reference(brackets, matrix):
     return True
 
 
+def derivation_constants_reference(n):
+    """The structure constants of ``Der(n)`` in the basis ``n.derivations()``,
+    in the form ``LieAlgebra._derivation_constants`` has: entry ``gamma``
+    holds the nonzero ``((alpha, beta), C)``, ``alpha < beta`` ascending,
+    with ``[D_alpha, D_beta] = sum_gamma C D_gamma``.  The commutators are
+    dense matrix products, and their coordinates come from one elimination
+    against the flattened basis (:func:`solve_columns_reference`)."""
+    ders = n.derivations()
+    size = n.dim
+
+    def matmul(a, b):
+        out = [[F(0)] * size for _ in range(size)]
+        for r in range(size):
+            for t in range(size):
+                if a[r][t]:
+                    for c in range(size):
+                        out[r][c] += a[r][t] * b[t][c]
+        return out
+
+    pairs = [(a, b) for a in range(len(ders)) for b in range(a + 1, len(ders))]
+    brackets = []
+    for a, b in pairs:
+        ab, ba = matmul(ders[a], ders[b]), matmul(ders[b], ders[a])
+        brackets.append([ab[r][c] - ba[r][c] for r in range(size) for c in range(size)])
+    columns = [[x for row in der for x in row] for der in ders]
+    coords = solve_columns_reference(columns, brackets) if pairs else []
+    assert coords is not None, "Der(n) is not closed under the commutator"
+    return tuple(
+        tuple((pair, c[gamma]) for pair, c in zip(pairs, coords) if c[gamma])
+        for gamma in range(len(ders))
+    )
+
+
 def commutant_reference(matrices):
     """Dimension of the space of matrices X with ``X A == A X`` for every
     given square matrix A, by dense elimination of the equations

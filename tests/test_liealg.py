@@ -23,6 +23,7 @@ from oracles import (
     bilinear_reference,
     bracket_span_reference,
     coordinates_reference,
+    derivation_constants_reference,
     derivation_reference,
     killing_reference,
     quotient_reference,
@@ -345,6 +346,22 @@ def test_is_derivation_matches_the_definition():
         assert alg.is_derivation(linalg.mat(combined)) == holds, entry_id
         outcomes.add(holds)
     assert outcomes == {True, False}
+
+
+def test_derivation_constants_match_dense_commutators():
+    # [D_alpha, D_beta] in the basis of Der(n), on every catalog algebra:
+    # read at the free columns of the basis by the library, by dense
+    # products and elimination in the reference
+    fractional = 0
+    for entry_id in catalog_ids():
+        if get_entry(entry_id).builder is None:
+            continue
+        alg = get_algebra(entry_id)
+        constants = alg._derivation_constants
+        assert len(constants) == len(alg._derivations), entry_id
+        assert constants == derivation_constants_reference(alg), entry_id
+        fractional += any(c.denominator > 1 for terms in constants for _, c in terms)
+    assert fractional  # f23's basis has thirds, and so do some constants
 
 
 def test_restrict_refuses_a_subspace_that_is_not_closed():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,8 +31,9 @@ from postlie.search import (
     UNIQUE_SOLUTION_FAILS_RULE,
     SolutionSpace,
     _axiom2_holds,
-    _integer_bracket,
-    _integer_grid,
+    _coordinate_scale,
+    _homomorphism_equations,
+    _odometer,
     _split_descends,
     _splitting_order,
     pa_linear_space,
@@ -39,7 +41,6 @@ from postlie.search import (
 )
 from postlie.structures import (
     PAProduct,
-    _units,
     axiom2_residuals,
     descendent_bracket,
     induced_bracket,
@@ -179,7 +180,7 @@ def test_axiom2_check_on_the_wide_space_matches_the_definition(coefficients):
     candidate = _wide_space().product_at(coefficients)
     expected = axiom2_reference(g, candidate)
     assert verify_pa(g, n, candidate).axiom2 == expected
-    assert _axiom2_holds(g.cells, candidate.cells, _units(g.dim)) == (not expected)
+    assert tuple(axiom2_residuals(g, candidate)) == expected
 
 
 def test_linear_infeasible_pair_is_verified_negative():
@@ -381,44 +382,102 @@ def _r2_scaled(c):
     return LieAlgebra.from_table(2, {(0, 1): {1: c}}, "r2_scaled")
 
 
+def _point(space, digits):
+    """The dense derivation coordinates ``x`` of the grid point ``digits``."""
+    x = [F(0)] * (space.dim * len(space.derivations))
+    for c, vec in zip([1, *digits], (space.particular, *space.basis)):
+        for col, y in vec.items():
+            x[col] += c * y
+    return x
+
+
+def _agreement_hits(g, n, space, points=400):
+    """Check the first ``points`` grid points at heights 1 and 2: the
+    integer coordinates are ``scale * x`` and the integer check of axiom (2)
+    agrees with the rational residuals of the product there.  Returns the
+    number of points that pass."""
+    scale = _coordinate_scale(space)
+    hits = 0
+    for height in (1, 2):
+        equations, pending = [], _homomorphism_equations(g, n, scale)
+        for digits, X in itertools.islice(_odometer(space, scale, height), points):
+            assert X == [scale * y for y in _point(space, digits)], (height, digits)
+            expected = next(axiom2_residuals(g, space.product_at(digits)), None) is None
+            assert _axiom2_holds(X, equations, pending) == expected, (height, digits)
+            hits += expected
+    return hits
+
+
+# the recorded pairs whose search reaches S3 (pinned by the test below)
+RECORDED_S3_PAIRS = (
+    ("n3", "abelian_3"),
+    ("n3", "r2_plus_C"),
+    ("r2", "abelian_2"),
+    ("r2_plus_C", "n3"),
+    ("gl2", "abelian_4"),
+    ("sl2_plus_C2", "n3_plus_C2"),
+    ("sl2_plus_C2", "scaling5"),
+    ("r2_plus_r2", "n3_plus_C"),
+    ("b3_plus_sl2", "sl3"),
+    ("r2_plus_r2_plus_r2", "sl2_plus_sl2"),
+    ("r2_plus_r2", "sl2_plus_C"),
+    ("sl2_plus_r2", "L5_1"),
+    ("L5_1", "sl2_plus_C2"),
+    ("so3", "sl2"),
+    ("sl2", "so3"),
+)
+
+
+def _recorded_pair(g_id, n_id):
+    pairs = json.loads(SEARCH_PAIRS.read_text(encoding="utf-8"))
+    for pair in pairs:
+        g = interchange.parse_document(pair["g"]).value
+        n = interchange.parse_document(pair["n"]).value
+        if (g.name, n.name) == (g_id, n_id):
+            return g, n
+    raise KeyError((g_id, n_id))
+
+
+def test_the_recorded_s3_pairs_are_those_whose_search_reaches_s3():
+    reached = []
+    for pair in json.loads(SEARCH_PAIRS.read_text(encoding="utf-8")):
+        g = interchange.parse_document(pair["g"]).value
+        n = interchange.parse_document(pair["n"]).value
+        cert = pa_search(g, n, budget=pair["budget"])
+        if cert.trace[-1].startswith("stage S3") and (g.name, n.name) not in reached:
+            reached.append((g.name, n.name))
+    assert tuple(reached) == RECORDED_S3_PAIRS
+
+
 @pytest.mark.parametrize("c", [F(1, 2), F(2, 3)])
 def test_integer_check_agrees_with_the_rational_residuals(c):
-    # g's bracket has denominators, so S3 checks axiom (2) on both tensors
-    # scaled by their lcm; leaving either unscaled breaks the agreement
+    # the S1 coordinates carry g's denominator: the scale clears it
     g, n = _r2_scaled(c), get_algebra("abelian_2")
     space = pa_linear_space(g, n)
-    images = _images(space)
-    scale, cg = _integer_bracket(g, images)
-    assert scale == c.denominator
-    units = _units(g.dim, 1)
-    for height in (1, 2):
-        hits = 0
-        for digits, p in itertools.islice(_integer_grid(g.dim, images, scale, height), 400):
-            expected = next(axiom2_residuals(g, space.product_at(digits)), None) is None
-            assert _axiom2_holds(cg, p, units) == expected, (height, digits)
-            hits += expected
-        assert hits
+    assert _coordinate_scale(space) == c.denominator
+    assert _agreement_hits(g, n, space)
 
 
-def _images(space):
-    """The product entries of the particular solution and of each basis
-    vector, the input of the integer grid."""
-    return [space._entries(x) for x in (space.particular, *space.basis)]
+@pytest.mark.parametrize("g_id,n_id", RECORDED_S3_PAIRS, ids=[f"{g}/{n}" for g, n in RECORDED_S3_PAIRS])
+def test_integer_check_agrees_on_every_recorded_s3_pair(g_id, n_id):
+    g, n = _recorded_pair(g_id, n_id)
+    _agreement_hits(g, n, pa_linear_space(g, n))
 
 
-def _integer_tensor(p, d):
-    """The dense tensor of the integer cells ``p``; every stored entry is a
-    nonzero ``int``."""
-    dense = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i, row in enumerate(p):
-        for j, cell in enumerate(row):
-            for k, y in cell:
-                assert type(y) is int and y
-                dense[i][j][k] = y
-    return dense
+def test_integer_check_clears_the_denominators_of_g_in_each_equation():
+    # integer coordinates on all four matrix units of Der(abelian_2), so
+    # the scale is 1 and only an equation's own multiplier clears the 1/3
+    # of g.  L(e_2) = 3 [L(e_1), L(e_2)] has integer entries of size at most
+    # 2 only at L(e_2) = 0, the middle point of each block of 3**4 (height
+    # 1) or 5**4 (height 2) points: five hits and one in the first 400
+    g, n = _r2_scaled(F(1, 3)), get_algebra("abelian_2")
+    units = tuple({col: F(1)} for col in range(8))
+    space = SolutionSpace(dim=2, derivations=n._derivations, particular={}, basis=units)
+    assert _coordinate_scale(space) == 1
+    assert _agreement_hits(g, n, space) == 6
 
 
-def test_the_integer_grid_steps_through_every_carry():
+def test_the_odometer_steps_through_every_carry():
     # three free parameters in derivation coordinates on abelian_2, whose
     # derivation basis is the four matrix units: x[i][alpha] at column
     # 4*i + alpha, with overlapping supports and denominators 2, 3, 6
@@ -429,29 +488,29 @@ def test_the_integer_grid_steps_through_every_carry():
         particular={1: F(1, 3), 6: F(-1, 2)},
         basis=({0: F(1), 3: F(2, 3)}, {3: F(1, 2), 5: F(-1)}, {0: F(1, 6), 7: F(4)}),
     )
-    images = _images(space)
-    scale, _ = _integer_bracket(flat, images)
+    scale = _coordinate_scale(space)
     assert scale == 6
     for height in (1, 2):
         base = 2 * height + 1
         count = 0
-        for t, (digits, p) in enumerate(_integer_grid(2, images, scale, height)):
+        for t, (digits, X) in enumerate(_odometer(space, scale, height)):
             decoded = [t // base**2 - height, t // base % base - height, t % base - height]
             assert digits == decoded
-            tensor = space.product_at(decoded).tensor
-            assert _integer_tensor(p, 2) == [
-                [[scale * y for y in cell] for cell in plane] for plane in tensor
-            ]
+            assert all(type(y) is int for y in X)
+            assert X == [scale * y for y in _point(space, decoded)]
             count += 1
         assert count == base**3
 
 
-def test_the_integer_scale_clears_a_fractional_derivation_basis():
-    # f23's derivation basis has denominator 3, so the product entries, not
-    # the derivation coordinates, set the scale.  On the S1 space of
-    # (abelian_5, f23) both have denominator 2; the second space has
-    # integer coordinates on D_3 and D_9 (of the ten, x[i][alpha] at column
-    # 10*i + alpha), whose entries are thirds
+def test_the_integer_scale_clears_only_the_coordinates():
+    # f23's derivation basis has denominator 3, and so do some of its
+    # structure constants: each equation's own multiplier clears those,
+    # and the scale clears only the coordinates.  The S1 space of
+    # (abelian_5, f23) has coordinates with denominator 2; the second space
+    # has integer coordinates on D_0, D_3, D_4 and D_9 (of the ten,
+    # x[i][alpha] at column 10*i + alpha), so its scale is 1.  At its points
+    # L(e_1) = D_3, L(e_2) = t D_0, [D_3, D_0] = D_0 / 3 is the one nonzero
+    # commutator, which an equation that drops the third reads as zero
     g, n = get_algebra("abelian_5"), get_algebra("f23")
     d = n.dim
     solved = pa_linear_space(g, n)
@@ -459,17 +518,72 @@ def test_the_integer_scale_clears_a_fractional_derivation_basis():
         dim=d,
         derivations=n._derivations,
         particular={3: F(1)},
-        basis=({9: F(1)}, {13: F(-2)}, {19: F(1), 4: F(1)}),
+        basis=({9: F(1)}, {13: F(-2)}, {19: F(1), 4: F(1)}, {10: F(1)}),
     )
-    for space, expected_scale in ((solved, 2), (built, 3)):
-        images = _images(space)
-        scale, _ = _integer_bracket(g, images)
-        assert scale == expected_scale
-        for digits, p in itertools.islice(_integer_grid(d, images, scale, 2), 200):
-            tensor = space.product_at(digits).tensor
-            assert _integer_tensor(p, d) == [
-                [[scale * y for y in cell] for cell in plane] for plane in tensor
-            ], digits
+    assert n._derivation_constants[0][0] == ((0, 3), F(-1, 3))
+    for space, expected_scale in ((solved, 2), (built, 1)):
+        assert _coordinate_scale(space) == expected_scale
+        _agreement_hits(g, n, space, points=200)
+
+
+def _homomorphism_residual(g, n, x):
+    """``L[e_i, e_j] - [L e_i, L e_j]`` at the derivation coordinates ``x``,
+    in the basis of ``Der(n)`` through its cached structure constants: the
+    nonzero ``{(i, j, gamma): r}``."""
+    nder = len(n._derivations)
+    out = {}
+    for i, j in itertools.combinations(range(g.dim), 2):
+        for gamma, terms in enumerate(n._derivation_constants):
+            r = sum((c * x[k * nder + gamma] for k, c in g.cells[i][j]), F(0))
+            for (a, b), c in terms:
+                r -= c * (x[i * nder + a] * x[j * nder + b] - x[i * nder + b] * x[j * nder + a])
+            if r:
+                out[i, j, gamma] = r
+    return out
+
+
+def test_the_homomorphism_residual_is_the_axiom2_residual():
+    # at seeded random S1 points of the catalog pairs up to dimension 5 (and
+    # at each particular solution), sum_gamma r[i][j][gamma] D_gamma, read
+    # column by column, is the residual of axiom (2) from the definition
+    ids = [i for i in catalog_ids() if get_entry(i).kind != "stub" and get_algebra(i).dim <= 5]
+    rng = random.Random(17)
+    outcomes = set()
+    for g_id, n_id in itertools.product(ids, repeat=2):
+        g, n = get_algebra(g_id), get_algebra(n_id)
+        if g.dim != n.dim or (space := pa_linear_space(g, n)).is_empty:
+            continue
+        d, ders = n.dim, n.derivations()
+        digits = [rng.choice((-1, 0, 1, F(1, 2), F(-2, 3))) for _ in space.basis]
+        for point in ([0] * len(space.basis), digits):
+            residual = _homomorphism_residual(g, n, _point(space, point))
+            reference = dict(axiom2_reference(g, space.product_at(point)))
+            for i, j in itertools.combinations(range(d), 2):
+                for k in range(d):
+                    column = tuple(
+                        sum((r * ders[gamma][row][k] for (a, b, gamma), r in residual.items() if (a, b) == (i, j)), F(0))
+                        for row in range(d)
+                    )
+                    assert column == reference.get((i, j, k), (F(0),) * d), (g_id, n_id, point)
+            assert (not residual) == (not reference)
+            outcomes.add(not residual)
+    assert outcomes == {True, False}
+
+
+def test_an_unknown_grid_run_builds_no_product_coefficients(monkeypatch):
+    # S3 checks each point in derivation coordinates: a run that ends
+    # without a hit never flattens a left multiplication
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return structures._product_entries(*args)
+
+    monkeypatch.setattr(search, "_product_entries", count)
+    cert = pa_search(get_algebra("n3"), get_algebra("abelian_3"))
+    assert cert.verdict == UNKNOWN
+    assert cert.points_checked == 512
+    assert calls == []
 
 
 def test_a_budget_below_the_grid_size_checks_exactly_that_many_points(monkeypatch):
