@@ -391,8 +391,8 @@ def _point(space, digits):
     return x
 
 
-def _agreement_hits(g, n, space, points=400):
-    """Check the first ``points`` grid points at heights 1 and 2: the
+def _agreement_hits(g, n, space):
+    """Check the first 400 grid points at heights 1 and 2: the
     integer coordinates are ``scale * x`` and the integer check of axiom (2)
     agrees with the rational residuals of the product there.  Returns the
     number of points that pass."""
@@ -400,7 +400,7 @@ def _agreement_hits(g, n, space, points=400):
     hits = 0
     for height in (1, 2):
         equations, pending = [], _homomorphism_equations(g, n, scale)
-        for digits, X in itertools.islice(_odometer(space, scale, height), points):
+        for digits, X in itertools.islice(_odometer(space, scale, height), 400):
             assert X == [scale * y for y in _point(space, digits)], (height, digits)
             expected = next(axiom2_residuals(g, space.product_at(digits)), None) is None
             assert _axiom2_holds(X, equations, pending) == expected, (height, digits)
@@ -523,7 +523,7 @@ def test_the_integer_scale_clears_only_the_coordinates():
     assert n._derivation_constants[0][0] == ((0, 3), F(-1, 3))
     for space, expected_scale in ((solved, 2), (built, 1)):
         assert _coordinate_scale(space) == expected_scale
-        _agreement_hits(g, n, space, points=200)
+        _agreement_hits(g, n, space)
 
 
 def _homomorphism_residual(g, n, x):
