@@ -382,3 +382,99 @@ def test_global_and_local_json_flags_agree():
     local = run_cli("invariants", target, "--json")
     global_flag = run_cli("--json", "invariants", target)
     assert local.stdout == global_flag.stdout
+
+
+# ----------------------------------------------------------------------
+# pinned output of every command, text and JSON
+# ----------------------------------------------------------------------
+
+BROKEN_JACOBI = {
+    "kind": "algebra",
+    "dim": 3,
+    "entries": [
+        {"i": 1, "j": 2, "k": 3, "coeff": "1"},
+        {"i": 1, "j": 3, "k": 1, "coeff": "1"},
+        {"i": 2, "j": 3, "k": 2, "coeff": "1"},
+    ],
+}
+
+OPERATOR_ARGS = (
+    "--n",
+    CATALOG / "L5_1.json",
+    "--op",
+    SAMPLES / "solvable_over_perfect_operator.json",
+)
+
+PINNED_INVOCATIONS = [
+    ("catalog", "list"),
+    ("catalog", "show", "L5_1"),
+    ("catalog", "show", "L8_19"),
+    ("catalog", "export", "L5_1"),
+    ("check", "jacobi", CATALOG / "L5_1.json"),
+    ("check", "jacobi", "BROKEN"),
+    ("invariants", CATALOG / "L6_2.json"),
+    (
+        "verify",
+        "pa",
+        "--g",
+        SAMPLES / "solvable_over_perfect_g.json",
+        "--n",
+        CATALOG / "L5_1.json",
+        "--prod",
+        SAMPLES / "solvable_over_perfect_product.json",
+    ),
+    (
+        "verify",
+        "pa",
+        "--g",
+        CATALOG / "abelian_5.json",
+        "--n",
+        CATALOG / "L5_1.json",
+        "--prod",
+        SAMPLES / "solvable_over_perfect_product.json",
+    ),
+    ("verify", "rb", *OPERATOR_ARGS),
+    ("verify", "rb", *OPERATOR_ARGS, "--weight", "2"),
+    (
+        "derive",
+        "pa-from-rb",
+        "--n",
+        CATALOG / "L5_1.json",
+        "--op",
+        SAMPLES / "reductive_over_perfect_operator.json",
+    ),
+    ("derive", "pa-from-rb", *OPERATOR_ARGS, "--weight", "2"),
+    ("search", "pa", "--g", "L5_1", "--n", "L5_1"),
+    ("search", "pa", "--g", "r2", "--n", "abelian_2", "--budget", "6000"),
+    ("search", "pa", "--g", "n3_plus_r2", "--n", "L5_1"),
+    ("search", "pa", "--g", "sl2", "--n", "abelian_3"),
+    ("search", "pa", "--g", "n3", "--n", "abelian_3", "--budget", "3", "--grid-height", "1"),
+    ("rules", "--g", "L5_1", "--n", "abelian_5"),
+    ("rules", "--g", "gl2", "--n", "sl2_plus_C"),
+    ("table",),
+]
+
+# sha256 over (argv, exit code, stdout) of every invocation above, each in
+# text mode and then with ``--json``, run in process.  Paths enter the digest
+# relative to the package data directory.  A change that alters any output
+# byte must update this pin and say why.
+CLI_OUTPUT_SHA256 = (
+    "b4bd904b9db179d2040e1302e55c84c6e0527c23c2882c3a86c4766f63d8df57"
+)
+
+
+def test_cli_output_is_pinned(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text(interchange.serialize(BROKEN_JACOBI), encoding="utf-8")
+    digest = hashlib.sha256()
+    for invocation in PINNED_INVOCATIONS:
+        for mode in ((), ("--json",)):
+            argv = [str(broken if a == "BROKEN" else a) for a in (*invocation, *mode)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            shown = [
+                a.replace(str(DATA_DIR), "DATA").replace(str(tmp_path), "TMP") for a in argv
+            ]
+            digest.update(json.dumps([shown, code, out.getvalue()]).encode("utf-8"))
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256
