@@ -16,6 +16,12 @@ Subcommands::
 identical inputs always produce byte-identical JSON.  All coefficients are
 printed as exact rational strings.
 
+Every command handler returns ``(exit code, report, lines)`` and writes
+nothing.  :func:`main` alone prints: the report as indented JSON under
+``--json``, the text lines otherwise.  The serialized document that
+``catalog export`` and a successful ``derive pa-from-rb`` print is the same
+in both modes.  One table, ``_COMMANDS``, builds the parser.
+
 Exit codes::
 
     0   verified / affirmative (structure exists, check passed)
@@ -28,12 +34,16 @@ Exit codes::
     66  unknown catalog id or unreadable input file
     69  catalog entry whose structure constants are not bundled
     70  existence-table re-verification failure
+    74  the output cannot be written (a closed pipe, a full disk)
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import pathlib
 import re
 import sys
@@ -51,7 +61,7 @@ from .catalog import (
 )
 from .certificates import Certificate
 from .liealg import LieAlgebra, fingerprint
-from .rules import nonexistence_certificate, rule_by_id
+from .rules import nonexistence_certificate
 from .search import pa_search
 from .structures import (
     PAProduct,
@@ -74,6 +84,10 @@ EXIT_FORMAT = 65
 EXIT_NO_INPUT = 66
 EXIT_UNAVAILABLE = 69
 EXIT_TABLE = 70
+EXIT_IOERR = 74
+
+# what a command handler returns: exit code, JSON report, text lines
+Outcome = tuple[int, dict, list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,10 +108,6 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, ensure_ascii=False))
-
-
 def _term(coeff: Fraction, label: str) -> str:
     if coeff == 1:
         return label
@@ -116,28 +126,25 @@ def _combination(components: dict, labels: Sequence[str]) -> str:
     return out
 
 
-def _bracket_lines(alg: LieAlgebra, labels: Sequence[str]) -> list[str]:
-    table = alg.sparse_table()
+def _cell_lines(tensor: LieAlgebra | PAProduct, pair: str, empty: str) -> list[str]:
+    """One line per nonzero cell of a bracket or product on ``e1, e2, ...``,
+    its left side ``pair`` formatted with the two basis labels."""
+    table = tensor.sparse_table()
     if not table:
-        return ["(abelian: all brackets vanish)"]
+        return [empty]
+    labels = interchange.default_basis(tensor.dim)
     return [
-        f"[{labels[i]}, {labels[j]}] = {_combination(col, labels)}"
-        for (i, j), col in sorted(table.items())
-    ]
-
-
-def _product_lines(product: PAProduct, labels: Sequence[str]) -> list[str]:
-    table = product.sparse_table()
-    if not table:
-        return ["(zero product)"]
-    return [
-        f"{labels[i]} . {labels[j]} = {_combination(col, labels)}"
+        f"{pair.format(labels[i], labels[j])} = {_combination(col, labels)}"
         for (i, j), col in sorted(table.items())
     ]
 
 
 def _flag(ok: bool) -> str:
     return "pass" if ok else "FAIL"
+
+
+def _verdict(ok: bool) -> int:
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _invariant_report(alg: LieAlgebra, name: str) -> dict:
@@ -152,53 +159,45 @@ def _invariant_report(alg: LieAlgebra, name: str) -> dict:
     }
 
 
-def _print_invariants(report: dict) -> None:
-    print(f"name: {report['name']}")
+def _invariant_lines(report: dict) -> list[str]:
     fp = report["fingerprint"]
-    print(f"dim: {fp['dim']}")
-    print(f"jacobi: {_flag(report['jacobi_ok'])}")
-    print(f"derived series dims: {fp['derived_dims']}")
-    print(f"lower central series dims: {fp['lower_central_dims']}")
-    print(f"center dim: {fp['center_dim']}")
-    print(f"killing rank: {fp['killing_rank']}")
-    print(f"solvable radical dim: {fp['radical_dim']}")
-    print(f"radical nilpotency class: {fp['radical_class']}")
-    for key in CLASSES:
-        print(f"{key}: {'yes' if report[key] else 'no'}")
-    print(
-        "classes: " + (", ".join(report["classes"]) if report["classes"] else "(none)")
-    )
-    print(
-        "catalog matches by fingerprint: "
-        + (", ".join(report["catalog_matches"]) or "(none)")
-    )
+    return [
+        f"name: {report['name']}",
+        f"dim: {fp['dim']}",
+        f"jacobi: {_flag(report['jacobi_ok'])}",
+        f"derived series dims: {fp['derived_dims']}",
+        f"lower central series dims: {fp['lower_central_dims']}",
+        f"center dim: {fp['center_dim']}",
+        f"killing rank: {fp['killing_rank']}",
+        f"solvable radical dim: {fp['radical_dim']}",
+        f"radical nilpotency class: {fp['radical_class']}",
+        *(f"{key}: {'yes' if report[key] else 'no'}" for key in CLASSES),
+        "classes: " + (", ".join(report["classes"]) or "(none)"),
+        "catalog matches by fingerprint: " + (", ".join(report["catalog_matches"]) or "(none)"),
+    ]
 
 
-def _print_certificate(cert: Certificate) -> None:
-    print(f"verdict: {cert.verdict}")
-    print(f"g: {cert.g_name}")
-    print(f"n: {cert.n_name}")
+def _certificate_lines(cert: Certificate) -> list[str]:
+    lines = [f"verdict: {cert.verdict}", f"g: {cert.g_name}", f"n: {cert.n_name}"]
     if cert.linear_dimension is not None:
-        print(f"solution space dimension (axioms 1+3): {cert.linear_dimension}")
+        lines.append(f"solution space dimension (axioms 1+3): {cert.linear_dimension}")
     if cert.subsets_checked:
-        print(f"coordinate splittings checked: {cert.subsets_checked}")
+        lines.append(f"coordinate splittings checked: {cert.subsets_checked}")
     if cert.points_checked:
-        print(f"grid points checked: {cert.points_checked}")
+        lines.append(f"grid points checked: {cert.points_checked}")
     if cert.rule_id is not None:
-        print(f"rule: {cert.rule_id}")
+        lines.append(f"rule: {cert.rule_id}")
     if cert.justification:
-        print(f"justification: {cert.justification}")
-    for line in cert.trace:
-        print(f"  - {line}")
+        lines.append(f"justification: {cert.justification}")
+    lines += [f"  - {line}" for line in cert.trace]
     if cert.witness is not None:
-        labels = interchange.default_basis(cert.witness.dim)
-        print("witness product:")
-        for line in _product_lines(cert.witness, labels):
-            print(f"  {line}")
+        lines.append("witness product:")
+        product = _cell_lines(cert.witness, "{} . {}", "(zero product)")
+        lines += [f"  {line}" for line in product]
     if cert.operator is not None:
-        print(f"witness operator (weight {cert.operator.weight}):")
-        for row in cert.operator.matrix:
-            print("  [" + ", ".join(str(x) for x in row) + "]")
+        lines.append(f"witness operator (weight {cert.operator.weight}):")
+        lines += ["  [" + ", ".join(map(str, row)) + "]" for row in cert.operator.matrix]
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +256,10 @@ def _count_flag(text: str) -> int:
 # commands
 # ----------------------------------------------------------------------
 
+_EXPECTED = ("expected_center_dim", "expected_radical_dim", "expected_nilradical_class")
 
-def _cmd_catalog_list(args: argparse.Namespace) -> int:
+
+def _cmd_catalog_list(args: argparse.Namespace) -> Outcome:
     rows = []
     for entry_id in catalog_ids():
         entry = get_entry(entry_id)
@@ -271,19 +272,15 @@ def _cmd_catalog_list(args: argparse.Namespace) -> int:
                 "description": entry.description,
             }
         )
-    if args.json:
-        _emit_json({"command": "catalog list", "entries": rows})
-    else:
-        for row in rows:
-            flag = "" if row["buildable"] else "  [data required]"
-            print(
-                f"{row['id']:<24} {row['kind']:<10} dim {row['dim']:>2}  "
-                f"{row['description']}{flag}"
-            )
-    return EXIT_OK
+    lines = [
+        f"{row['id']:<24} {row['kind']:<10} dim {row['dim']:>2}  {row['description']}"
+        + ("" if row["buildable"] else "  [data required]")
+        for row in rows
+    ]
+    return EXIT_OK, {"command": "catalog list", "entries": rows}, lines
 
 
-def _cmd_catalog_show(args: argparse.Namespace) -> int:
+def _cmd_catalog_show(args: argparse.Namespace) -> Outcome:
     entry = get_entry(args.id)
     report: dict = {
         "command": "catalog show",
@@ -293,52 +290,32 @@ def _cmd_catalog_show(args: argparse.Namespace) -> int:
         "description": entry.description,
         "buildable": entry.builder is not None,
     }
-    if entry.expected_center_dim is not None:
-        report["expected_center_dim"] = entry.expected_center_dim
-    if entry.expected_radical_dim is not None:
-        report["expected_radical_dim"] = entry.expected_radical_dim
-    if entry.expected_nilradical_class is not None:
-        report["expected_nilradical_class"] = entry.expected_nilradical_class
-    if entry.builder is not None:
-        alg = entry.build()
-        report["invariants"] = _invariant_report(alg, entry.entry_id)
-        labels = interchange.default_basis(alg.dim)
-        report["brackets"] = _bracket_lines(alg, labels)
-    if args.json:
-        _emit_json(report)
-        return EXIT_OK
-    print(f"id: {report['id']}")
-    print(f"kind: {report['kind']}")
-    print(f"dim: {report['dim']}")
-    print(f"description: {report['description']}")
-    for key in (
-        "expected_center_dim",
-        "expected_radical_dim",
-        "expected_nilradical_class",
-    ):
-        if key in report:
-            print(f"{key.replace('_', ' ')}: {report[key]}")
-    if not report["buildable"]:
-        print(
+    for key in _EXPECTED:
+        if getattr(entry, key) is not None:
+            report[key] = getattr(entry, key)
+    lines = [f"{key}: {report[key]}" for key in ("id", "kind", "dim", "description")]
+    lines += [f"{key.replace('_', ' ')}: {report[key]}" for key in _EXPECTED if key in report]
+    if entry.builder is None:
+        lines.append(
             "status: structure constants not bundled; build raises until the"
             " classification data is supplied"
         )
-        return EXIT_OK
-    print("brackets:")
-    for line in report["brackets"]:
-        print(f"  {line}")
-    _print_invariants(report["invariants"])
-    return EXIT_OK
-
-
-def _cmd_catalog_export(args: argparse.Namespace) -> int:
-    entry = get_entry(args.id)
+        return EXIT_OK, report, lines
     alg = entry.build()
-    sys.stdout.write(interchange.serialize(alg, name=entry.entry_id))
-    return EXIT_OK
+    report["invariants"] = _invariant_report(alg, entry.entry_id)
+    report["brackets"] = _cell_lines(alg, "[{}, {}]", "(abelian: all brackets vanish)")
+    lines.append("brackets:")
+    lines += [f"  {line}" for line in report["brackets"]]
+    return EXIT_OK, report, lines + _invariant_lines(report["invariants"])
 
 
-def _cmd_check_jacobi(args: argparse.Namespace) -> int:
+def _cmd_catalog_export(args: argparse.Namespace) -> Outcome:
+    entry = get_entry(args.id)
+    doc = interchange.document_for(entry.build(), name=entry.entry_id)
+    return EXIT_OK, doc, interchange.serialize(doc).splitlines()
+
+
+def _cmd_check_jacobi(args: argparse.Namespace) -> Outcome:
     name, alg = _load_document(args.file, "algebra")
     residuals = alg.jacobi_residuals()
     report = {
@@ -347,34 +324,24 @@ def _cmd_check_jacobi(args: argparse.Namespace) -> int:
         "ok": not residuals,
         "violations": _violations(residuals),
     }
-    if args.json:
-        _emit_json(report)
-    else:
-        if report["ok"]:
-            print(f"jacobi: pass ({name})")
-        else:
-            count = len(residuals)
-            plural = "" if count == 1 else "s"
-            print(f"jacobi: FAIL ({name}), {count} violating triple{plural}")
-            for row in report["violations"][:5]:
-                print(
-                    f"  (e{row['i']}, e{row['j']}, e{row['k']}): "
-                    f"residual {row['residual']}"
-                )
-    return EXIT_OK if report["ok"] else EXIT_NEGATIVE
+    if not residuals:
+        return EXIT_OK, report, [f"jacobi: pass ({name})"]
+    plural = "" if len(residuals) == 1 else "s"
+    lines = [f"jacobi: FAIL ({name}), {len(residuals)} violating triple{plural}"]
+    lines += [
+        f"  (e{row['i']}, e{row['j']}, e{row['k']}): residual {row['residual']}"
+        for row in report["violations"][:5]
+    ]
+    return EXIT_NEGATIVE, report, lines
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> Outcome:
     name, alg = _load_document(args.file, "algebra")
     report = _invariant_report(alg, name)
-    if args.json:
-        _emit_json({"command": "invariants", **report})
-    else:
-        _print_invariants(report)
-    return EXIT_OK
+    return EXIT_OK, {"command": "invariants", **report}, _invariant_lines(report)
 
 
-def _cmd_verify_pa(args: argparse.Namespace) -> int:
+def _cmd_verify_pa(args: argparse.Namespace) -> Outcome:
     g_name, g = _load_document(args.g, "algebra")
     n_name, n = _load_document(args.n, "algebra")
     prod_name, product = _load_document(args.prod, "product")
@@ -386,31 +353,23 @@ def _cmd_verify_pa(args: argparse.Namespace) -> int:
         "product": prod_name,
         **verification.as_dict(),
     }
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"g: {g_name}")
-        print(f"n: {n_name}")
-        print(f"product: {prod_name}")
-        print(f"g jacobi: {_flag(verification.g_jacobi_ok)}")
-        print(f"n jacobi: {_flag(verification.n_jacobi_ok)}")
-        print(
-            "axiom 1 (commutator matches bracket difference): "
-            + _flag(not verification.axiom1)
-        )
-        print(
-            "axiom 2 (left multiplication is a representation of g): "
-            + _flag(not verification.axiom2)
-        )
-        print(
-            "axiom 3 (left multiplications act by derivations of n): "
-            + _flag(not verification.axiom3)
-        )
-        print(f"verdict: {_flag(verification.ok)}")
-    return EXIT_OK if verification.ok else EXIT_NEGATIVE
+    lines = [
+        f"g: {g_name}",
+        f"n: {n_name}",
+        f"product: {prod_name}",
+        f"g jacobi: {_flag(verification.g_jacobi_ok)}",
+        f"n jacobi: {_flag(verification.n_jacobi_ok)}",
+        "axiom 1 (commutator matches bracket difference): " + _flag(not verification.axiom1),
+        "axiom 2 (left multiplication is a representation of g): "
+        + _flag(not verification.axiom2),
+        "axiom 3 (left multiplications act by derivations of n): "
+        + _flag(not verification.axiom3),
+        f"verdict: {_flag(verification.ok)}",
+    ]
+    return _verdict(verification.ok), report, lines
 
 
-def _cmd_verify_rb(args: argparse.Namespace) -> int:
+def _cmd_verify_rb(args: argparse.Namespace) -> Outcome:
     n_name, n = _load_document(args.n, "algebra")
     op_name, op = _operator_from_file(args.op, args.weight)
     verification = verify_rb(n, op)
@@ -420,109 +379,151 @@ def _cmd_verify_rb(args: argparse.Namespace) -> int:
         "operator": op_name,
         **verification.as_dict(),
     }
+    lines = [
+        f"n: {n_name}",
+        f"operator: {op_name}",
+        f"weight: {verification.weight}",
+        f"n jacobi: {_flag(verification.n_jacobi_ok)}",
+        f"operator identity: {_flag(not verification.residuals)}",
+    ]
     if verification.ok:
         first, second = rb_kernels(n, op)
         report["kernel_dim"] = first.dim
         report["shifted_kernel_dim"] = second.dim
-        report["descendent_fingerprint"] = fingerprint(
-            descendent_bracket(n, op)
-        ).as_dict()
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"n: {n_name}")
-        print(f"operator: {op_name}")
-        print(f"weight: {verification.weight}")
-        print(f"n jacobi: {_flag(verification.n_jacobi_ok)}")
-        print(f"operator identity: {_flag(not verification.residuals)}")
-        if verification.ok:
-            print(f"kernel dim: {report['kernel_dim']}")
-            print(f"kernel dim of operator + id: {report['shifted_kernel_dim']}")
-        print(f"verdict: {_flag(verification.ok)}")
-    return EXIT_OK if verification.ok else EXIT_NEGATIVE
+        report["descendent_fingerprint"] = fingerprint(descendent_bracket(n, op)).as_dict()
+        lines.append(f"kernel dim: {first.dim}")
+        lines.append(f"kernel dim of operator + id: {second.dim}")
+    lines.append(f"verdict: {_flag(verification.ok)}")
+    return _verdict(verification.ok), report, lines
 
 
-def _cmd_derive_pa_from_rb(args: argparse.Namespace) -> int:
+def _cmd_derive_pa_from_rb(args: argparse.Namespace) -> Outcome:
     n_name, n = _load_document(args.n, "algebra")
     op_name, op = _operator_from_file(args.op, args.weight)
+    header = {"command": "derive pa-from-rb", "n": n_name, "operator": op_name}
     rb_check = verify_rb(n, op)
     if not rb_check.ok:
-        report = {
-            "command": "derive pa-from-rb",
-            "n": n_name,
-            "operator": op_name,
-            "ok": False,
-            **rb_check.as_dict(),
-        }
-        if args.json:
-            _emit_json(report)
-        else:
-            print(
-                f"operator {op_name} does not satisfy the weight-{op.weight} "
-                f"identity on {n_name}; no product derived"
-            )
-        return EXIT_NEGATIVE
+        line = (
+            f"operator {op_name} does not satisfy the weight-{op.weight} "
+            f"identity on {n_name}; no product derived"
+        )
+        return EXIT_NEGATIVE, {**header, "ok": False, **rb_check.as_dict()}, [line]
     product = pa_from_rb(n, op, name=f"{op_name}_product")
     g = induced_bracket(n, product)
     pa_check = verify_pa(g, n, product)
     doc = interchange.document_for(product)
     report = {
-        "command": "derive pa-from-rb",
-        "n": n_name,
-        "operator": op_name,
+        **header,
         "ok": pa_check.ok,
         "product": doc,
         "induced_bracket_fingerprint": fingerprint(g).as_dict(),
         "induced_bracket_catalog_matches": list(identify(g)),
     }
-    if args.json:
-        _emit_json(report)
-    else:
-        sys.stdout.write(interchange.serialize(doc))
-    return EXIT_OK if pa_check.ok else EXIT_NEGATIVE
+    return _verdict(pa_check.ok), report, interchange.serialize(doc).splitlines()
 
 
-def _cmd_search_pa(args: argparse.Namespace) -> int:
+def _pair_certificate(args: argparse.Namespace, command: str, decide) -> Outcome:
+    """Run ``decide(g, n, g_name=, n_name=)`` on the pair named by ``--g`` and
+    ``--n`` and report its certificate."""
     g_name, g = _algebra_from_file_or_id(args.g)
     n_name, n = _algebra_from_file_or_id(args.n)
-    cert = pa_search(
-        g,
-        n,
-        budget=args.budget,
-        grid_height=args.grid_height,
-        g_name=g_name,
-        n_name=n_name,
-    )
-    if args.json:
-        _emit_json({"command": "search pa", **cert.as_dict()})
-    else:
-        _print_certificate(cert)
-    return cert.exit_code
+    cert = decide(g, n, g_name=g_name, n_name=n_name)
+    return cert.exit_code, {"command": command, **cert.as_dict()}, _certificate_lines(cert)
 
 
-def _cmd_rules(args: argparse.Namespace) -> int:
-    g_name, g = _algebra_from_file_or_id(args.g)
-    n_name, n = _algebra_from_file_or_id(args.n)
-    cert = nonexistence_certificate(g, n, g_name=g_name, n_name=n_name)
-    if args.json:
-        _emit_json({"command": "rules", **cert.as_dict()})
-    else:
-        _print_certificate(cert)
-    return cert.exit_code
+def _cmd_search_pa(args: argparse.Namespace) -> Outcome:
+    search = functools.partial(pa_search, budget=args.budget, grid_height=args.grid_height)
+    return _pair_certificate(args, "search pa", search)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_rules(args: argparse.Namespace) -> Outcome:
+    return _pair_certificate(args, "rules", nonexistence_certificate)
+
+
+def _cmd_table(args: argparse.Namespace) -> Outcome:
     result = existence_table()
-    if args.json:
-        _emit_json({"command": "table", **result.as_dict()})
-    else:
-        print(result.render())
-    return EXIT_OK
+    return EXIT_OK, {"command": "table", **result.as_dict()}, [result.render()]
 
 
 # ----------------------------------------------------------------------
 # parser assembly
 # ----------------------------------------------------------------------
+
+_GROUP_HELP = {
+    "catalog": "browse the bundled algebra catalog",
+    "check": "validate documents",
+    "verify": "verify axioms exactly",
+    "derive": "derive structures from operators",
+    "search": "search for structures on a pair",
+}
+
+_FILE = {"required": True, "metavar": "FILE"}
+_FILE_OR_ID = {"required": True, "metavar": "FILE|ID"}
+_ID = (("id", {}),)
+_PATH = (("file", {}),)
+_PAIR = (("--g", _FILE_OR_ID), ("--n", _FILE_OR_ID))
+_OPERATOR = (
+    ("--n", _FILE),
+    ("--op", _FILE),
+    (
+        "--weight",
+        {
+            "type": _rational_flag,
+            "default": None,
+            "help": "override the weight stored in the operator file",
+        },
+    ),
+)
+_SEARCH_BOUNDS = (
+    ("--grid-height", {"type": _count_flag, "default": 2, "metavar": "H"}),
+    ("--budget", {"type": _count_flag, "default": 512, "metavar": "K"}),
+)
+
+# (group, name, help, arguments, handler) in ``--help`` order; a command
+# without a group sits at the top level.  Each takes ``--json`` last.
+_COMMANDS = (
+    ("catalog", "list", "list catalog ids", (), _cmd_catalog_list),
+    ("catalog", "show", "invariants and brackets of one entry", _ID, _cmd_catalog_show),
+    ("catalog", "export", "print one entry as a JSON document", _ID, _cmd_catalog_export),
+    (
+        "check",
+        "jacobi",
+        "check the Jacobi identity of an algebra file",
+        _PATH,
+        _cmd_check_jacobi,
+    ),
+    (
+        None,
+        "invariants",
+        "fingerprint and class predicates of an algebra file",
+        _PATH,
+        _cmd_invariants,
+    ),
+    (
+        "verify",
+        "pa",
+        "verify the three product axioms on (g, n)",
+        (("--g", _FILE), ("--n", _FILE), ("--prod", _FILE)),
+        _cmd_verify_pa,
+    ),
+    ("verify", "rb", "verify the weighted operator identity on n", _OPERATOR, _cmd_verify_rb),
+    (
+        "derive",
+        "pa-from-rb",
+        "product x . y = {Rx, y} of a verified operator",
+        _OPERATOR,
+        _cmd_derive_pa_from_rb,
+    ),
+    (
+        "search",
+        "pa",
+        "three-stage product search on (g, n)",
+        _PAIR + _SEARCH_BOUNDS,
+        _cmd_search_pa,
+    ),
+    (None, "rules", "apply structural non-existence rules to a pair", _PAIR, _cmd_rules),
+    (None, "table", "render the re-verified 8x8 existence table", (), _cmd_table),
+)
 
 
 def build_parser() -> _Parser:
@@ -534,136 +535,68 @@ def build_parser() -> _Parser:
             "structures and weighted operators."
         ),
     )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
+    json_help = "machine-readable JSON output"
+    parser.add_argument("--json", action="store_true", help=json_help)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def _json_flag(p: _Parser) -> None:
-        p.add_argument(
-            "--json",
-            action="store_true",
-            default=argparse.SUPPRESS,
-            help="machine-readable JSON output",
-        )
-
-    def _operator_flags(p: _Parser) -> None:
-        p.add_argument("--n", required=True, metavar="FILE")
-        p.add_argument("--op", required=True, metavar="FILE")
-        p.add_argument(
-            "--weight",
-            type=_rational_flag,
-            default=None,
-            help="override the weight stored in the operator file",
-        )
-
-    catalog = sub.add_parser("catalog", help="browse the bundled algebra catalog")
-    catalog_sub = catalog.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = catalog_sub.add_parser("list", help="list catalog ids")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_catalog_list)
-    p = catalog_sub.add_parser("show", help="invariants and brackets of one entry")
-    p.add_argument("id")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_catalog_show)
-    p = catalog_sub.add_parser("export", help="print one entry as a JSON document")
-    p.add_argument("id")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_catalog_export)
-
-    check = sub.add_parser("check", help="validate documents")
-    check_sub = check.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = check_sub.add_parser("jacobi", help="check the Jacobi identity of an algebra file")
-    p.add_argument("file")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_check_jacobi)
-
-    p = sub.add_parser("invariants", help="fingerprint and class predicates of an algebra file")
-    p.add_argument("file")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    verify = sub.add_parser("verify", help="verify axioms exactly")
-    verify_sub = verify.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = verify_sub.add_parser("pa", help="verify the three product axioms on (g, n)")
-    p.add_argument("--g", required=True, metavar="FILE")
-    p.add_argument("--n", required=True, metavar="FILE")
-    p.add_argument("--prod", required=True, metavar="FILE")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_verify_pa)
-    p = verify_sub.add_parser("rb", help="verify the weighted operator identity on n")
-    _operator_flags(p)
-    _json_flag(p)
-    p.set_defaults(func=_cmd_verify_rb)
-
-    derive = sub.add_parser("derive", help="derive structures from operators")
-    derive_sub = derive.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = derive_sub.add_parser(
-        "pa-from-rb", help="product x . y = {Rx, y} of a verified operator"
-    )
-    _operator_flags(p)
-    _json_flag(p)
-    p.set_defaults(func=_cmd_derive_pa_from_rb)
-
-    search = sub.add_parser("search", help="search for structures on a pair")
-    search_sub = search.add_subparsers(
-        dest="subcommand", required=True, parser_class=_Parser
-    )
-    p = search_sub.add_parser("pa", help="three-stage product search on (g, n)")
-    p.add_argument("--g", required=True, metavar="FILE|ID")
-    p.add_argument("--n", required=True, metavar="FILE|ID")
-    p.add_argument("--grid-height", type=_count_flag, default=2, metavar="H")
-    p.add_argument("--budget", type=_count_flag, default=512, metavar="K")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_search_pa)
-
-    p = sub.add_parser("rules", help="apply structural non-existence rules to a pair")
-    p.add_argument("--g", required=True, metavar="FILE|ID")
-    p.add_argument("--n", required=True, metavar="FILE|ID")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_rules)
-
-    p = sub.add_parser("table", help="render the re-verified 8x8 existence table")
-    _json_flag(p)
-    p.set_defaults(func=_cmd_table)
-
+    parents = {None: sub}
+    for group, name, help_text, arguments, handler in _COMMANDS:
+        if group not in parents:
+            parents[group] = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="subcommand", required=True, parser_class=_Parser
+            )
+        p = parents[group].add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        # a per-command --json is only set when given, so the global one stands
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=json_help)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    text = ""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse has written the help to stdout or a usage error to stderr
+        code = int(exc.code or 0)
+    else:
+        try:
+            code, report, lines = args.func(args)
+        except interchange.InterchangeError as exc:
+            print(f"postlie: malformed document: {exc}", file=sys.stderr)
+            return EXIT_FORMAT
+        except UnknownCatalogId as exc:
+            print(f"postlie: unknown catalog id: {exc.args[0]}", file=sys.stderr)
+            return EXIT_NO_INPUT
+        except OSError as exc:
+            print(f"postlie: cannot read input: {exc}", file=sys.stderr)
+            return EXIT_NO_INPUT
+        except ExternalDataRequired as exc:
+            print(f"postlie: {exc}", file=sys.stderr)
+            return EXIT_UNAVAILABLE
+        except TableVerificationError as exc:
+            print(f"postlie: table re-verification failed: {exc}", file=sys.stderr)
+            return EXIT_TABLE
+        except ValueError as exc:
+            print(f"postlie: inconsistent inputs: {exc}", file=sys.stderr)
+            return EXIT_FORMAT
+        if args.json:
+            lines = [json.dumps(report, indent=2, ensure_ascii=False)]
+        text = "".join(f"{line}\n" for line in lines)
     try:
-        return args.func(args)
-    except interchange.InterchangeError as exc:
-        print(f"postlie: malformed document: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except UnknownCatalogId as exc:
-        print(f"postlie: unknown catalog id: {exc.args[0]}", file=sys.stderr)
-        return EXIT_NO_INPUT
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"postlie: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_NO_INPUT
-    except ExternalDataRequired as exc:
-        print(f"postlie: {exc}", file=sys.stderr)
-        return EXIT_UNAVAILABLE
-    except TableVerificationError as exc:
-        print(f"postlie: table re-verification failed: {exc}", file=sys.stderr)
-        return EXIT_TABLE
-    except ValueError as exc:
-        print(f"postlie: inconsistent inputs: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        print(f"postlie: cannot write output: {exc}", file=sys.stderr)
+        # point a real stdout at the null device, so that the interpreter's
+        # exit flush drops what is still buffered instead of failing again;
+        # an in-memory stdout has no descriptor and needs nothing
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
+    return code
 
 
 if __name__ == "__main__":

@@ -455,10 +455,18 @@ def parse_text(text: str, *, filename: str = "") -> ParsedDocument:
             where=f"line {exc.lineno}, column {exc.colno}",
             filename=filename,
         ) from None
+    except RecursionError:
+        raise InterchangeError("invalid JSON: nested too deeply", filename=filename) from None
     return parse_document(doc, filename=filename)
 
 
 def parse_file(path: object) -> ParsedDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        # one read() decodes the whole file, so ``start`` is a file offset
+        raise InterchangeError(
+            f"not UTF-8 text: {exc.reason}", where=f"byte {exc.start}", filename=str(path)
+        ) from None
     return parse_text(text, filename=str(path))

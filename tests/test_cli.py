@@ -2,10 +2,12 @@
 contract, document diagnostics, and byte-deterministic JSON output; the
 invariant reports are also pinned in process."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -341,6 +343,26 @@ def test_oversized_dim_is_65(tmp_path):
     assert "dim" in result.stderr and str(interchange.MAX_DIM) in result.stderr
 
 
+HOSTILE_COMMANDS = [("check", "jacobi"), ("search", "pa", "--n", "L5_1", "--g")]
+HOSTILE_DOCUMENTS = {
+    "deep": (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: nested too deeply"),
+    "latin1": (b'{"kind": "algebra", "name": "caf\xe9", "dim": 1, "entries": []}', "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("command", HOSTILE_COMMANDS)
+@pytest.mark.parametrize("content,message", HOSTILE_DOCUMENTS.values(), ids=list(HOSTILE_DOCUMENTS))
+def test_hostile_documents_are_65(tmp_path, command, content, message):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    result = run_cli(*command, path)
+    assert result.returncode == 65
+    assert result.stdout == ""
+    assert result.stderr.startswith("postlie: malformed document: ")
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_wrong_kind_is_65():
     result = run_cli("check", "jacobi", SAMPLES / "solvable_over_perfect_operator.json")
     assert result.returncode == 65
@@ -350,6 +372,37 @@ def test_wrong_kind_is_65():
 def test_missing_file_is_66(tmp_path):
     result = run_cli("check", "jacobi", tmp_path / "absent.json")
     assert result.returncode == 66
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("args", [("catalog", "list", "--json"), ("table",)])
+def test_a_closed_stdout_is_an_output_error(args, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "postlie.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": "" if buffered else "1"},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 74
+    assert result.stderr == "postlie: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_an_in_memory_stdout_that_fails_is_an_output_error(capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with contextlib.redirect_stdout(Full()):
+        assert cli.main(["catalog", "list"]) == 74
+    assert capsys.readouterr().err == (
+        "postlie: cannot write output: [Errno 28] No space left on device\n"
+    )
 
 
 def test_unknown_search_id_is_66():
@@ -478,3 +531,20 @@ def test_cli_output_is_pinned(tmp_path):
             ]
             digest.update(json.dumps([shown, code, out.getvalue()]).encode("utf-8"))
     assert digest.hexdigest() == CLI_OUTPUT_SHA256
+
+
+def test_only_main_writes_output():
+    """Handlers return reports; only ``main`` prints, touches ``sys.stdout`` or
+    reads the parsed ``--json`` flag."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    offenders = []
+    for node in ast.walk(tree):
+        if id(node) in in_main:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            offenders.append(f"line {node.lineno}: print")
+        if isinstance(node, ast.Attribute) and node.attr in ("stdout", "json"):
+            offenders.append(f"line {node.lineno}: .{node.attr}")
+    assert offenders == []

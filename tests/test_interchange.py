@@ -140,6 +140,21 @@ def test_malformed_json_reports_line_and_column():
     assert "line 2" in str(err.value)
 
 
+def test_deeply_nested_json_is_a_malformed_document():
+    with pytest.raises(InterchangeError) as err:
+        parse_text("[" * 200_000 + "]" * 200_000, filename="deep.json")
+    assert str(err.value) == "deep.json: invalid JSON: nested too deeply"
+
+
+def test_non_utf8_file_is_a_malformed_document(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "algebra", "name": "caf\xe9", "dim": 1, "entries": []}')
+    with pytest.raises(InterchangeError) as err:
+        parse_file(path)
+    assert err.value.where == "byte 32"
+    assert "not UTF-8 text" in str(err.value)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InterchangeError) as err:
         parse_text(serialize({"kind": "poset", "dim": 1, "entries": []}))
