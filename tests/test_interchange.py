@@ -208,6 +208,234 @@ def test_basis_and_dim_validation():
         parse_text(serialize(_minimal_algebra(dim=True, entries=[])))
 
 
+def _entry(**changes):
+    """A one-entry algebra whose entry has ``changes`` applied (``None``
+    drops a field)."""
+    entry = {"i": 1, "j": 2, "k": 1, "coeff": "1", **changes}
+    return _minimal_algebra(entries=[{f: v for f, v in entry.items() if v is not None}])
+
+
+def _operator(**overrides):
+    identity = [["1", "0"], ["0", "1"]]
+    return {"kind": "operator", "dim": 2, "matrix": identity, "weight": "1", **overrides}
+
+
+_KINDS = "['algebra', 'product', 'operator', 'embedding']"
+
+# one malformed document per check of the parser, with the ``where`` and the
+# ``str`` of the error that parse_document raises without a file name
+DIAGNOSTICS = {
+    "top-level-list": ([], "", "top level must be a JSON object"),
+    "kind-unknown": (
+        {"kind": "poset", "dim": 1},
+        "kind",
+        f"kind: kind must be one of {_KINDS}, got 'poset'",
+    ),
+    "kind-missing": (
+        {"dim": 1, "entries": []},
+        "kind",
+        f"kind: kind must be one of {_KINDS}, got None",
+    ),
+    "top-unknown-field": (
+        _minimal_algebra(extra=1),
+        "",
+        "unknown fields ['extra'] for kind 'algebra'",
+    ),
+    "top-missing-field": (
+        {"kind": "algebra", "dim": 2},
+        "",
+        "missing fields ['entries'] for kind 'algebra'",
+    ),
+    "operator-missing-weight": (
+        {"kind": "operator", "dim": 1, "matrix": [["0"]]},
+        "",
+        "missing fields ['weight'] for kind 'operator'",
+    ),
+    "embedding-missing-second": (
+        {"kind": "embedding", "dim": 1, "first": [["1"]]},
+        "",
+        "missing fields ['second'] for kind 'embedding'",
+    ),
+    "dim-bool": (_minimal_algebra(dim=True), "dim", "dim: expected an integer, got True"),
+    "dim-string": (_minimal_algebra(dim="2"), "dim", "dim: expected an integer, got '2'"),
+    "dim-zero": (
+        _minimal_algebra(dim=0, entries=[]),
+        "dim",
+        "dim: dim must be between 1 and 64, got 0",
+    ),
+    "dim-above-cap": (
+        _minimal_algebra(dim=65, entries=[]),
+        "dim",
+        "dim: dim must be between 1 and 64, got 65",
+    ),
+    "name-not-string": (_minimal_algebra(name=5), "name", "name: must be a string"),
+    "basis-short": (
+        _minimal_algebra(basis=["a"]),
+        "basis",
+        "basis: must be 2 distinct nonempty labels",
+    ),
+    "basis-repeated": (
+        _minimal_algebra(basis=["a", "a"]),
+        "basis",
+        "basis: must be 2 distinct nonempty labels",
+    ),
+    "basis-empty-label": (
+        _minimal_algebra(basis=["a", ""]),
+        "basis",
+        "basis: must be 2 distinct nonempty labels",
+    ),
+    "entries-not-list": (_minimal_algebra(entries={}), "entries", "entries: must be a list"),
+    "entry-not-object": (
+        _minimal_algebra(entries=[[1, 2, 1, "1"]]),
+        "entries[0]",
+        "entries[0]: must be an object",
+    ),
+    "entry-unknown-field": (_entry(x=0), "entries[0]", "entries[0]: unknown fields ['x']"),
+    "entry-missing-field": (
+        _entry(coeff=None),
+        "entries[0]",
+        "entries[0]: missing fields ['coeff']",
+    ),
+    "entry-index-bool": (
+        _entry(i=True),
+        "entries[0].i",
+        "entries[0].i: expected an integer, got True",
+    ),
+    "entry-index-range": (
+        _entry(j=3),
+        "entries[0].j",
+        "entries[0].j: index 3 out of range 1..2",
+    ),
+    "product-index-range": (
+        {"kind": "product", "dim": 2, "entries": [{"i": 2, "j": 1, "k": 0, "coeff": "1"}]},
+        "entries[0].k",
+        "entries[0].k: index 0 out of range 1..2",
+    ),
+    "entry-i-not-below-j": (
+        _entry(i=2, j=1),
+        "entries[0]",
+        "entries[0]: bracket entries need i < j (got i=2, j=1); "
+        "the (j, i) value is implied by antisymmetry",
+    ),
+    "entry-zero-coeff": (
+        _entry(coeff="0"),
+        "entries[0].coeff",
+        "entries[0].coeff: zero coefficients must be omitted",
+    ),
+    "entry-duplicate": (
+        _minimal_algebra(
+            entries=[
+                {"i": 1, "j": 2, "k": 1, "coeff": "1"},
+                {"i": 1, "j": 2, "k": 1, "coeff": "2"},
+            ]
+        ),
+        "entries[1]",
+        "entries[1]: duplicate entry for (i=1, j=2, k=1)",
+    ),
+    "coeff-non-canonical": (
+        _entry(coeff="2/4"),
+        "entries[0].coeff",
+        "entries[0].coeff: non-canonical rational '2/4' (expected '1/2')",
+    ),
+    "coeff-invalid": (
+        _entry(coeff="1/0"),
+        "entries[0].coeff",
+        "entries[0].coeff: invalid rational '1/0'",
+    ),
+    "coeff-json-number": (
+        _entry(coeff=1),
+        "entries[0].coeff",
+        "entries[0].coeff: coefficients must be rational strings, not JSON numbers",
+    ),
+    "matrix-row-count": (
+        _operator(matrix=[["1", "0"]]),
+        "matrix",
+        "matrix: must be a list of 2 rows",
+    ),
+    "matrix-row-length": (
+        _operator(matrix=[["1", "0"], ["0"]]),
+        "matrix[1]",
+        "matrix[1]: must be a list of 2 rational strings",
+    ),
+    "matrix-entry": (
+        _operator(matrix=[["1", "0"], ["0", "+1"]]),
+        "matrix[1][1]",
+        "matrix[1][1]: non-canonical rational '+1' (expected '1')",
+    ),
+    "weight-json-number": (
+        _operator(weight=1),
+        "weight",
+        "weight: coefficients must be rational strings, not JSON numbers",
+    ),
+    "embedding-block": (
+        {"kind": "embedding", "dim": 1, "first": [["1"]], "second": "0"},
+        "second",
+        "second: must be a list of 1 rows",
+    ),
+    "metadata-not-object": (
+        _minimal_algebra(metadata=[]),
+        "metadata",
+        "metadata: must be an object",
+    ),
+    "metadata-unknown-field": (
+        _minimal_algebra(metadata={"color": "red"}),
+        "metadata",
+        "metadata: unknown fields ['color']",
+    ),
+    "subspaces-not-object": (
+        _minimal_algebra(metadata={"subspaces": []}),
+        "metadata.subspaces",
+        "metadata.subspaces: must be an object",
+    ),
+    "subspace-not-list": (
+        _minimal_algebra(metadata={"subspaces": {"v": "e1"}}),
+        "metadata.subspaces.v",
+        "metadata.subspaces.v: must be a list of vectors",
+    ),
+    "subspace-vector-length": (
+        _minimal_algebra(metadata={"subspaces": {"v": [["1"]]}}),
+        "metadata.subspaces.v[0]",
+        "metadata.subspaces.v[0]: vector must have 2 components",
+    ),
+    "subspace-component": (
+        _minimal_algebra(metadata={"subspaces": {"v": [["1", 0]]}}),
+        "metadata.subspaces.v[0][1]",
+        "metadata.subspaces.v[0][1]: coefficients must be rational strings, not JSON numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, where, message", DIAGNOSTICS.values(), ids=list(DIAGNOSTICS))
+def test_each_check_has_a_pinned_diagnostic(doc, where, message):
+    with pytest.raises(InterchangeError) as err:
+        interchange.parse_document(doc)
+    assert (err.value.where, str(err.value), err.value.filename) == (where, message, "")
+    with pytest.raises(InterchangeError) as err:
+        parse_text(json.dumps(doc), filename="f.json")
+    assert (err.value.where, str(err.value)) == (where, f"f.json: {message}")
+    assert err.value.filename == "f.json"
+
+
+# documents that fail before they are decoded: (text, where, str of the error)
+TEXT_DIAGNOSTICS = {
+    "json-syntax": (
+        "{",
+        "line 1, column 2",
+        "f.json: line 1, column 2: invalid JSON: "
+        "Expecting property name enclosed in double quotes",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, where, message", TEXT_DIAGNOSTICS.values(), ids=list(TEXT_DIAGNOSTICS)
+)
+def test_each_text_check_has_a_pinned_diagnostic(text, where, message):
+    with pytest.raises(InterchangeError) as err:
+        parse_text(text, filename="f.json")
+    assert (err.value.where, str(err.value), err.value.filename) == (where, message, "f.json")
+
+
 OVERSIZED = '{"kind":"algebra","dim":100000,"entries":[]}\n'
 
 
