@@ -78,6 +78,7 @@ class InterchangeError(ValueError):
     """
 
     def __init__(self, message: str, *, where: str = "", filename: str = ""):
+        self.message = message
         self.where = where
         self.filename = filename
         parts = []
@@ -100,24 +101,18 @@ def format_rational(value) -> str:
     return str(linalg.frac(value))
 
 
-def _parse_rational(text: object, where: str, filename: str) -> Fraction:
+def _rational(text: object, where: str) -> Fraction:
     if not isinstance(text, str):
         raise InterchangeError(
-            "coefficients must be rational strings, not JSON numbers",
-            where=where,
-            filename=filename,
+            "coefficients must be rational strings, not JSON numbers", where=where
         )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InterchangeError(
-            f"invalid rational {text!r}", where=where, filename=filename
-        ) from None
+        raise InterchangeError(f"invalid rational {text!r}", where=where) from None
     if str(value) != text:
         raise InterchangeError(
-            f"non-canonical rational {text!r} (expected {str(value)!r})",
-            where=where,
-            filename=filename,
+            f"non-canonical rational {text!r} (expected {str(value)!r})", where=where
         )
     return value
 
@@ -228,222 +223,149 @@ class ParsedDocument:
 
 
 _REQUIRED_FIELDS = {
-    "algebra": ("kind", "dim", "entries"),
-    "product": ("kind", "dim", "entries"),
-    "operator": ("kind", "dim", "matrix", "weight"),
-    "embedding": ("kind", "dim", "first", "second"),
+    "algebra": {"kind", "dim", "entries"},
+    "product": {"kind", "dim", "entries"},
+    "operator": {"kind", "dim", "matrix", "weight"},
+    "embedding": {"kind", "dim", "first", "second"},
 }
-
-_ALLOWED_FIELDS = {
-    kind: set(required) | {"name", "basis", "metadata"}
-    for kind, required in _REQUIRED_FIELDS.items()
-}
+_OPTIONAL_FIELDS = {"name", "basis", "metadata"}
+_ENTRY_FIELDS = frozenset({"i", "j", "k", "coeff"})
 
 
-def _require_int(value: object, where: str, filename: str) -> int:
+def _fields(raw: object, where: str, allowed, required, suffix: str = "") -> None:
+    """Refuse a non-object, a field outside ``allowed`` and a missing one of
+    ``required``; ``suffix`` ends the two field messages."""
+    if not isinstance(raw, dict):
+        raise InterchangeError("must be an object", where=where)
+    extra = raw.keys() - allowed
+    if extra:
+        raise InterchangeError(f"unknown fields {sorted(extra)}{suffix}", where=where)
+    missing = required - raw.keys()
+    if missing:
+        raise InterchangeError(f"missing fields {sorted(missing)}{suffix}", where=where)
+
+
+def _integer(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InterchangeError(
-            f"expected an integer, got {value!r}", where=where, filename=filename
-        )
+        raise InterchangeError(f"expected an integer, got {value!r}", where=where)
     return value
 
 
-def _parse_entries(
-    raw: object, dim: int, *, antisymmetric: bool, filename: str
-) -> dict:
+def _entries(raw: object, dim: int, antisymmetric: bool) -> dict:
     if not isinstance(raw, list):
-        raise InterchangeError("must be a list", where="entries", filename=filename)
+        raise InterchangeError("must be a list", where="entries")
     table: dict = {}
-    seen: set = set()
     for pos, entry in enumerate(raw):
         where = f"entries[{pos}]"
-        if not isinstance(entry, dict):
-            raise InterchangeError("must be an object", where=where, filename=filename)
-        extra = set(entry) - {"i", "j", "k", "coeff"}
-        if extra:
-            raise InterchangeError(
-                f"unknown fields {sorted(extra)}", where=where, filename=filename
-            )
-        missing = {"i", "j", "k", "coeff"} - set(entry)
-        if missing:
-            raise InterchangeError(
-                f"missing fields {sorted(missing)}", where=where, filename=filename
-            )
-        i = _require_int(entry["i"], f"{where}.i", filename)
-        j = _require_int(entry["j"], f"{where}.j", filename)
-        k = _require_int(entry["k"], f"{where}.k", filename)
+        # one comparison on a well-formed entry, the diagnostic otherwise
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_FIELDS:
+            _fields(entry, where, _ENTRY_FIELDS, _ENTRY_FIELDS)
+        i, j, k = (_integer(entry[label], f"{where}.{label}") for label in "ijk")
         for label, idx in (("i", i), ("j", j), ("k", k)):
             if not 1 <= idx <= dim:
                 raise InterchangeError(
-                    f"index {idx} out of range 1..{dim}",
-                    where=f"{where}.{label}",
-                    filename=filename,
+                    f"index {idx} out of range 1..{dim}", where=f"{where}.{label}"
                 )
         if antisymmetric and not i < j:
             raise InterchangeError(
                 f"bracket entries need i < j (got i={i}, j={j}); "
                 "the (j, i) value is implied by antisymmetry",
                 where=where,
-                filename=filename,
             )
-        coeff = _parse_rational(entry["coeff"], f"{where}.coeff", filename)
+        coeff = _rational(entry["coeff"], f"{where}.coeff")
         if coeff == 0:
-            raise InterchangeError(
-                "zero coefficients must be omitted",
-                where=f"{where}.coeff",
-                filename=filename,
-            )
-        key = (i - 1, j - 1, k - 1)
-        if key in seen:
-            raise InterchangeError(
-                f"duplicate entry for (i={i}, j={j}, k={k})",
-                where=where,
-                filename=filename,
-            )
-        seen.add(key)
-        table.setdefault((i - 1, j - 1), {})[k - 1] = coeff
+            raise InterchangeError("zero coefficients must be omitted", where=f"{where}.coeff")
+        cell = table.setdefault((i - 1, j - 1), {})
+        if k - 1 in cell:
+            raise InterchangeError(f"duplicate entry for (i={i}, j={j}, k={k})", where=where)
+        cell[k - 1] = coeff
     return table
 
 
-def _parse_matrix(raw: object, dim: int, where: str, filename: str) -> tuple:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise InterchangeError(
-            f"must be a list of {dim} rows", where=where, filename=filename
-        )
-    rows = []
+def _rows(raw: object, dim: int, where: str, count: Optional[int] = None) -> tuple:
+    """Rows of ``dim`` rational strings: exactly ``count`` of them if given."""
+    if not isinstance(raw, list) or count is not None and len(raw) != count:
+        rows = "rows" if count is None else f"{count} rows"
+        raise InterchangeError(f"must be a list of {rows}", where=where)
+    out = []
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise InterchangeError(
-                f"must be a list of {dim} rational strings",
-                where=f"{where}[{r}]",
-                filename=filename,
+                f"must be a list of {dim} rational strings", where=f"{where}[{r}]"
             )
-        rows.append(
-            tuple(
-                _parse_rational(x, f"{where}[{r}][{c}]", filename)
-                for c, x in enumerate(row)
-            )
-        )
-    return tuple(rows)
+        out.append(tuple(_rational(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)))
+    return tuple(out)
 
 
-def _parse_metadata(raw: object, dim: int, filename: str) -> dict:
-    if not isinstance(raw, dict):
-        raise InterchangeError("must be an object", where="metadata", filename=filename)
-    extra = set(raw) - {"subspaces"}
-    if extra:
-        raise InterchangeError(
-            f"unknown fields {sorted(extra)}", where="metadata", filename=filename
-        )
-    out: dict = {}
-    if "subspaces" in raw:
-        spaces = raw["subspaces"]
-        if not isinstance(spaces, dict):
-            raise InterchangeError(
-                "must be an object", where="metadata.subspaces", filename=filename
-            )
-        parsed = {}
-        for name, vectors in spaces.items():
-            where = f"metadata.subspaces.{name}"
-            if not isinstance(vectors, list):
-                raise InterchangeError(
-                    "must be a list of vectors", where=where, filename=filename
-                )
-            vecs = []
-            for v, vec in enumerate(vectors):
-                if not isinstance(vec, list) or len(vec) != dim:
-                    raise InterchangeError(
-                        f"vector must have {dim} components",
-                        where=f"{where}[{v}]",
-                        filename=filename,
-                    )
-                vecs.append(
-                    tuple(
-                        _parse_rational(x, f"{where}[{v}][{c}]", filename)
-                        for c, x in enumerate(vec)
-                    )
-                )
-            parsed[name] = tuple(vecs)
-        out["subspaces"] = parsed
-    return out
+def _metadata(raw: object, dim: int) -> dict:
+    _fields(raw, "metadata", {"subspaces"}, set())
+    if "subspaces" not in raw:
+        return {}
+    spaces = raw["subspaces"]
+    if not isinstance(spaces, dict):
+        raise InterchangeError("must be an object", where="metadata.subspaces")
+    return {
+        "subspaces": {
+            name: _rows(vectors, dim, f"metadata.subspaces.{name}")
+            for name, vectors in spaces.items()
+        }
+    }
+
+
+def _document(doc: object) -> ParsedDocument:
+    if not isinstance(doc, dict):
+        raise InterchangeError("top level must be a JSON object")
+    kind = doc.get("kind")
+    if kind not in KINDS:
+        raise InterchangeError(f"kind must be one of {list(KINDS)}, got {kind!r}", where="kind")
+    required = _REQUIRED_FIELDS[kind]
+    _fields(doc, "", required | _OPTIONAL_FIELDS, required, f" for kind {kind!r}")
+    dim = _integer(doc["dim"], "dim")
+    if not 1 <= dim <= MAX_DIM:
+        raise InterchangeError(f"dim must be between 1 and {MAX_DIM}, got {dim}", where="dim")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise InterchangeError("must be a string", where="name")
+    basis = doc.get("basis")
+    if basis is None:
+        basis = default_basis(dim)
+    elif (
+        not isinstance(basis, list)
+        or len(basis) != dim
+        or not all(isinstance(b, str) and b for b in basis)
+        or len(set(basis)) != dim
+    ):
+        raise InterchangeError(f"must be {dim} distinct nonempty labels", where="basis")
+    metadata = _metadata(doc["metadata"], dim) if "metadata" in doc else {}
+
+    value: object
+    if kind in ("algebra", "product"):
+        table = _entries(doc["entries"], dim, antisymmetric=kind == "algebra")
+        builder = LieAlgebra if kind == "algebra" else PAProduct
+        value = builder.from_table(dim, table, name=name)
+    elif kind == "operator":
+        matrix = _rows(doc["matrix"], dim, "matrix", dim)
+        weight = _rational(doc["weight"], "weight")
+        value = RBOperator(dim=dim, matrix=matrix, weight=weight, name=name)
+    else:
+        first = _rows(doc["first"], dim, "first", dim)
+        second = _rows(doc["second"], dim, "second", dim)
+        value = DoubleEmbedding(dim=dim, j1=first, j2=second)
+    return ParsedDocument(
+        kind=kind, name=name, dim=dim, basis=tuple(basis), value=value, metadata=metadata
+    )
 
 
 def parse_document(doc: object, *, filename: str = "") -> ParsedDocument:
-    """Validate a decoded JSON document and build the described object."""
-    if not isinstance(doc, dict):
-        raise InterchangeError(
-            "top level must be a JSON object", where="", filename=filename
-        )
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise InterchangeError(
-            f"kind must be one of {list(KINDS)}, got {kind!r}",
-            where="kind",
-            filename=filename,
-        )
-    extra = set(doc) - _ALLOWED_FIELDS[kind]
-    if extra:
-        raise InterchangeError(
-            f"unknown fields {sorted(extra)} for kind {kind!r}",
-            where="",
-            filename=filename,
-        )
-    missing = set(_REQUIRED_FIELDS[kind]) - set(doc)
-    if missing:
-        raise InterchangeError(
-            f"missing fields {sorted(missing)} for kind {kind!r}",
-            where="",
-            filename=filename,
-        )
-    dim = _require_int(doc["dim"], "dim", filename)
-    if not 1 <= dim <= MAX_DIM:
-        raise InterchangeError(
-            f"dim must be between 1 and {MAX_DIM}, got {dim}",
-            where="dim",
-            filename=filename,
-        )
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise InterchangeError("must be a string", where="name", filename=filename)
-    raw_basis = doc.get("basis")
-    if raw_basis is None:
-        basis = default_basis(dim)
-    else:
-        if (
-            not isinstance(raw_basis, list)
-            or len(raw_basis) != dim
-            or not all(isinstance(b, str) and b for b in raw_basis)
-            or len(set(raw_basis)) != dim
-        ):
-            raise InterchangeError(
-                f"must be {dim} distinct nonempty labels",
-                where="basis",
-                filename=filename,
-            )
-        basis = tuple(raw_basis)
-    metadata = (
-        _parse_metadata(doc["metadata"], dim, filename) if "metadata" in doc else {}
-    )
-
-    value: object
-    if kind == "algebra":
-        table = _parse_entries(doc["entries"], dim, antisymmetric=True, filename=filename)
-        value = LieAlgebra.from_table(dim, table, name=name)
-    elif kind == "product":
-        table = _parse_entries(doc["entries"], dim, antisymmetric=False, filename=filename)
-        value = PAProduct.from_table(dim, table, name=name)
-    elif kind == "operator":
-        matrix = _parse_matrix(doc["matrix"], dim, "matrix", filename)
-        weight = _parse_rational(doc["weight"], "weight", filename)
-        value = RBOperator(dim=dim, matrix=matrix, weight=weight, name=name)
-    else:
-        first = _parse_matrix(doc["first"], dim, "first", filename)
-        second = _parse_matrix(doc["second"], dim, "second", filename)
-        value = DoubleEmbedding(dim=dim, j1=first, j2=second)
-
-    return ParsedDocument(
-        kind=kind, name=name, dim=dim, basis=basis, value=value, metadata=metadata
-    )
+    """Validate a decoded JSON document and build the described object.
+    Every diagnostic is located by ``where``; this is the one place that adds
+    ``filename`` to it."""
+    try:
+        return _document(doc)
+    except InterchangeError as exc:
+        if not filename:
+            raise
+        raise InterchangeError(exc.message, where=exc.where, filename=filename) from None
 
 
 def parse_text(text: str, *, filename: str = "") -> ParsedDocument:

@@ -390,12 +390,12 @@ DIAGNOSTICS = {
     "subspace-not-list": (
         _minimal_algebra(metadata={"subspaces": {"v": "e1"}}),
         "metadata.subspaces.v",
-        "metadata.subspaces.v: must be a list of vectors",
+        "metadata.subspaces.v: must be a list of rows",
     ),
     "subspace-vector-length": (
         _minimal_algebra(metadata={"subspaces": {"v": [["1"]]}}),
         "metadata.subspaces.v[0]",
-        "metadata.subspaces.v[0]: vector must have 2 components",
+        "metadata.subspaces.v[0]: must be a list of 2 rational strings",
     ),
     "subspace-component": (
         _minimal_algebra(metadata={"subspaces": {"v": [["1", 0]]}}),
