@@ -10,7 +10,8 @@ that files are unambiguous and machine-diffable:
   in lowest terms with ``q > 1`` and the sign on the numerator
   (``"3"``, ``"-1/2"``; never ``"2/4"``, ``"1.5"``, ``"+3"`` or ``"1/1"``).
   JSON numbers are rejected for coefficients so exactness is guaranteed.
-* unknown fields are rejected everywhere.
+* unknown fields are rejected everywhere, and so is a key repeated in
+  one object; an integer too long for Python to convert is invalid JSON.
 
 Kinds and their fields (``name``, ``basis`` and ``metadata`` optional):
 
@@ -35,11 +36,16 @@ One builder, :func:`document_for`, writes every kind: the header
 metadata.  Serialization is canonical (fixed key order, entries sorted by
 (i, j, k), subspace names sorted) so that identical objects always produce
 identical bytes, and parsing a serialized document returns an equal object.
+
+Parsing states each rule once (one shape check for every object, one reader
+for rows of rationals); its helpers locate an error by field path only, and
+:func:`parse_document` and :func:`parse_text` add the file name.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -81,13 +87,7 @@ class InterchangeError(ValueError):
         self.message = message
         self.where = where
         self.filename = filename
-        parts = []
-        if filename:
-            parts.append(filename)
-        if where:
-            parts.append(where)
-        prefix = ": ".join(parts)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        super().__init__(": ".join(part for part in (filename, where, message) if part))
 
 
 # ----------------------------------------------------------------------
@@ -299,17 +299,12 @@ def _rows(raw: object, dim: int, where: str, count: Optional[int] = None) -> tup
 
 def _metadata(raw: object, dim: int) -> dict:
     _fields(raw, "metadata", {"subspaces"}, set())
-    if "subspaces" not in raw:
-        return {}
-    spaces = raw["subspaces"]
+    where = "metadata.subspaces"
+    spaces = raw.get("subspaces", {})
     if not isinstance(spaces, dict):
-        raise InterchangeError("must be an object", where="metadata.subspaces")
-    return {
-        "subspaces": {
-            name: _rows(vectors, dim, f"metadata.subspaces.{name}")
-            for name, vectors in spaces.items()
-        }
-    }
+        raise InterchangeError("must be an object", where=where)
+    parsed = {name: _rows(vectors, dim, f"{where}.{name}") for name, vectors in spaces.items()}
+    return {"subspaces": parsed} if "subspaces" in raw else {}
 
 
 def _document(doc: object) -> ParsedDocument:
@@ -357,9 +352,8 @@ def _document(doc: object) -> ParsedDocument:
 
 
 def parse_document(doc: object, *, filename: str = "") -> ParsedDocument:
-    """Validate a decoded JSON document and build the described object.
-    Every diagnostic is located by ``where``; this is the one place that adds
-    ``filename`` to it."""
+    """Validate a decoded JSON document and build the described object; a
+    diagnostic gains ``filename`` here."""
     try:
         return _document(doc)
     except InterchangeError as exc:
@@ -368,18 +362,28 @@ def parse_document(doc: object, *, filename: str = "") -> ParsedDocument:
         raise InterchangeError(exc.message, where=exc.where, filename=filename) from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads`` object hook: a repeated key makes a document ambiguous."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def parse_text(text: str, *, filename: str = "") -> ParsedDocument:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise InterchangeError(
-            f"invalid JSON: {exc.msg}",
-            where=f"line {exc.lineno}, column {exc.colno}",
-            filename=filename,
-        ) from None
+        message, where = exc.msg, f"line {exc.lineno}, column {exc.colno}"
     except RecursionError:
-        raise InterchangeError("invalid JSON: nested too deeply", filename=filename) from None
-    return parse_document(doc, filename=filename)
+        message, where = "nested too deeply", ""
+    except ValueError as exc:
+        # a repeated key, or an integer too long to convert
+        message, where = str(exc), ""
+    else:
+        return parse_document(doc, filename=filename)
+    raise InterchangeError(f"invalid JSON: {message}", where=where, filename=filename)
 
 
 def parse_file(path: object) -> ParsedDocument:

@@ -424,6 +424,16 @@ TEXT_DIAGNOSTICS = {
         "f.json: line 1, column 2: invalid JSON: "
         "Expecting property name enclosed in double quotes",
     ),
+    "duplicate-key": (
+        '{"kind": "algebra", "dim": 2, "dim": 3, "entries": []}',
+        "",
+        "f.json: invalid JSON: duplicate key 'dim'",
+    ),
+    "nested-duplicate-key": (
+        '{"kind": "algebra", "dim": 2, "entries": [{"i": 1, "i": 1, "j": 2}]}',
+        "",
+        "f.json: invalid JSON: duplicate key 'i'",
+    ),
 }
 
 
