@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import pathlib
@@ -218,10 +219,13 @@ def _load_document(path: str, expected_kind: str) -> tuple[str, object]:
 
 
 def _algebra_from_file_or_id(arg: str) -> tuple[str, LieAlgebra]:
-    if pathlib.Path(arg).exists():
+    """A catalog id names its entry even where a file of that name exists
+    (``./sl2`` reaches the file); a path, a ``.json`` name or an existing
+    file is read as a document, and any other name as a catalog id."""
+    if arg not in catalog_ids() and (
+        "/" in arg or arg.endswith(".json") or pathlib.Path(arg).exists()
+    ):
         return _load_document(arg, "algebra")
-    if "/" in arg or arg.endswith(".json"):
-        raise OSError(f"no such file: {arg}")
     return arg, get_algebra(arg)
 
 
@@ -458,7 +462,7 @@ _GROUP_HELP = {
 }
 
 _FILE = {"required": True, "metavar": "FILE"}
-_FILE_OR_ID = {"required": True, "metavar": "FILE|ID"}
+_FILE_OR_ID = dict(_FILE, metavar="FILE|ID", help="a catalog id wins over a file of that name")
 _ID = (("id", {}),)
 _PATH = (("file", {}),)
 _PAIR = (("--g", _FILE_OR_ID), ("--n", _FILE_OR_ID))
@@ -555,12 +559,16 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    text = ""
+    help_text = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        # argparse would swallow a failed write of the help, so it goes
+        # through the one write below
+        with contextlib.redirect_stdout(help_text):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse has written the help to stdout or a usage error to stderr
+        # the help is in help_text, or argparse wrote a usage error to stderr
         code = int(exc.code or 0)
+        text = help_text.getvalue()
     else:
         try:
             code, report, lines = args.func(args)

@@ -347,6 +347,12 @@ HOSTILE_COMMANDS = [("check", "jacobi"), ("search", "pa", "--n", "L5_1", "--g")]
 HOSTILE_DOCUMENTS = {
     "deep": (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: nested too deeply"),
     "latin1": (b'{"kind": "algebra", "name": "caf\xe9", "dim": 1, "entries": []}', "not UTF-8"),
+    # the decoder refuses 5001 digits on Python 3.11+, the range check on dim elsewhere
+    "big-integer": (b'{"kind": "algebra", "dim": ' + b"9" * 5001 + b', "entries": []}', ""),
+    "duplicate-key": (
+        b'{"kind": "algebra", "dim": 1, "dim": 2, "entries": []}',
+        "invalid JSON: duplicate key 'dim'",
+    ),
 }
 
 
@@ -375,7 +381,7 @@ def test_missing_file_is_66(tmp_path):
 
 
 @pytest.mark.parametrize("buffered", [True, False])
-@pytest.mark.parametrize("args", [("catalog", "list", "--json"), ("table",)])
+@pytest.mark.parametrize("args", [("catalog", "list", "--json"), ("table",), ("--help",)])
 def test_a_closed_stdout_is_an_output_error(args, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -402,6 +408,17 @@ def test_an_in_memory_stdout_that_fails_is_an_output_error(capsys):
         assert cli.main(["catalog", "list"]) == 74
     assert capsys.readouterr().err == (
         "postlie: cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
+def test_a_catalog_id_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sl2").write_text("not a document", encoding="utf-8")
+    assert cli.main(["rules", "--g", "sl2", "--n", "sl2"]) == cli.EXIT_UNKNOWN
+    assert capsys.readouterr().err == ""
+    assert cli.main(["rules", "--g", "./sl2", "--n", "sl2"]) == cli.EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(
+        "postlie: malformed document: ./sl2: line 1, column 1: invalid JSON: "
     )
 
 
