@@ -80,7 +80,8 @@ class InterchangeError(ValueError):
     """A document violates the interchange format.
 
     ``where`` locates the problem: a 1-based line number for JSON syntax
-    errors, a field path (``entries[3].coeff``) for semantic ones.
+    errors, a field path (``entries[3].coeff``) for semantic ones.  The
+    string is ``filename: where: message``, without the empty parts.
     """
 
     def __init__(self, message: str, *, where: str = "", filename: str = ""):
