@@ -48,7 +48,6 @@ import os
 import pathlib
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import interchange
@@ -62,6 +61,7 @@ from .catalog import (
 )
 from .certificates import Certificate
 from .liealg import LieAlgebra, fingerprint
+from .linalg import Scalar, frac
 from .rules import nonexistence_certificate
 from .search import pa_search
 from .structures import (
@@ -109,7 +109,7 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 
 
-def _term(coeff: Fraction, label: str) -> str:
+def _term(coeff: Scalar, label: str) -> str:
     if coeff == 1:
         return label
     if coeff == -1:
@@ -229,16 +229,16 @@ def _algebra_from_file_or_id(arg: str) -> tuple[str, LieAlgebra]:
     return arg, get_algebra(arg)
 
 
-def _operator_from_file(path: str, weight: Optional[Fraction]) -> tuple[str, RBOperator]:
+def _operator_from_file(path: str, weight: Optional[Scalar]) -> tuple[str, RBOperator]:
     name, op = _load_document(path, "operator")
     if weight is not None and weight != op.weight:
         op = RBOperator(dim=op.dim, matrix=op.matrix, weight=weight, name=op.name)
     return name, op
 
 
-def _rational_flag(text: str) -> Fraction:
+def _rational_flag(text: str) -> Scalar:
     try:
-        value = Fraction(text)
+        value = frac(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"invalid rational {text!r} (use integers or p/q)"

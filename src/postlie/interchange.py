@@ -102,7 +102,7 @@ def format_rational(value) -> str:
     return str(linalg.frac(value))
 
 
-def _rational(text: object, where: str) -> Fraction:
+def _rational(text: object, where: str) -> linalg.Scalar:
     if not isinstance(text, str):
         raise InterchangeError(
             "coefficients must be rational strings, not JSON numbers", where=where
@@ -115,7 +115,7 @@ def _rational(text: object, where: str) -> Fraction:
         raise InterchangeError(
             f"non-canonical rational {text!r} (expected {str(value)!r})", where=where
         )
-    return value
+    return linalg.frac(value)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _entry_list(sparse: dict) -> list[dict]:
     return entries
 
 
-def _matrix_strings(matrix: Sequence[Sequence[Fraction]]) -> list[list[str]]:
+def _matrix_strings(matrix: Sequence[Sequence[linalg.Scalar]]) -> list[list[str]]:
     return [[format_rational(x) for x in row] for row in matrix]
 
 

@@ -42,29 +42,24 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ZERO, ONE, frac
+from .linalg import Matrix, Scalar, Vector, ZERO, ONE, frac
 from .subspace import Subspace
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, object]]
 
-# ``-e_k`` sides of the kernel carry this coefficient, which it negates
-# instead of multiplying
-MINUS_ONE = -ONE
 
-
-def canonical_cells(dim: int, entries: Mapping[tuple[int, int, int], Fraction]) -> tuple:
+def canonical_cells(dim: int, entries: Mapping[tuple[int, int, int], Scalar]) -> tuple:
     """``cells[i][j]``: the nonzero ``(k, c)`` pairs, ascending in ``k``, of
     the ``dim``-dimensional tensor with the ``{(i, j, k): c}`` entries (a
     missing entry is zero).  The one stored form of brackets and products."""
     cells = [[[] for _ in range(dim)] for _ in range(dim)]
     for (i, j, k), c in sorted(entries.items()):
         if c:
-            cells[i][j].append((k, c))
+            cells[i][j].append((k, frac(c)))
     return tuple(tuple(map(tuple, plane)) for plane in cells)
 
 
@@ -73,12 +68,12 @@ def dense_tensor(dim: int, cells) -> tuple:
     return tuple(tuple(linalg.to_dense(dict(cell), dim) for cell in plane) for plane in cells)
 
 
-def nonzero(v: Sequence[Fraction]) -> tuple:
+def nonzero(v: Sequence[Scalar]) -> tuple:
     """The nonzero ``(index, coefficient)`` pairs of a coordinate vector."""
     return tuple((k, c) for k, c in enumerate(v) if c)
 
 
-def unit(i: int, coeff: Fraction = ONE) -> tuple:
+def unit(i: int, coeff: Scalar = ONE) -> tuple:
     """``coeff * e_i`` as ``(index, coefficient)`` pairs."""
     return ((i, coeff),)
 
@@ -92,20 +87,9 @@ def add_bilinear(out, cells, xs, ys):
     for i, a in xs:
         row = cells[i]
         for j, b in ys:
-            # a side of ``ONE`` or ``MINUS_ONE`` (a basis vector or its
-            # negative) costs no product, and ``s`` of ``ONE`` none per entry
-            if a is ONE:
-                s = b
-            elif b is ONE:
-                s = a
-            elif a is MINUS_ONE:
-                s = -b
-            elif b is MINUS_ONE:
-                s = -a
-            else:
-                s = a * b
+            s = a * b
             for k, c in row[j]:
-                out[k] += c if s is ONE else s * c
+                out[k] += s * c
     return out
 
 
@@ -124,7 +108,7 @@ class LieAlgebra:
         Antisymmetry is enforced by construction; the Jacobi identity is not
         (use :meth:`jacobi_residuals` / :meth:`is_lie` to check it).
         """
-        entries = defaultdict(lambda: ZERO)
+        entries = defaultdict(int)
         for (i, j), component in table.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index ({i},{j}) out of range for dim {dim}")
@@ -151,19 +135,19 @@ class LieAlgebra:
         """``brackets[i][j]``: the dense component vector of ``[e_i, e_j]``."""
         return dense_tensor(self.dim, self.cells)
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         return tuple(add_bilinear([ZERO] * self.dim, self.cells, nonzero(x), nonzero(y)))
 
-    def _bracket_row(self, xs, ys) -> dict[int, Fraction]:
+    def _bracket_row(self, xs, ys) -> dict[int, Scalar]:
         """``[x, y]`` for ``x``, ``y`` as ``(index, coefficient)`` pairs, as
         the sparse row of its nonzero entries."""
-        out = add_bilinear(defaultdict(lambda: ZERO), self.cells, xs, ys)
-        return {k: c for k, c in out.items() if c}
+        out = add_bilinear(defaultdict(int), self.cells, xs, ys)
+        return {k: frac(c) for k, c in out.items() if c}
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
-    def ad(self, x: Sequence[Fraction]) -> Matrix:
+    def ad(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of ad(x) = [x, -] acting on column vectors."""
         return linalg.transpose([self.bracket(x, self.basis_vector(j)) for j in range(self.dim)])
 
@@ -284,7 +268,7 @@ class LieAlgebra:
                 for k, a in cell:
                     for j, b in at.get((k, m), ()):
                         rows[i][j] += a * b
-        return tuple(tuple(row) for row in rows)
+        return tuple(tuple(map(frac, row)) for row in rows)
 
     def killing_form(self) -> Matrix:
         return self._killing
@@ -292,7 +276,7 @@ class LieAlgebra:
     def killing_rank(self) -> int:
         return linalg.rank(self._killing)
 
-    def killing_det(self) -> Fraction:
+    def killing_det(self) -> Scalar:
         return linalg.det(self._killing)
 
     @cached_property
@@ -353,7 +337,7 @@ class LieAlgebra:
         return self._reductive
 
     @cached_property
-    def _derivations(self) -> tuple[dict[int, Fraction], ...]:
+    def _derivations(self) -> tuple[dict[int, Scalar], ...]:
         """Canonical basis of the derivation algebra, as sparse vectors
         ``{r * dim + c: D[r][c]}`` of the nonzero matrix entries.
 
@@ -390,15 +374,15 @@ class LieAlgebra:
         free = {max(der): gamma for gamma, der in enumerate(ders)}
         constants = [[] for _ in ders]
         for alpha, beta in itertools.combinations(range(len(ders)), 2):
-            bracket = defaultdict(lambda: ZERO)
-            for a, b, sign in ((ders[alpha], ders[beta], ONE), (ders[beta], ders[alpha], MINUS_ONE)):
+            bracket = defaultdict(int)
+            for a, b, sign in ((ders[alpha], ders[beta], 1), (ders[beta], ders[alpha], -1)):
                 for km, v in a.items():  # a[k][m] b[m][j] at k*n + j
                     for mj, w in b.items():
                         if km % n == mj // n:
                             bracket[km - km % n + mj % n] += sign * v * w
             for col, c in bracket.items():
                 if c and col in free:
-                    constants[free[col]].append(((alpha, beta), c))
+                    constants[free[col]].append(((alpha, beta), frac(c)))
         return tuple(map(tuple, constants))
 
     def derivations(self) -> tuple[Matrix, ...]:
@@ -482,7 +466,7 @@ class LieAlgebra:
     def restrict(self, space: Subspace) -> "LieAlgebra":
         """The bracket restricted to a subalgebra, in the subspace basis."""
         rows = space.rows
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for a, u in enumerate(rows):
             for b in range(a + 1, len(rows)):
                 coords = space._coordinates(self._bracket_row(u, rows[b]))
@@ -498,7 +482,7 @@ class LieAlgebra:
             raise ValueError("subspace is not an ideal")
         section = [k for k in range(self.dim) if k not in ideal._tails]
         position = {k: pos for pos, k in enumerate(section)}
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for a, i in enumerate(section):
             for b in range(a + 1, len(section)):
                 w = linalg.reduce_row(dict(self.cells[i][section[b]]), ideal._tails)
@@ -506,7 +490,7 @@ class LieAlgebra:
                     table[(a, b)] = {position[k]: x for k, x in w.items()}
         return LieAlgebra.from_table(len(section), table)
 
-    def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    def sparse_table(self) -> dict[tuple[int, int], dict[int, Scalar]]:
         """The i<j sparse form of the bracket tensor."""
         return {
             (i, j): dict(cell)
@@ -535,7 +519,7 @@ class LieAlgebra:
 
 def direct_sum(*algebras: LieAlgebra, name: str = "") -> LieAlgebra:
     total = sum(a.dim for a in algebras)
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
     offset = 0
     for alg in algebras:
         for (i, j), entry in alg.sparse_table().items():
@@ -568,7 +552,7 @@ def semidirect_product(
         if len(mat_i) != module_dim or any(len(row) != module_dim for row in mat_i):
             raise ValueError("action matrix has wrong shape")
     dim = sub.dim + module_dim
-    table: dict[tuple[int, int], dict[int, Fraction]] = sub.sparse_table()
+    table: dict[tuple[int, int], dict[int, Scalar]] = sub.sparse_table()
     for i in range(sub.dim):
         for a in range(module_dim):
             entry = {

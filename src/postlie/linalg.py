@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package runs on :class:`fractions.Fraction` scalars; no
-floating point is used anywhere.  Matrices are immutable tuples of row tuples,
-which keeps them hashable (so higher layers can cache invariants) and makes
-"canonical form" a plain data-equality notion.
+Every scalar in this package is an exact rational in one normal form: an
+``int`` when the value is integral, else a :class:`fractions.Fraction` whose
+denominator is greater than 1.  :func:`frac` is the normalizer and
+:func:`reciprocal` the one exact division; no floating point is used
+anywhere.  Integral work (every catalog entry has integer structure
+constants) thus runs on ``int`` arithmetic, and a ``Fraction`` appears only
+where a value is not integral.  The kernels normalize each value they store,
+since a ``Fraction`` result may be integral.  Matrices are immutable tuples
+of row tuples, which keeps them hashable (so higher layers can cache
+invariants) and makes "canonical form" a plain data-equality notion.
 
 Linear systems go in as sparse rows, ``{column: value}`` dicts that hold
 only the nonzero entries.  One eliminator, :func:`eliminate`, reduces every
@@ -24,23 +30,34 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def frac(value) -> Fraction:
-    """Coerce an int/Fraction/"p/q" string to an exact rational."""
-    if isinstance(value, Fraction):
+def frac(value) -> Scalar:
+    """The normal form of an int, a Fraction or a "p/q" string: an ``int``
+    when the value is integral, else a ``Fraction`` with denominator > 1."""
+    if type(value) is int:  # the common case, ahead of the slower isinstance
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return frac(Fraction(value))
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def reciprocal(p: Scalar) -> Scalar:
+    """The exact ``1 / p`` of a nonzero scalar in normal form, the one
+    division in the package: a pivot of ``±1`` is its own reciprocal."""
+    if isinstance(p, int):
+        return p if p == 1 or p == -1 else Fraction(1, p)
+    return frac(Fraction(p.denominator, p.numerator))
 
 
 def vec(entries: Iterable) -> Vector:
@@ -66,7 +83,7 @@ def identity(n: int) -> Matrix:
     )
 
 
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
+def is_zero_vector(v: Sequence[Scalar]) -> bool:
     return all(x == 0 for x in v)
 
 
@@ -76,7 +93,7 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def matvec(m: Matrix, v: Sequence[Fraction]) -> Vector:
+def matvec(m: Matrix, v: Sequence[Scalar]) -> Vector:
     return tuple(
         sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m
     )
@@ -99,7 +116,7 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def to_dense(v: Mapping[int, Fraction], n: int) -> Vector:
+def to_dense(v: Mapping[int, Scalar], n: int) -> Vector:
     """The length-``n`` vector with the entries of a sparse ``{column: value}``
     vector and zeros elsewhere."""
     out = [ZERO] * n
@@ -108,17 +125,17 @@ def to_dense(v: Mapping[int, Fraction], n: int) -> Vector:
     return tuple(out)
 
 
-def add_entry(rows: dict, key, col: int, value: Fraction) -> None:
+def add_entry(rows: dict, key, col: int, value: Scalar) -> None:
     """``rows[key][col] += value`` in a system of sparse rows keyed by equation."""
     row = rows.setdefault(key, {})
-    row[col] = row.get(col, ZERO) + value
+    row[col] = frac(row.get(col, ZERO) + value)
 
 
-def _subtract_multiple(row: dict, f: Fraction, other: dict, index=None, owner=None) -> None:
+def _subtract_multiple(row: dict, f: Scalar, other: dict, index=None, owner=None) -> None:
     """``row -= f * other`` in place on sparse rows, dropping zeros; with an
     ``index``, record ``owner`` under each column the row gains or loses."""
     for c, y in other.items():
-        v = row.get(c, ZERO) - f * y
+        v = frac(row.get(c, ZERO) - f * y)
         if v:
             if index is not None and c not in row:
                 index[c].add(owner)
@@ -129,7 +146,7 @@ def _subtract_multiple(row: dict, f: Fraction, other: dict, index=None, owner=No
                 index[c].discard(owner)
 
 
-def reduce_row(row: dict, tails: Mapping[int, Mapping[int, Fraction]]) -> dict:
+def reduce_row(row: dict, tails: Mapping[int, Mapping[int, Scalar]]) -> dict:
     """Clear, in place, each pivot column of the sparse ``row`` (nonzero
     entries only) with a multiple of its RREF pivot row; tails hold no
     pivot column, so one pass leaves none behind.  Returns the row."""
@@ -138,7 +155,7 @@ def reduce_row(row: dict, tails: Mapping[int, Mapping[int, Fraction]]) -> dict:
     return row
 
 
-def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
     """The one row reducer: the RREF of sparse rows, as pivot -> tail.
 
     Rows are added one at a time to a running RREF: each is reduced against
@@ -148,7 +165,7 @@ def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fra
     the leading 1; a tail never holds a pivot column.  Zero entries of the
     input are ignored and the input is not modified.
     """
-    tails: dict[int, dict[int, Fraction]] = {}
+    tails: dict[int, dict[int, Scalar]] = {}
     # column -> the pivots whose tails hold it, so a new pivot is cleared
     # from those rows only
     holders: defaultdict[int, set[int]] = defaultdict(set)
@@ -157,8 +174,8 @@ def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fra
         if not row:
             continue
         p = min(row)
-        inv = ONE / row.pop(p)
-        new = {c: x * inv for c, x in row.items()}
+        inv = reciprocal(row.pop(p))
+        new = {c: frac(x * inv) for c, x in row.items()}
         for q in holders.pop(p, ()):
             _subtract_multiple(tails[q], tails[q].pop(p), new, holders, q)
         for c in new:
@@ -205,8 +222,8 @@ def coordinates(basis: Sequence[Mapping], vectors: Iterable[Mapping], n_cols: in
 
 
 def solve_affine(
-    rows: Iterable[Mapping[int, Fraction]], n_cols: int
-) -> tuple[dict[int, Fraction], tuple[dict[int, Fraction], ...]] | None:
+    rows: Iterable[Mapping[int, Scalar]], n_cols: int
+) -> tuple[dict[int, Scalar], tuple[dict[int, Scalar], ...]] | None:
     """Full solution set of a sparse system in unknowns ``0 .. n_cols-1``.
 
     Each row is a ``{column: value}`` equation whose right-hand side sits at
@@ -241,7 +258,7 @@ def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
     return tuple(to_dense(v, n_cols) for v in basis)
 
 
-def solve(m: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
+def solve(m: Matrix, rhs: Sequence[Scalar]) -> Vector | None:
     """One solution of m @ x = rhs (free variables set to 0), or None
     (dense wrapper of :func:`solve_affine`)."""
     if not m:
@@ -266,7 +283,7 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(to_dense(row, n) for row in rows)
 
 
-def det(m: Matrix) -> Fraction:
+def det(m: Matrix) -> Scalar:
     """Determinant by Gaussian elimination with exact division by each pivot.
 
     The result is the signed product of the pivots; a row swap flips the sign.
@@ -284,9 +301,10 @@ def det(m: Matrix) -> Fraction:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
             result = -result
         pivot = rows[c][c]
-        result *= pivot
+        result = frac(result * pivot)
+        inv = reciprocal(pivot)
         for i in range(c + 1, n):
             if rows[i][c] != 0:
-                factor = rows[i][c] / pivot
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
+                factor = rows[i][c] * inv
+                rows[i] = [frac(x - factor * y) for x, y in zip(rows[i], rows[c])]
     return result

@@ -20,10 +20,9 @@ checked by the Jacobi identity in :func:`liealg.semidirect_product`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, ZERO, frac
+from .linalg import Matrix, ZERO
 from .liealg import BracketTable, LieAlgebra, semidirect_product
 
 SL2_TABLE: BracketTable = {
@@ -45,11 +44,11 @@ def irreducible_action(m: int) -> tuple[Matrix, Matrix, Matrix]:
     lower_m = [[ZERO] * m for _ in range(m)]
     diag_m = [[ZERO] * m for _ in range(m)]
     for j in range(m):
-        diag_m[j][j] = frac(m - 1 - 2 * j)
+        diag_m[j][j] = m - 1 - 2 * j
         if j + 1 < m:
-            lower_m[j + 1][j] = frac(1)
+            lower_m[j + 1][j] = 1
         if j > 0:
-            raise_m[j - 1][j] = frac(j * (m - j))
+            raise_m[j - 1][j] = j * (m - j)
     freeze = lambda rows: tuple(tuple(row) for row in rows)
     return freeze(raise_m), freeze(lower_m), freeze(diag_m)
 

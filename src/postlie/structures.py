@@ -42,13 +42,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, frac
-from .liealg import MINUS_ONE, LieAlgebra, add_bilinear, canonical_cells, dense_tensor, nonzero, unit
+from .linalg import Matrix, Scalar, Vector, frac
+from .liealg import LieAlgebra, add_bilinear, canonical_cells, dense_tensor, nonzero, unit
 from .subspace import Subspace, coordinate_set
 
 ProductTable = Mapping[tuple[int, int], Mapping[int, object]]
@@ -102,10 +101,10 @@ class PAProduct:
         """``tensor[i][j]``: the dense coordinate vector of ``e_i . e_j``."""
         return dense_tensor(self.dim, self.cells)
 
-    def apply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    def apply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         return tuple(add_bilinear([linalg.ZERO] * self.dim, self.cells, nonzero(x), nonzero(y)))
 
-    def left_mult(self, x: Sequence[Fraction]) -> Matrix:
+    def left_mult(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of ``L(x): y -> x . y`` (columns are ``x . e_j``)."""
         xs = nonzero(x)
         cols = [
@@ -114,7 +113,7 @@ class PAProduct:
         ]
         return linalg.transpose(cols)
 
-    def sparse_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    def sparse_table(self) -> dict[tuple[int, int], dict[int, Scalar]]:
         return {
             (i, j): dict(cell)
             for i, plane in enumerate(self.cells)
@@ -197,7 +196,7 @@ class PAVerification:
 
 def _units(d: int) -> tuple[list, list]:
     """``e_k`` and ``-e_k`` as ``(index, coefficient)`` pairs, for each ``k``."""
-    return [unit(k) for k in range(d)], [unit(k, MINUS_ONE) for k in range(d)]
+    return [unit(k) for k in range(d)], [unit(k, -1) for k in range(d)]
 
 
 def axiom2_residuals(g: LieAlgebra, product: PAProduct):
@@ -269,7 +268,7 @@ class RBOperator:
 
     dim: int
     matrix: Matrix
-    weight: Fraction
+    weight: Scalar
     name: str = field(default="", compare=False)
 
     @staticmethod
@@ -284,14 +283,14 @@ class RBOperator:
     def zero(dim: int, weight: object = 1, name: str = "") -> "RBOperator":
         return RBOperator(dim, linalg.zero_matrix(dim, dim), frac(weight), name)
 
-    def apply(self, x: Sequence[Fraction]) -> Vector:
+    def apply(self, x: Sequence[Scalar]) -> Vector:
         return linalg.matvec(self.matrix, x)
 
 
 @dataclass(frozen=True)
 class RBVerification:
     n_jacobi_ok: bool
-    weight: Fraction
+    weight: Scalar
     residuals: tuple  # ((i, j), residual vector) with i < j, nonzero only
 
     @property
@@ -338,7 +337,7 @@ def _homomorphism_residuals(n: LieAlgebra, cols, cells):
     ``phi`` with the sparse columns ``cols`` (the one-row table ``(cols,)``)."""
     for (i, j), cell in cells:
         res = add_bilinear([linalg.ZERO] * n.dim, n.cells, cols[i], cols[j])
-        add_bilinear(res, (cols,), unit(0, MINUS_ONE), cell)
+        add_bilinear(res, (cols,), unit(0, -1), cell)
         if any(res):
             yield (i, j), tuple(res)
 
@@ -390,7 +389,7 @@ def solve_rb_form(n: LieAlgebra, product: PAProduct) -> RBOperator | None:
         return None
     solution = linalg.to_dense(solved[0], d * d)
     matrix = tuple(solution[r * d : r * d + d] for r in range(d))
-    return RBOperator(dim=d, matrix=matrix, weight=Fraction(1))
+    return RBOperator(dim=d, matrix=matrix, weight=linalg.ONE)
 
 
 def negation_partner(op: RBOperator) -> RBOperator:
@@ -437,8 +436,8 @@ def rb_from_decomposition(n: LieAlgebra, first: Subspace, second: Subspace) -> R
     cols = []
     for coeffs in linalg.coordinates(first._rows() + second._rows(), units, n.dim):
         weights = [(a - k, x) for a, x in coeffs.items() if a >= k]
-        cols.append(add_bilinear([linalg.ZERO] * n.dim, seconds, unit(0, MINUS_ONE), weights))
-    return RBOperator(dim=n.dim, matrix=linalg.transpose(cols), weight=Fraction(1))
+        cols.append(add_bilinear([linalg.ZERO] * n.dim, seconds, unit(0, -1), weights))
+    return RBOperator(dim=n.dim, matrix=linalg.transpose(cols), weight=linalg.ONE)
 
 
 def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator:
@@ -449,10 +448,10 @@ def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator
         if any(k not in part for i in part for j in part for k, _ in n.cells[i][j]):
             raise ValueError(f"{label} subspace is not a subalgebra")
     matrix = tuple(
-        tuple(MINUS_ONE if r == c and r not in chosen else linalg.ZERO for c in range(n.dim))
+        tuple(-1 if r == c and r not in chosen else linalg.ZERO for c in range(n.dim))
         for r in range(n.dim)
     )
-    return RBOperator(dim=n.dim, matrix=matrix, weight=Fraction(1))
+    return RBOperator(dim=n.dim, matrix=matrix, weight=linalg.ONE)
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +493,7 @@ def _product_entries(d: int, ders: Sequence[Mapping], x: Mapping) -> dict:
     ``ders[a]`` sparse as ``{k*d + j: D_a[k][j]}``: ``e_i . e_j`` is column
     ``j`` of ``L(e_i)``.  The one flattening of left multiplications into
     product coefficients."""
-    entries = defaultdict(lambda: linalg.ZERO)
+    entries = defaultdict(int)
     for col, c in x.items():
         i, a = divmod(col, len(ders))
         for flat, v in ders[a].items():

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, ONE
+from .linalg import Matrix, Scalar, Vector, ONE
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,10 @@ class Subspace:
     ambient_dim: int
     # RREF rows, no zero rows: each row's nonzero ``(column, value)`` pairs
     # in ascending column order, so its pivot ``(p, 1)`` comes first
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+    rows: tuple[tuple[tuple[int, Scalar], ...], ...]
 
     @staticmethod
-    def span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+    def span(ambient_dim: int, rows: Iterable[Mapping[int, Scalar]]) -> "Subspace":
         """The span of sparse ``{column: value}`` rows."""
         return _from_tails(ambient_dim, linalg.eliminate(rows))
 
@@ -41,7 +40,7 @@ class Subspace:
         return Subspace.span(ambient_dim, (dict(enumerate(row)) for row in rows))
 
     @staticmethod
-    def kernel(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+    def kernel(ambient_dim: int, rows: Iterable[Mapping[int, Scalar]]) -> "Subspace":
         """The solutions of homogeneous sparse rows.  Solved with the columns
         reversed, each free column's solution has its 1 there, 0 at the other
         free columns and its other entries to its right: the RREF basis."""
@@ -74,7 +73,7 @@ class Subspace:
         return tuple(linalg.to_dense(dict(row), self.ambient_dim) for row in self.rows)
 
     @cached_property
-    def _tails(self) -> dict[int, dict[int, Fraction]]:
+    def _tails(self) -> dict[int, dict[int, Scalar]]:
         """The rows as :func:`linalg.eliminate` gives them: pivot -> tail."""
         return {row[0][0]: dict(row[1:]) for row in self.rows}
 
@@ -83,21 +82,21 @@ class Subspace:
         """Pivot column of each basis row: the column of its leading 1."""
         return tuple(self._tails)
 
-    def _rows(self) -> list[dict[int, Fraction]]:
+    def _rows(self) -> list[dict[int, Scalar]]:
         return [dict(row) for row in self.rows]
 
-    def _holds(self, rows: Iterable[dict[int, Fraction]]) -> bool:
+    def _holds(self, rows: Iterable[dict[int, Scalar]]) -> bool:
         """Whether every sparse row (nonzero entries only; reduced in place)
         lies in the subspace; stops at the first that leaves a remainder."""
         return not any(linalg.reduce_row(row, self._tails) for row in rows)
 
-    def _coordinates(self, row: dict[int, Fraction]) -> dict[int, Fraction] | None:
+    def _coordinates(self, row: dict[int, Scalar]) -> dict[int, Scalar] | None:
         """:meth:`reduce` of a sparse row (nonzero entries only; reduced in
         place): its nonzero ``{basis index: coefficient}``, None if outside."""
         coords = {r: row[p] for r, p in enumerate(self.pivots) if p in row}
         return None if linalg.reduce_row(row, self._tails) else coords
 
-    def reduce(self, vector: Sequence[Fraction]) -> tuple[Vector, Vector]:
+    def reduce(self, vector: Sequence[Scalar]) -> tuple[Vector, Vector]:
         """``(coefficients, residual)`` of ``vector`` against the basis.
 
         In RREF every pivot column is zero outside its own row, so the
@@ -110,7 +109,7 @@ class Subspace:
         residual = linalg.reduce_row({c: x for c, x in enumerate(vector) if x}, self._tails)
         return tuple(vector[p] for p in self.pivots), linalg.to_dense(residual, self.ambient_dim)
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
+    def contains(self, vector: Sequence[Scalar]) -> bool:
         return not any(self.reduce(vector)[1])
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -145,7 +144,7 @@ class Subspace:
         return Subspace.spanned_by_coordinates(self.ambient_dim, free)
 
 
-def _from_tails(ambient_dim: int, tails: Mapping[int, Mapping[int, Fraction]]) -> Subspace:
+def _from_tails(ambient_dim: int, tails: Mapping[int, Mapping[int, Scalar]]) -> Subspace:
     """The subspace whose RREF basis :func:`linalg.eliminate` returned."""
     rows = (((p, ONE), *sorted(tails[p].items())) for p in sorted(tails))
     return Subspace(ambient_dim, tuple(rows))
@@ -161,7 +160,7 @@ def coordinate_set(ambient_dim: int, indices: Iterable[int]) -> set[int]:
     return chosen
 
 
-def coordinates_in_basis(space: Subspace, vector: Sequence[Fraction]) -> Vector | None:
+def coordinates_in_basis(space: Subspace, vector: Sequence[Scalar]) -> Vector | None:
     """Coefficients of ``vector`` in ``space.basis`` rows, or None if outside."""
     coeffs, residual = space.reduce(vector)
     return None if any(residual) else coeffs

@@ -23,6 +23,29 @@ def test_frac_accepts_ints_strings_fractions():
     assert linalg.frac(F(-5, 3)) == F(-5, 3)
 
 
+@pytest.mark.parametrize(
+    "value,expected",
+    [(F(4, 2), 2), ("6/3", 2), ("-1/2", F(-1, 2)), (True, 1), (7, 7), (F(0), 0)],
+)
+def test_frac_gives_an_int_exactly_when_the_value_is_integral(value, expected):
+    result = linalg.frac(value)
+    assert result == expected and type(result) is type(expected)
+
+
+def test_frac_refuses_a_float():
+    with pytest.raises(TypeError):
+        linalg.frac(0.5)
+
+
+@pytest.mark.parametrize(
+    "pivot,expected",
+    [(1, 1), (-1, -1), (3, F(1, 3)), (-2, F(-1, 2)), (F(1, 3), 3), (F(-2, 3), F(-3, 2))],
+)
+def test_reciprocal_is_exact_and_in_normal_form(pivot, expected):
+    result = linalg.reciprocal(pivot)
+    assert result == expected and type(result) is type(expected)
+
+
 def test_rref_hand_example():
     # [[1,2],[3,4]] reduces to the identity; pivots in both columns.
     m = linalg.mat([[1, 2], [3, 4]])
@@ -190,6 +213,36 @@ def test_rref_matches_dense_oracles(shape):
 
 def _sparse(rows):
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+@st.composite
+def mixed_matrices(draw):
+    """:func:`matrices` with each integral entry drawn as an ``int`` or as
+    an integral ``Fraction``, as callers may pass either."""
+    n_cols, m = draw(matrices())
+    as_int = st.booleans()
+    mixed = tuple(
+        tuple(x.numerator if x.denominator == 1 and draw(as_int) else x for x in row)
+        for row in m
+    )
+    return n_cols, mixed
+
+
+def _normal_form(x):
+    return type(x) is int or (type(x) is F and x.denominator > 1)
+
+
+@ORACLE_SUITE
+@given(mixed_matrices())
+@example((3, ((2, F(4), F(1, 2)), (F(3), 6, 1))))
+@example((2, ((F(2, 3), F(4, 3)), (F(3), 1))))
+def test_eliminate_on_mixed_scalars_matches_the_oracle_in_normal_form(shape):
+    _, m = shape
+    reduced, pivots = rref_reference(m)
+    expected = {p: {c: x for c, x in enumerate(row) if c > p and x} for p, row in zip(pivots, reduced)}
+    tails = linalg.eliminate(_sparse(m))
+    assert tails == expected
+    assert all(_normal_form(x) for tail in tails.values() for x in tail.values())
 
 
 def _reference_solution(reduced, pivots, n_cols):
