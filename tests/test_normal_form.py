@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import interchange
+from postlie import cli, interchange, linalg
 from postlie.catalog import catalog_ids, get_algebra, get_entry
+from postlie.liealg import LieAlgebra
 from postlie.search import pa_search
+from postlie.sl2 import SL2_TABLE
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "postlie"
@@ -58,6 +60,44 @@ def _cell_scalars(cells):
 
 def _row_scalars(space):
     return (x for row in space.rows for _, x in row)
+
+
+def test_cells_summed_to_an_integer_are_stored_as_int():
+    # both orders of one pair add 1/2 + 1/2 to the entry of [e_1, e_2]
+    alg = LieAlgebra.from_table(2, {(0, 1): {1: Fraction(1, 2)}, (1, 0): {1: Fraction(-1, 2)}})
+    assert alg.cells[0][1] == ((1, 1),)
+    assert not _off_form(_cell_scalars(alg.cells))
+
+
+def test_kernels_store_an_integral_result_of_fractions_as_int():
+    rows = {}
+    linalg.add_entry(rows, "eq", 0, Fraction(1, 2))
+    linalg.add_entry(rows, "eq", 0, Fraction(1, 2))
+    assert not _off_form(rows["eq"].values())
+    # sl2 with every structure constant halved: its Killing form is a
+    # quarter of sl2's, whose entries are all multiples of 4
+    half = LieAlgebra.from_table(
+        3, {ij: {k: Fraction(c, 2) for k, c in entry.items()} for ij, entry in SL2_TABLE.items()}
+    )
+    assert half._killing == tuple(tuple(x // 4 for x in row) for row in get_algebra("sl2")._killing)
+    assert not _off_form(x for row in half._killing for x in row)
+    row = half._bracket_row(((0, 2),), ((1, 1),))  # [2 e_1, e_2] = e_3
+    assert row == {2: 1} and not _off_form(row.values())
+
+
+def test_documents_and_flags_enter_in_normal_form():
+    doc = {
+        "kind": "operator",
+        "name": "R",
+        "dim": 2,
+        "basis": ["e1", "e2"],
+        "matrix": [["1", "-1/2"], ["0", "2"]],
+        "weight": "1",
+    }
+    op = interchange.parse_document(doc).value
+    assert op.matrix == ((1, Fraction(-1, 2)), (0, 2))
+    assert not _off_form([op.weight, *(x for row in op.matrix for x in row)])
+    assert not _off_form([cli._rational_flag(text) for text in ("1", "2/2", "-4/2", "1/2")])
 
 
 BUILDABLE = [i for i in catalog_ids() if get_entry(i).kind != "stub"]
