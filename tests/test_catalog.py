@@ -1,8 +1,15 @@
 """Catalog integrity: every entry builds deterministically and matches its
 recorded invariants (dimension, center, radical, nilradical class)."""
 
+import dataclasses
+import hashlib
+import json
+import subprocess
+import sys
+
 import pytest
 
+from postlie import interchange
 from postlie.catalog import (
     FINGERPRINT_COLLISIONS,
     CatalogEntry,
@@ -140,3 +147,46 @@ def test_entry_metadata_shape():
     assert entry.module_partition == (2, 1, 2, 1)
     assert entry.description
     assert entry.dim == 9
+
+
+# sha256 over every entry's fields (the builder as "buildable") and, for
+# each buildable entry, the built algebra's own name and its serialized
+# document: a change of recipe, registration or description shows here
+CATALOG_SHA256 = "2e4703dc09cb74ae283e88eb9141a57448e135bb31c5d9211ff5ab2aa85f8ebe"
+
+
+def test_every_entry_and_build_is_pinned():
+    records = []
+    for entry_id in catalog_ids():
+        entry = get_entry(entry_id)
+        record = {f.name: getattr(entry, f.name) for f in dataclasses.fields(entry) if f.name != "builder"}
+        record["buildable"] = entry.builder is not None
+        if entry.builder is not None:
+            alg = get_algebra(entry_id)
+            record["name"] = alg.name
+            record["document"] = interchange.serialize(alg)
+        records.append(record)
+    assert len(records) == 62
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == CATALOG_SHA256
+
+
+def test_importing_the_package_builds_no_algebra():
+    # counts calls by code location, so the sample products that the
+    # import does build (``PAProduct.from_table``) show the watch works
+    script = (
+        "import os, sys\n"
+        "calls = {}\n"
+        "def watch(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_name == 'from_table':\n"
+        "        where = os.path.basename(code.co_filename)\n"
+        "        calls[where] = calls.get(where, 0) + 1\n"
+        "sys.setprofile(watch)\n"
+        "import postlie\n"
+        "sys.setprofile(None)\n"
+        "print(calls.get('liealg.py', 0), calls.get('structures.py', 0))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "4"]
