@@ -3,16 +3,25 @@
 The primary series is the classification of perfect non-semisimple algebras
 of dimension at most nine over a field of characteristic zero that split as
 sl2 (or sl2 plus a smaller perfect algebra) acting on a nilpotent radical.
-Every entry is generated from an explicit recipe (irreducible-module data
-plus an optional equivariant bracket on the radical), so structure constants
-are reproducible and exactly rational.  Two dimension-8 entries depend on
-normalization constants for a mixed module bracket that the generic recipes
-here cannot derive; they are present as stubs that raise
-:class:`ExternalDataRequired` with a description of the missing data.
+Every entry is one row of a recipe table, so structure constants are
+reproducible and exactly rational:
 
-Auxiliary entries (abelian algebras, Heisenberg-type nilpotents, solvable
-and reductive building blocks, simple matrix algebras and direct sums) back
-the structural rules and the existence table.
+* ``_SEMIDIRECT`` — sl2 acting on a sum of irreducible modules (the
+  partition) with an optional equivariant bracket on the radical, and the
+  center, radical and nilradical class recorded for the tests;
+* ``_TABLES`` — auxiliaries given by a sparse bracket table;
+* ``_MATRICES`` — auxiliaries spanned by integer matrices, bracketed by
+  their commutators;
+* ``_SUMS`` — direct sums of earlier entries.  A sum with a perfect part is
+  perfect and records that part's invariants (sl2 adds no center and no
+  radical).
+
+Each row registers through one ``_register`` whose builder is a
+``functools.partial`` of the construction, so importing the catalog builds
+nothing.  Two dimension-8 entries depend on normalization constants for a
+mixed module bracket that the generic recipes here cannot derive; they are
+present as stubs that raise :class:`ExternalDataRequired` with a
+description of the missing data.
 
 Labels of the ``L<dim>_<k>`` form follow standard classification numbering
 from the literature; they are stable identifiers, not derivations.
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 from . import linalg, sl2 as sl2mod
@@ -38,7 +47,7 @@ class ExternalDataRequired(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# matrix-basis construction (structure constants from actual commutators)
+# constructions behind the recipe rows
 # ----------------------------------------------------------------------
 
 
@@ -64,6 +73,10 @@ def _from_matrices(size: int, mats: Sequence[Mapping[tuple[int, int], int]], nam
     if None in coords:
         raise ValueError("commutator left the span of the basis")
     return LieAlgebra.from_table(len(mats), dict(zip(pairs, coords)), name)
+
+
+def _direct_sum(parts: Sequence[str], name: str) -> LieAlgebra:
+    return direct_sum(*(get_algebra(p) for p in parts), name=name)
 
 
 # ----------------------------------------------------------------------
@@ -95,52 +108,21 @@ class CatalogEntry:
 _ENTRIES: dict[str, CatalogEntry] = {}
 
 
-def _register(entry: CatalogEntry) -> None:
-    if entry.entry_id in _ENTRIES:
-        raise ValueError(f"duplicate catalog id {entry.entry_id}")
-    _ENTRIES[entry.entry_id] = entry
-
-
-def _perfect(
+def _register(
     entry_id: str,
+    kind: str,
+    dim: int,
     description: str,
-    builder: Callable[[], LieAlgebra],
-    partition: tuple[int, ...],
-    center_dim: int,
-    radical_dim: int,
-    nilradical_class: int,
+    builder: Callable[[], LieAlgebra] | None,
+    **recorded,
 ) -> None:
-    dim = 3 + sum(partition) if not entry_id.startswith("sl2_plus_L") else None
-    alg_dim = dim if dim is not None else 3 + _ENTRIES[entry_id[9:]].dim
-    _register(
-        CatalogEntry(
-            entry_id=entry_id,
-            kind="perfect",
-            dim=alg_dim,
-            description=description,
-            builder=builder,
-            module_partition=partition,
-            expected_center_dim=center_dim,
-            expected_radical_dim=radical_dim,
-            expected_nilradical_class=nilradical_class,
-        )
-    )
-
-
-def _aux(entry_id: str, dim: int, description: str, builder: Callable[[], LieAlgebra]) -> None:
-    _register(
-        CatalogEntry(
-            entry_id=entry_id,
-            kind="auxiliary",
-            dim=dim,
-            description=description,
-            builder=builder,
-        )
-    )
+    if entry_id in _ENTRIES:
+        raise ValueError(f"duplicate catalog id {entry_id}")
+    _ENTRIES[entry_id] = CatalogEntry(entry_id, kind, dim, description, builder, **recorded)
 
 
 # ----------------------------------------------------------------------
-# perfect series (dimensions 5 through 9)
+# recipe tables
 # ----------------------------------------------------------------------
 
 _N3 = {(0, 1): {2: 1}}
@@ -148,331 +130,113 @@ _F23 = {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}
 _F32 = {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}}
 _A64 = {(0, 3): {4: 1}, (1, 2): {4: -1}, (2, 3): {5: 1}}
 
-
-def _sd(partition, module_table=None):
-    def build(name):
-        return sl2mod.semidirect(partition, module_table, name)
-
-    return build
-
-
-def _sum_with_sl2(inner_id: str):
-    def build(name):
-        return direct_sum(sl2mod.sl2(), get_algebra(inner_id), name=name)
-
-    return build
-
-
-def _named(buildfn, entry_id):
-    return lambda: buildfn(entry_id)
-
-
-_perfect(
-    "L5_1",
-    "split simple algebra acting on its 2-dimensional irreducible module",
-    _named(_sd((2,)), "L5_1"),
-    (2,),
-    center_dim=0,
-    radical_dim=2,
-    nilradical_class=1,
-)
-_perfect(
-    "L6_2",
-    "split simple algebra acting on the Heisenberg algebra "
-    "(2-dimensional module paired into its center)",
-    _named(_sd((2, 1), _N3), "L6_2"),
-    (2, 1),
-    center_dim=1,
-    radical_dim=3,
-    nilradical_class=2,
-)
-_perfect(
-    "L6_4",
-    "split simple algebra acting on its 3-dimensional irreducible module",
-    _named(_sd((3,)), "L6_4"),
-    (3,),
-    center_dim=0,
-    radical_dim=3,
-    nilradical_class=1,
-)
-_perfect(
-    "L7_6",
-    "split simple algebra acting on its 4-dimensional irreducible module",
-    _named(_sd((4,)), "L7_6"),
-    (4,),
-    center_dim=0,
-    radical_dim=4,
-    nilradical_class=1,
-)
-_perfect(
-    "L7_7",
-    "split simple algebra acting on two copies of its 2-dimensional module",
-    _named(_sd((2, 2)), "L7_7"),
-    (2, 2),
-    center_dim=0,
-    radical_dim=4,
-    nilradical_class=1,
-)
-_perfect(
-    "L8_13e0",
-    "split simple algebra acting on a free 2-dimensional module plus a "
-    "Heisenberg algebra (degenerate member of a one-parameter family)",
-    _named(_sd((2, 2, 1), {(2, 3): {4: 1}}), "L8_13e0"),
-    (2, 2, 1),
-    center_dim=1,
-    radical_dim=5,
-    nilradical_class=2,
-)
-_perfect(
-    "L8_15",
-    "split simple algebra acting on the free 2-generator nilpotent algebra "
-    "of class three",
-    _named(_sd((2, 1, 2), _F23), "L8_15"),
-    (2, 1, 2),
-    center_dim=0,
-    radical_dim=5,
-    nilradical_class=3,
-)
-_perfect(
-    "L8_21",
-    "split simple algebra acting on its 5-dimensional irreducible module",
-    _named(_sd((5,)), "L8_21"),
-    (5,),
-    center_dim=0,
-    radical_dim=5,
-    nilradical_class=1,
-)
-_perfect(
-    "L8_22",
-    "split simple algebra acting on the sum of its 3- and 2-dimensional "
-    "irreducible modules",
-    _named(_sd((3, 2)), "L8_22"),
-    (3, 2),
-    center_dim=0,
-    radical_dim=5,
-    nilradical_class=1,
-)
-_perfect(
-    "L9_37",
-    "split simple algebra acting on two Heisenberg algebras",
-    _named(_sd((2, 1, 2, 1), {(0, 1): {2: 1}, (3, 4): {5: 1}}), "L9_37"),
-    (2, 1, 2, 1),
-    center_dim=2,
-    radical_dim=6,
-    nilradical_class=2,
-)
-_perfect(
-    "L9_41",
-    "split simple algebra acting on a 6-dimensional class-two nilpotent "
-    "radical built from two 2-dimensional modules paired into a "
-    "2-dimensional center",
-    _named(_sd((2, 2, 1, 1), _A64), "L9_41"),
-    (2, 2, 1, 1),
-    center_dim=2,
-    radical_dim=6,
-    nilradical_class=2,
-)
-_perfect(
-    "L9_58",
-    "split simple algebra acting on its 3-dimensional module plus a "
-    "Heisenberg algebra",
-    _named(_sd((3, 2, 1), {(3, 4): {5: 1}}), "L9_58"),
-    (3, 2, 1),
-    center_dim=1,
-    radical_dim=6,
-    nilradical_class=2,
-)
-_perfect(
-    "L9_59",
-    "split simple algebra acting on its 6-dimensional irreducible module",
-    _named(_sd((6,)), "L9_59"),
-    (6,),
-    center_dim=0,
-    radical_dim=6,
-    nilradical_class=1,
-)
-_perfect(
-    "L9_60",
-    "split simple algebra acting on the sum of its 4- and 2-dimensional "
-    "irreducible modules",
-    _named(_sd((4, 2)), "L9_60"),
-    (4, 2),
-    center_dim=0,
-    radical_dim=6,
-    nilradical_class=1,
-)
-_perfect(
-    "L9_61",
-    "split simple algebra acting on two copies of its 3-dimensional module",
-    _named(_sd((3, 3)), "L9_61"),
-    (3, 3),
-    center_dim=0,
-    radical_dim=6,
-    nilradical_class=1,
-)
-_perfect(
-    "L9_62",
-    "split simple algebra acting on the free 3-generator nilpotent algebra "
-    "of class two",
-    _named(_sd((3, 3), _F32), "L9_62"),
-    (3, 3),
-    center_dim=0,
-    radical_dim=6,
-    nilradical_class=2,
-)
-_perfect(
-    "L9_63",
-    "split simple algebra acting on three copies of its 2-dimensional module",
-    _named(_sd((2, 2, 2)), "L9_63"),
-    (2, 2, 2),
-    center_dim=0,
-    radical_dim=6,
-    nilradical_class=1,
+# (id, partition, module bracket, center dim, radical dim, nilradical
+# class, description) of each perfect sl2 ⋉ radical
+_SEMIDIRECT = (
+    ("L5_1", (2,), None, 0, 2, 1,
+     "split simple algebra acting on its 2-dimensional irreducible module"),
+    ("L6_2", (2, 1), _N3, 1, 3, 2,
+     "split simple algebra acting on the Heisenberg algebra "
+     "(2-dimensional module paired into its center)"),
+    ("L6_4", (3,), None, 0, 3, 1,
+     "split simple algebra acting on its 3-dimensional irreducible module"),
+    ("L7_6", (4,), None, 0, 4, 1,
+     "split simple algebra acting on its 4-dimensional irreducible module"),
+    ("L7_7", (2, 2), None, 0, 4, 1,
+     "split simple algebra acting on two copies of its 2-dimensional module"),
+    ("L8_13e0", (2, 2, 1), {(2, 3): {4: 1}}, 1, 5, 2,
+     "split simple algebra acting on a free 2-dimensional module plus a "
+     "Heisenberg algebra (degenerate member of a one-parameter family)"),
+    ("L8_15", (2, 1, 2), _F23, 0, 5, 3,
+     "split simple algebra acting on the free 2-generator nilpotent algebra "
+     "of class three"),
+    ("L8_21", (5,), None, 0, 5, 1,
+     "split simple algebra acting on its 5-dimensional irreducible module"),
+    ("L8_22", (3, 2), None, 0, 5, 1,
+     "split simple algebra acting on the sum of its 3- and 2-dimensional "
+     "irreducible modules"),
+    ("L9_37", (2, 1, 2, 1), {(0, 1): {2: 1}, (3, 4): {5: 1}}, 2, 6, 2,
+     "split simple algebra acting on two Heisenberg algebras"),
+    ("L9_41", (2, 2, 1, 1), _A64, 2, 6, 2,
+     "split simple algebra acting on a 6-dimensional class-two nilpotent "
+     "radical built from two 2-dimensional modules paired into a "
+     "2-dimensional center"),
+    ("L9_58", (3, 2, 1), {(3, 4): {5: 1}}, 1, 6, 2,
+     "split simple algebra acting on its 3-dimensional module plus a "
+     "Heisenberg algebra"),
+    ("L9_59", (6,), None, 0, 6, 1,
+     "split simple algebra acting on its 6-dimensional irreducible module"),
+    ("L9_60", (4, 2), None, 0, 6, 1,
+     "split simple algebra acting on the sum of its 4- and 2-dimensional "
+     "irreducible modules"),
+    ("L9_61", (3, 3), None, 0, 6, 1,
+     "split simple algebra acting on two copies of its 3-dimensional module"),
+    ("L9_62", (3, 3), _F32, 0, 6, 2,
+     "split simple algebra acting on the free 3-generator nilpotent algebra "
+     "of class two"),
+    ("L9_63", (2, 2, 2), None, 0, 6, 1,
+     "split simple algebra acting on three copies of its 2-dimensional module"),
 )
 
-for _inner, _center, _rad, _cls in (("L5_1", 0, 2, 1), ("L6_2", 1, 3, 2), ("L6_4", 0, 3, 1)):
-    _perfect(
-        f"sl2_plus_{_inner}",
-        f"direct sum of the split simple algebra with catalog entry {_inner}",
-        _named(_sum_with_sl2(_inner), f"sl2_plus_{_inner}"),
-        _ENTRIES[_inner].module_partition,
-        center_dim=_center,
-        radical_dim=_rad,
-        nilradical_class=_cls,
-    )
-
-for _stub_id, _stub_desc in (
-    (
-        "L8_13e1",
-        "non-degenerate member of the one-parameter family containing "
-        "L8_13e0; the mixed bracket between the two 2-dimensional module "
-        "blocks needs a normalization constant this package does not derive",
-    ),
-    (
-        "L8_19",
-        "split simple algebra acting on a 5-dimensional class-three radical "
-        "whose bracket requires externally supplied pairing coefficients",
-    ),
-):
-    _register(
-        CatalogEntry(
-            entry_id=_stub_id,
-            kind="stub",
-            dim=8,
-            description=_stub_desc,
-            builder=None,
-        )
-    )
-
-
-# ----------------------------------------------------------------------
-# auxiliary algebras
-# ----------------------------------------------------------------------
-
-for _n in range(1, 10):
-    _aux(
-        f"abelian_{_n}",
-        _n,
-        f"abelian algebra of dimension {_n}",
-        (lambda n: lambda: LieAlgebra.abelian(n, f"abelian_{n}"))(_n),
-    )
-
-
-def _table_aux(entry_id, dim, description, table):
-    _aux(
-        entry_id,
-        dim,
-        description,
-        (lambda: LieAlgebra.from_table(dim, table, entry_id)),
-    )
-
-
-_aux("sl2", 3, "split simple algebra of rank one", lambda: sl2mod.sl2())
-_table_aux(
-    "so3",
-    3,
-    "rational rotation algebra; a simple form with definite invariant form, "
-    "not isomorphic to the split form over the rationals",
-    {(0, 1): {2: -1}, (0, 2): {1: 1}, (1, 2): {0: -1}},
-)
-_aux(
-    "sl3",
-    8,
-    "traceless 3-by-3 matrices (basis: two diagonal, three upper, three "
-    "lower elementary matrices)",
-    lambda: _from_matrices(
-        3,
-        [
-            {(0, 0): 1, (1, 1): -1},
-            {(1, 1): 1, (2, 2): -1},
-            {(0, 1): 1},
-            {(1, 2): 1},
-            {(0, 2): 1},
-            {(1, 0): 1},
-            {(2, 1): 1},
-            {(2, 0): 1},
-        ],
-        "sl3",
-    ),
-)
-_aux(
-    "b3",
-    5,
-    "upper-triangular traceless 3-by-3 matrices (a complete solvable algebra)",
-    lambda: _from_matrices(
-        3,
-        [
-            {(0, 0): 1, (1, 1): -1},
-            {(1, 1): 1, (2, 2): -1},
-            {(0, 1): 1},
-            {(1, 2): 1},
-            {(0, 2): 1},
-        ],
-        "b3",
-    ),
-)
-_aux(
-    "gl2",
-    4,
-    "all 2-by-2 matrices (reductive with 1-dimensional center)",
-    lambda: _from_matrices(2, [{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}], "gl2"),
-)
-_table_aux("n3", 3, "Heisenberg algebra on one generator pair", _N3)
-_table_aux(
-    "n5",
-    5,
-    "Heisenberg algebra on two generator pairs",
-    {(0, 1): {4: 1}, (2, 3): {4: 1}},
-)
-_table_aux(
-    "f23",
-    5,
-    "free nilpotent algebra of class three on two generators",
-    _F23,
-)
-_table_aux(
-    "f32",
-    6,
-    "free nilpotent algebra of class two on three generators",
-    _F32,
-)
-_table_aux(
-    "a64",
-    6,
-    "class-two nilpotent algebra with 2-dimensional center and paired "
-    "4-dimensional generator space",
-    _A64,
-)
-_table_aux("r2", 2, "non-abelian 2-dimensional algebra", {(0, 1): {0: 1}})
-_table_aux(
-    "scaling5",
-    5,
-    "scaling extension: one element acting as the identity on a "
-    "4-dimensional abelian ideal",
-    {(i, 4): {i: -1} for i in range(4)},
+# (id, description) of each dimension-8 stub
+_STUBS = (
+    ("L8_13e1",
+     "non-degenerate member of the one-parameter family containing "
+     "L8_13e0; the mixed bracket between the two 2-dimensional module "
+     "blocks needs a normalization constant this package does not derive"),
+    ("L8_19",
+     "split simple algebra acting on a 5-dimensional class-three radical "
+     "whose bracket requires externally supplied pairing coefficients"),
 )
 
+# (id, dim, bracket table, description)
+_TABLES = (
+    ("sl2", 3, sl2mod.SL2_TABLE, "split simple algebra of rank one"),
+    ("so3", 3, {(0, 1): {2: -1}, (0, 2): {1: 1}, (1, 2): {0: -1}},
+     "rational rotation algebra; a simple form with definite invariant form, "
+     "not isomorphic to the split form over the rationals"),
+    ("n3", 3, _N3, "Heisenberg algebra on one generator pair"),
+    ("n5", 5, {(0, 1): {4: 1}, (2, 3): {4: 1}},
+     "Heisenberg algebra on two generator pairs"),
+    ("f23", 5, _F23, "free nilpotent algebra of class three on two generators"),
+    ("f32", 6, _F32, "free nilpotent algebra of class two on three generators"),
+    ("a64", 6, _A64,
+     "class-two nilpotent algebra with 2-dimensional center and paired "
+     "4-dimensional generator space"),
+    ("r2", 2, {(0, 1): {0: 1}}, "non-abelian 2-dimensional algebra"),
+    ("scaling5", 5, {(i, 4): {i: -1} for i in range(4)},
+     "scaling extension: one element acting as the identity on a "
+     "4-dimensional abelian ideal"),
+)
+
+# sl3's basis: two diagonal, three upper, three lower elementary matrices
+_SL3 = (
+    {(0, 0): 1, (1, 1): -1},
+    {(1, 1): 1, (2, 2): -1},
+    {(0, 1): 1},
+    {(1, 2): 1},
+    {(0, 2): 1},
+    {(1, 0): 1},
+    {(2, 1): 1},
+    {(2, 0): 1},
+)
+
+# (id, matrix size, basis matrices, description)
+_MATRICES = (
+    ("sl3", 3, _SL3,
+     "traceless 3-by-3 matrices (basis: two diagonal, three upper, three "
+     "lower elementary matrices)"),
+    ("b3", 3, _SL3[:5],
+     "upper-triangular traceless 3-by-3 matrices (a complete solvable algebra)"),
+    ("gl2", 2, ({(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}),
+     "all 2-by-2 matrices (reductive with 1-dimensional center)"),
+)
+
+# id -> parts of each direct sum; every part is registered above
 _SUMS: dict[str, tuple[str, ...]] = {
+    "sl2_plus_L5_1": ("sl2", "L5_1"),
+    "sl2_plus_L6_2": ("sl2", "L6_2"),
+    "sl2_plus_L6_4": ("sl2", "L6_4"),
     "r2_plus_C": ("r2", "abelian_1"),
     "r2_plus_C2": ("r2", "abelian_2"),
     "r2_plus_r2": ("r2", "r2"),
@@ -494,15 +258,50 @@ _SUMS: dict[str, tuple[str, ...]] = {
     "b3_plus_sl2": ("b3", "sl2"),
 }
 
-for _sum_id, _parts in _SUMS.items():
-    _aux(
-        _sum_id,
-        sum(_ENTRIES[p].dim for p in _parts),
-        "direct sum of " + " and ".join(_parts),
-        (lambda parts, sid: lambda: direct_sum(
-            *(get_algebra(p) for p in parts), name=sid
-        ))(_parts, _sum_id),
+for _id, _partition, _bracket, _center, _radical, _class, _desc in _SEMIDIRECT:
+    _register(
+        _id,
+        "perfect",
+        3 + sum(_partition),
+        _desc,
+        partial(sl2mod.semidirect, _partition, _bracket, _id),
+        module_partition=_partition,
+        expected_center_dim=_center,
+        expected_radical_dim=_radical,
+        expected_nilradical_class=_class,
     )
+for _id, _desc in _STUBS:
+    _register(_id, "stub", 8, _desc, None)
+for _n in range(1, 10):
+    _register(
+        f"abelian_{_n}",
+        "auxiliary",
+        _n,
+        f"abelian algebra of dimension {_n}",
+        partial(LieAlgebra.abelian, _n, f"abelian_{_n}"),
+    )
+for _id, _dim, _table, _desc in _TABLES:
+    _register(_id, "auxiliary", _dim, _desc, partial(LieAlgebra.from_table, _dim, _table, _id))
+for _id, _size, _mats, _desc in _MATRICES:
+    _register(_id, "auxiliary", len(_mats), _desc, partial(_from_matrices, _size, _mats, _id))
+for _id, _parts in _SUMS.items():
+    _builder = partial(_direct_sum, _parts, _id)
+    _dim = sum(_ENTRIES[p].dim for p in _parts)
+    _inner = next((_ENTRIES[p] for p in _parts if _ENTRIES[p].kind == "perfect"), None)
+    if _inner is None:
+        _register(_id, "auxiliary", _dim, "direct sum of " + " and ".join(_parts), _builder)
+    else:
+        _register(
+            _id,
+            "perfect",
+            _dim,
+            f"direct sum of the split simple algebra with catalog entry {_inner.entry_id}",
+            _builder,
+            module_partition=_inner.module_partition,
+            expected_center_dim=_inner.expected_center_dim,
+            expected_radical_dim=_inner.expected_radical_dim,
+            expected_nilradical_class=_inner.expected_nilradical_class,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -551,20 +350,16 @@ FINGERPRINT_COLLISIONS: frozenset[frozenset[str]] = frozenset(
 
 
 @lru_cache(maxsize=None)
-def _fingerprint_index() -> tuple[tuple[Fingerprint, tuple[str, ...]], ...]:
+def _fingerprint_index() -> dict[Fingerprint, tuple[str, ...]]:
     buckets: dict[Fingerprint, list[str]] = {}
     for entry_id in catalog_ids():
         entry = get_entry(entry_id)
         if entry.kind == "stub":
             continue
         buckets.setdefault(fingerprint(get_algebra(entry_id)), []).append(entry_id)
-    return tuple((fp, tuple(sorted(ids))) for fp, ids in buckets.items())
+    return {fp: tuple(sorted(ids)) for fp, ids in buckets.items()}
 
 
 def identify(alg: LieAlgebra) -> tuple[str, ...]:
     """Catalog entries whose fingerprint matches the given algebra."""
-    fp = fingerprint(alg)
-    for known, ids in _fingerprint_index():
-        if known == fp:
-            return ids
-    return ()
+    return _fingerprint_index().get(fingerprint(alg), ())

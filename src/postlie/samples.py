@@ -57,15 +57,11 @@ class SamplePair:
         return induced_bracket(self.n(), self.product, name=self.sample_id + "_g")
 
 
-def _product(dim: int, table: dict, name: str) -> PAProduct:
-    return PAProduct.from_table(dim, table, name=name)
-
-
 _PERFECT_OVER_REDUCTIVE = SamplePair(
     sample_id="perfect_over_reductive",
     g_class_id="L5_1",
     n_id="sl2_plus_C2",
-    product=_product(
+    product=PAProduct.from_table(
         5,
         {
             (0, 4): {3: 1},
@@ -81,7 +77,7 @@ _SOLVABLE_OVER_PERFECT = SamplePair(
     sample_id="solvable_over_perfect",
     g_class_id="n3_plus_r2",
     n_id="L5_1",
-    product=_product(
+    product=PAProduct.from_table(
         5,
         {
             (1, 0): {2: 1},
@@ -111,7 +107,7 @@ _REDUCTIVE_OVER_PERFECT = SamplePair(
     sample_id="reductive_over_perfect",
     g_class_id="sl2_plus_C2",
     n_id="L5_1",
-    product=_product(
+    product=PAProduct.from_table(
         5,
         {
             (3, 1): {4: 1},
@@ -138,7 +134,7 @@ _COMPLETE_OVER_PERFECT = SamplePair(
     sample_id="complete_over_perfect",
     g_class_id="sl2_plus_r2",
     n_id="L5_1",
-    product=_product(
+    product=PAProduct.from_table(
         5,
         {
             (3, 1): {4: 1},

@@ -402,7 +402,7 @@ def negation_partner(op: RBOperator) -> RBOperator:
         )
         for r in range(d)
     )
-    return RBOperator(dim=d, matrix=m, weight=op.weight, name=f"negation({op.name})")
+    return RBOperator.from_rows(m, weight=op.weight, name=f"negation({op.name})")
 
 
 def rb_kernels(n: LieAlgebra, op: RBOperator) -> tuple[Subspace, Subspace]:
@@ -437,7 +437,7 @@ def rb_from_decomposition(n: LieAlgebra, first: Subspace, second: Subspace) -> R
     for coeffs in linalg.coordinates(first._rows() + second._rows(), units, n.dim):
         weights = [(a - k, x) for a, x in coeffs.items() if a >= k]
         cols.append(add_bilinear([linalg.ZERO] * n.dim, seconds, unit(0, -1), weights))
-    return RBOperator(dim=n.dim, matrix=linalg.transpose(cols), weight=linalg.ONE)
+    return RBOperator.from_rows(linalg.transpose(cols))
 
 
 def rb_from_coordinate_split(n: LieAlgebra, coords: Iterable[int]) -> RBOperator:

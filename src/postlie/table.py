@@ -123,14 +123,14 @@ class Witness:
       the listed coordinates (both sides must be subalgebras);
     * ``general_split`` — the same with an explicit second subalgebra that
       is not coordinate-aligned;
-    * ``left_action`` — a graph basis ``(v, D)`` of vectors and derivations
-      defining the product ``x . y = L(x) y``.
+    * ``left_action`` — a function returning a graph basis ``(v, D)`` of
+      vectors and derivations defining the product ``x . y = L(x) y``.
     """
 
     kind: str
     g_id: str
     n_id: str
-    data: tuple = ()
+    data: tuple | Callable[[], tuple] = ()
 
     def materialize(self):
         """Return ``(induced_g, n, product, operator_or_None)``."""
@@ -155,28 +155,12 @@ class Witness:
             op = rb_from_decomposition(n_alg, first, second)
             product = pa_from_rb(n_alg, op)
         elif self.kind == "left_action":
-            pairs = tuple(
-                (linalg.vec(v), mat) for v, mat in _LEFT_ACTION_BUILDERS[self.n_id]()
-            )
+            pairs = tuple((linalg.vec(v), mat) for v, mat in self.data())
             product = product_from_left_action(n_alg, pairs)
         else:  # pragma: no cover
             raise ValueError(f"unknown witness kind {self.kind!r}")
         induced = induced_bracket(n_alg, product, name=self.g_id)
         return induced, n_alg, product, op
-
-
-def _gl2_multiplication_table() -> dict:
-    """Left multiplication of the 2x2 matrix units on themselves."""
-    return {
-        (0, 0): {0: 1},
-        (0, 1): {1: 1},
-        (1, 2): {0: 1},
-        (1, 3): {1: 1},
-        (2, 0): {2: 1},
-        (2, 1): {3: 1},
-        (3, 2): {2: 1},
-        (3, 3): {3: 1},
-    }
 
 
 def _scaling5_pairs() -> tuple:
@@ -223,19 +207,6 @@ def _heis_plus_c_pairs() -> tuple:
     )
 
 
-# Sparse left-action pairs are stored lazily (via callables) because they
-# depend on module-building helpers.
-_LEFT_ACTION_BUILDERS = {
-    "scaling5": _scaling5_pairs,
-    "n3_plus_C2": _heis_plus_c2_pairs,
-    "n3_plus_C": _heis_plus_c_pairs,
-}
-
-
-def _witness(kind: str, g_id: str, n_id: str, data=()) -> Witness:
-    return Witness(kind=kind, g_id=g_id, n_id=n_id, data=data)
-
-
 def _sample_witness(kind: str, sample_id: str) -> Witness:
     """The product (``kind="product"``) or the operator (``"operator"``) of
     a shipped sample, as witness data."""
@@ -247,78 +218,92 @@ def _sample_witness(kind: str, sample_id: str) -> Witness:
         )
     else:
         data = sample.operator.matrix
-    return _witness(kind, sample.g_class_id, sample.n_id, data)
+    return Witness(kind, sample.g_class_id, sample.n_id, data)
 
 
 _EXISTS: dict[tuple[str, str], Witness] = {
     # row: g abelian
-    ("abelian", "abelian"): _witness("zero", "abelian_1", "abelian_1"),
-    ("abelian", "nilpotent"): _witness(
+    ("abelian", "abelian"): Witness("zero", "abelian_1", "abelian_1"),
+    ("abelian", "nilpotent"): Witness(
         "product", "abelian_3", "n3", (((1, 0), ((2, 1),)),)
     ),
-    ("abelian", "solvable"): _witness(
+    ("abelian", "solvable"): Witness(
         "product", "abelian_2", "r2", (((1, 0), ((0, 1),)),)
     ),
-    ("abelian", "complete"): _witness(
+    ("abelian", "complete"): Witness(
         "product", "abelian_2", "r2", (((1, 0), ((0, 1),)),)
     ),
     # row: g nilpotent non-abelian
-    ("nilpotent", "abelian"): _witness(
+    ("nilpotent", "abelian"): Witness(
         "product", "n3", "abelian_3", (((0, 1), ((2, 1),)),)
     ),
-    ("nilpotent", "nilpotent"): _witness("zero", "n3", "n3"),
-    ("nilpotent", "solvable"): _witness(
+    ("nilpotent", "nilpotent"): Witness("zero", "n3", "n3"),
+    ("nilpotent", "solvable"): Witness(
         "product", "n3", "r2_plus_C", (((0, 1), ((2, 1),)), ((1, 0), ((0, 1),)))
     ),
-    ("nilpotent", "complete"): _witness(
+    ("nilpotent", "complete"): Witness(
         "coordinate_split", "n3_plus_C2", "b3", (2, 3, 4)
     ),
     # row: g solvable non-nilpotent
-    ("solvable", "abelian"): _witness(
+    ("solvable", "abelian"): Witness(
         "product", "r2", "abelian_2", (((1, 0), ((0, -1),)), ((1, 1), ((1, -1),)))
     ),
-    ("solvable", "nilpotent"): _witness(
+    ("solvable", "nilpotent"): Witness(
         "product", "r2_plus_C", "n3", (((1, 0), ((0, -1), (2, 1))), ((1, 1), ((1, 1),)))
     ),
-    ("solvable", "solvable"): _witness("zero", "r2", "r2"),
-    ("solvable", "simple"): _witness("coordinate_split", "r2_plus_C", "sl2", (0, 2)),
-    ("solvable", "semisimple"): _witness(
+    ("solvable", "solvable"): Witness("zero", "r2", "r2"),
+    ("solvable", "simple"): Witness("coordinate_split", "r2_plus_C", "sl2", (0, 2)),
+    ("solvable", "semisimple"): Witness(
         "coordinate_split", "r2_plus_r2_plus_C2", "sl2_plus_sl2", (0, 2, 3, 5)
     ),
-    ("solvable", "reductive"): _witness(
+    ("solvable", "reductive"): Witness(
         "coordinate_split", "r2_plus_C2", "sl2_plus_C", (0, 2, 3)
     ),
-    ("solvable", "complete"): _witness("zero", "r2_plus_r2", "r2_plus_r2"),
+    ("solvable", "complete"): Witness("zero", "r2_plus_r2", "r2_plus_r2"),
     ("solvable", "perfect"): _sample_witness("operator", "solvable_over_perfect"),
     # row: g simple
-    ("simple", "simple"): _witness("zero", "sl2", "sl2"),
+    ("simple", "simple"): Witness("zero", "sl2", "sl2"),
     # row: g semisimple non-simple
-    ("semisimple", "semisimple"): _witness(
+    ("semisimple", "semisimple"): Witness(
         "zero", "sl2_plus_sl2", "sl2_plus_sl2"
     ),
     # row: g reductive non-semisimple
-    ("reductive", "abelian"): _witness(
-        "product", "gl2", "abelian_4", tuple(
-            (key, tuple(sorted(val.items())))
-            for key, val in sorted(_gl2_multiplication_table().items())
-        )
+    # left multiplication of the 2x2 matrix units on themselves
+    ("reductive", "abelian"): Witness(
+        "product",
+        "gl2",
+        "abelian_4",
+        (
+            ((0, 0), ((0, 1),)),
+            ((0, 1), ((1, 1),)),
+            ((1, 2), ((0, 1),)),
+            ((1, 3), ((1, 1),)),
+            ((2, 0), ((2, 1),)),
+            ((2, 1), ((3, 1),)),
+            ((3, 2), ((2, 1),)),
+            ((3, 3), ((3, 1),)),
+        ),
     ),
-    ("reductive", "nilpotent"): _witness(
-        "left_action", "sl2_plus_C2", "n3_plus_C2"
+    ("reductive", "nilpotent"): Witness(
+        "left_action", "sl2_plus_C2", "n3_plus_C2", _heis_plus_c2_pairs
     ),
-    ("reductive", "solvable"): _witness("left_action", "sl2_plus_C2", "scaling5"),
-    ("reductive", "reductive"): _witness("zero", "gl2", "gl2"),
-    ("reductive", "complete"): _witness(
+    ("reductive", "solvable"): Witness(
+        "left_action", "sl2_plus_C2", "scaling5", _scaling5_pairs
+    ),
+    ("reductive", "reductive"): Witness("zero", "gl2", "gl2"),
+    ("reductive", "complete"): Witness(
         "coordinate_split", "sl2_plus_C2", "sl2_plus_r2", (0, 1, 2, 3)
     ),
     ("reductive", "perfect"): _sample_witness("operator", "reductive_over_perfect"),
     # row: g complete non-perfect
-    ("complete", "abelian"): _witness(
+    ("complete", "abelian"): Witness(
         "product", "r2", "abelian_2", (((1, 0), ((0, -1),)), ((1, 1), ((1, -1),)))
     ),
-    ("complete", "nilpotent"): _witness("left_action", "r2_plus_r2", "n3_plus_C"),
-    ("complete", "solvable"): _witness("zero", "r2_plus_r2", "r2_plus_r2"),
-    ("complete", "simple"): _witness(
+    ("complete", "nilpotent"): Witness(
+        "left_action", "r2_plus_r2", "n3_plus_C", _heis_plus_c_pairs
+    ),
+    ("complete", "solvable"): Witness("zero", "r2_plus_r2", "r2_plus_r2"),
+    ("complete", "simple"): Witness(
         "general_split",
         "b3_plus_sl2",
         "sl3",
@@ -331,7 +316,7 @@ _EXISTS: dict[tuple[str, str], Witness] = {
             ),
         ),
     ),
-    ("complete", "semisimple"): _witness(
+    ("complete", "semisimple"): Witness(
         "general_split",
         "r2_plus_r2_plus_r2",
         "sl2_plus_sl2",
@@ -340,7 +325,7 @@ _EXISTS: dict[tuple[str, str], Witness] = {
             ((0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 2, 0)),
         ),
     ),
-    ("complete", "reductive"): _witness(
+    ("complete", "reductive"): Witness(
         "general_split",
         "r2_plus_r2",
         "sl2_plus_C",
@@ -349,11 +334,11 @@ _EXISTS: dict[tuple[str, str], Witness] = {
             ((0, 1, 0, 0), (0, 0, 1, 1)),
         ),
     ),
-    ("complete", "complete"): _witness("zero", "r2_plus_r2", "r2_plus_r2"),
+    ("complete", "complete"): Witness("zero", "r2_plus_r2", "r2_plus_r2"),
     ("complete", "perfect"): _sample_witness("product", "complete_over_perfect"),
     # row: g perfect non-semisimple
     ("perfect", "reductive"): _sample_witness("product", "perfect_over_reductive"),
-    ("perfect", "perfect"): _witness("zero", "L5_1", "L5_1"),
+    ("perfect", "perfect"): Witness("zero", "L5_1", "L5_1"),
 }
 
 _NOT_EXISTS: dict[tuple[str, str], tuple[str, str, str]] = {

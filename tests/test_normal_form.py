@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import cli, interchange, linalg
+from postlie import cli, interchange, linalg, table
 from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra
 from postlie.search import pa_search
 from postlie.sl2 import SL2_TABLE
+from postlie.structures import RBOperator, negation_partner, rb_from_decomposition
+from postlie.subspace import Subspace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "postlie"
@@ -131,3 +133,30 @@ def test_search_witnesses_hold_normal_form_scalars():
             witnesses += 1
             assert not _off_form(_cell_scalars(cert.witness.cells)), (g.name, n.name)
     assert witnesses == 22
+
+
+def _operator_scalars(op):
+    return [op.weight, *(x for row in op.matrix for x in row)]
+
+
+def test_grid_witness_operators_hold_normal_form_scalars():
+    operators = 0
+    for key, witness in table._EXISTS.items():
+        op = witness.materialize()[3]
+        if op is not None:
+            operators += 1
+            assert not _off_form(_operator_scalars(op)), key
+    assert operators == 10
+
+
+def test_operator_builders_store_an_integral_result_of_fractions_as_int():
+    half = Fraction(1, 2)
+    partner = negation_partner(RBOperator.from_rows(((half, 0), (0, half)), weight=half))
+    assert partner.matrix == ((-1, 0), (0, -1))
+    assert not _off_form(_operator_scalars(partner))
+    # minus the projection onto the span of (1/2, 1/3) along (1/2, 1/2)
+    first = Subspace.from_vectors(2, [(half, half)])
+    second = Subspace.from_vectors(2, [(half, Fraction(1, 3))])
+    op = rb_from_decomposition(LieAlgebra.abelian(2), first, second)
+    assert op.matrix == ((-3, 3), (-2, 2))
+    assert not _off_form(_operator_scalars(op))
