@@ -9,7 +9,8 @@ reproducible and exactly rational:
 * ``_SEMIDIRECT`` — sl2 acting on a sum of irreducible modules (the
   partition) with an optional equivariant bracket on the radical, and the
   center, radical and nilradical class recorded for the tests;
-* ``_TABLES`` — auxiliaries given by a sparse bracket table;
+* ``_TABLES`` — auxiliaries given by a sparse bracket table (the abelian
+  algebras of dimension 1 to 9 are one loop beside it);
 * ``_MATRICES`` — auxiliaries spanned by integer matrices, bracketed by
   their commutators;
 * ``_SUMS`` — direct sums of earlier entries.  A sum with a perfect part is
