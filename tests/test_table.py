@@ -5,6 +5,7 @@ import pytest
 
 import postlie.table as table_module
 from postlie.catalog import get_algebra
+from postlie.rules import rule_by_id
 from postlie.table import (
     CLASSES,
     TableVerificationError,
@@ -198,3 +199,96 @@ def test_each_operator_witness_builds_its_descendent_once(monkeypatch):
     existence_table()
     assert operator_cells == 10
     assert len(built) == operator_cells
+
+
+# One tampered registry entry per cell check, with the exact message the
+# grid build raises.  The operator check "descendent disagrees with product"
+# cannot be reached: the product of an operator witness is ``{Rx, y}``, so
+# its induced bracket is the descendent bracket by construction.
+_EXISTS_TAMPERS = {
+    "witness product fails the axioms": (
+        ("abelian", "solvable"),
+        Witness("product", "abelian_2", "r2", (((0, 0), ((0, 1),)),)),
+        "cell (abelian, solvable): witness product fails the axioms",
+    ),
+    # R e2 = e2 is central in n3: the product {Rx, y} is zero, but
+    # {R e0, R e1} = 0 differs from R [e0, e1]_R = e2
+    "operator fails the weight-one identity": (
+        ("nilpotent", "nilpotent"),
+        Witness("operator", "n3", "n3", ((0, 0, 0), (0, 0, 0), (0, 0, 1))),
+        "cell (nilpotent, nilpotent): witness operator fails the weight-one identity",
+    ),
+    "induced algebra out of its class": (
+        ("solvable", "nilpotent"),
+        Witness("zero", "r2_plus_C", "n3"),
+        "cell (solvable, nilpotent): induced algebra is not in class 'solvable'",
+    ),
+    "second algebra out of its class": (
+        ("abelian", "nilpotent"),
+        Witness("zero", "abelian_1", "abelian_1"),
+        "cell (abelian, nilpotent): second algebra is not in class 'nilpotent'",
+    ),
+    "fingerprint mismatch": (
+        ("abelian", "abelian"),
+        Witness("zero", "abelian_3", "abelian_1"),
+        "cell (abelian, abelian): induced algebra does not match the "
+        "registered catalog fingerprint 'abelian_3'",
+    ),
+}
+
+_NOT_EXISTS_TAMPERS = {
+    "representative g out of its class": (
+        ("semisimple", "complete"),
+        ("R3", "sl2", "r2_plus_r2_plus_r2"),
+        "cell (semisimple, complete): representative 'sl2' not in class 'semisimple'",
+    ),
+    "representative n out of its class": (
+        ("semisimple", "complete"),
+        ("R3", "sl2_plus_sl2", "abelian_6"),
+        "cell (semisimple, complete): representative 'abelian_6' not in class 'complete'",
+    ),
+    "no rule fires": (
+        ("abelian", "reductive"),
+        ("R6", "abelian_4", "gl2"),
+        "cell (abelian, reductive): no rule fires on (abelian_4, gl2)",
+    ),
+    "another rule fires": (
+        ("semisimple", "complete"),
+        ("R1", "sl2_plus_sl2", "r2_plus_r2_plus_r2"),
+        "cell (semisimple, complete): expected R1, got R3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXISTS_TAMPERS))
+def test_each_witness_check_reports_its_cell(monkeypatch, case):
+    key, witness, message = _EXISTS_TAMPERS[case]
+    monkeypatch.setitem(table_module._EXISTS, key, witness)
+    with pytest.raises(TableVerificationError) as info:
+        existence_table()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_EXISTS_TAMPERS))
+def test_each_representative_check_reports_its_cell(monkeypatch, case):
+    key, entry, message = _NOT_EXISTS_TAMPERS[case]
+    monkeypatch.setitem(table_module._NOT_EXISTS, key, entry)
+    with pytest.raises(TableVerificationError) as info:
+        existence_table()
+    assert str(info.value) == message
+
+
+def test_a_rule_firing_on_a_witness_pair_is_reported(monkeypatch):
+    # a sound rule never fires on a pair that carries a product, so only a
+    # tampered rule set reaches this check
+    original = table_module.applicable_rule
+
+    def r6_on_abelian_1(g, n):
+        if g.dim == 1:
+            return rule_by_id("R6"), ()
+        return original(g, n)
+
+    monkeypatch.setattr(table_module, "applicable_rule", r6_on_abelian_1)
+    with pytest.raises(TableVerificationError) as info:
+        existence_table()
+    assert str(info.value) == "cell (abelian, abelian): rule R6 fires on a witness pair"
