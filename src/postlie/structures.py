@@ -315,10 +315,12 @@ def _operator_products(n: LieAlgebra, op: RBOperator) -> tuple[list, tuple]:
         raise ValueError("operator and algebra dimensions differ")
     d = n.dim
     cols = [nonzero(col) for col in linalg.transpose(op.matrix)]
-    return cols, tuple(
-        tuple(nonzero(add_bilinear([linalg.ZERO] * d, n.cells, col, unit(j))) for j in range(d))
-        for col in cols
-    )
+
+    def cell(col, j):  # a sum of fractions that is integral is stored as an int
+        v = add_bilinear([linalg.ZERO] * d, n.cells, col, unit(j))
+        return tuple((k, frac(c)) for k, c in enumerate(v) if c)
+
+    return cols, tuple(tuple(cell(col, j) for j in range(d)) for col in cols)
 
 
 def verify_rb(n: LieAlgebra, op: RBOperator) -> RBVerification:

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, Scalar, Vector, ONE
+from .linalg import Matrix, Scalar, Vector, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -91,26 +91,21 @@ class Subspace:
         return not any(linalg.reduce_row(row, self._tails) for row in rows)
 
     def _coordinates(self, row: dict[int, Scalar]) -> dict[int, Scalar] | None:
-        """:meth:`reduce` of a sparse row (nonzero entries only; reduced in
-        place): its nonzero ``{basis index: coefficient}``, None if outside."""
+        """The nonzero ``{basis index: coefficient}`` of a sparse row (nonzero
+        entries only; reduced in place) in the RREF rows, None if outside: a
+        row's coefficient is the entry at its pivot, which is zero in every
+        other row."""
         coords = {r: row[p] for r, p in enumerate(self.pivots) if p in row}
         return None if linalg.reduce_row(row, self._tails) else coords
 
-    def reduce(self, vector: Sequence[Scalar]) -> tuple[Vector, Vector]:
-        """``(coefficients, residual)`` of ``vector`` against the basis.
-
-        In RREF every pivot column is zero outside its own row, so the
-        coefficient of a row is the vector's entry at that row's pivot, and
-        :func:`linalg.reduce_row` leaves ``vector - sum(c_r * row_r)``.  The
-        residual is zero exactly when the vector lies in the subspace.
-        """
+    def _sparse(self, vector: Sequence[Scalar]) -> dict[int, Scalar]:
+        """The nonzero entries of a dense vector of the ambient length."""
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        residual = linalg.reduce_row({c: x for c, x in enumerate(vector) if x}, self._tails)
-        return tuple(vector[p] for p in self.pivots), linalg.to_dense(residual, self.ambient_dim)
+        return {c: x for c, x in enumerate(vector) if x}
 
     def contains(self, vector: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(vector)[1])
+        return self._holds([self._sparse(vector)])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -162,5 +157,5 @@ def coordinate_set(ambient_dim: int, indices: Iterable[int]) -> set[int]:
 
 def coordinates_in_basis(space: Subspace, vector: Sequence[Scalar]) -> Vector | None:
     """Coefficients of ``vector`` in ``space.basis`` rows, or None if outside."""
-    coeffs, residual = space.reduce(vector)
-    return None if any(residual) else coeffs
+    coords = space._coordinates(space._sparse(vector))
+    return None if coords is None else tuple(coords.get(r, ZERO) for r in range(space.dim))

@@ -22,8 +22,13 @@ memberships carrying a product structure?*  Three outcomes:
   cell is honestly left open (this covers both genuinely open questions
   and class pairs whose known obstructions lie outside the encoded rules).
 
-Any discrepancy during re-verification raises
-:class:`TableVerificationError` instead of producing a wrong table.
+Each witness is declared once, as plain data, in ``_EXISTS``: a
+:class:`Witness` names one of six recipes (``zero``, ``product``,
+``operator``, ``coordinate_split``, ``general_split``, ``left_action``) and
+holds its data as a tuple.  ``_NOT_EXISTS`` holds each excluded cell's
+``(rule, g, n)``.  Any discrepancy during re-verification raises
+:class:`TableVerificationError`, worded ``cell (row, col): ...``, instead of
+producing a wrong table.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .structures import (
 )
 from .rules import applicable_rule, rule_by_id
 from .samples import get_sample
-from .sl2 import module_action
 
 
 class TableVerificationError(RuntimeError):
@@ -110,101 +114,59 @@ def _dense(size: int, entries: dict) -> tuple:
 
 @dataclass(frozen=True)
 class Witness:
-    """Recipe for one existence witness, materialized on demand.
+    """Recipe for one existence witness, declared as plain data and
+    materialized on demand.
 
-    ``kind`` selects the recipe:
+    ``kind`` selects the recipe, and ``data`` is a tuple:
 
-    * ``zero`` — the zero product on ``n`` (so the induced bracket is ``n``
-      itself; used on diagonal-style cells where one algebra lies in both
-      classes);
-    * ``product`` — an explicit sparse product table on ``n``;
-    * ``operator`` — an explicit weight-one operator matrix on ``n``;
+    * ``zero`` — the zero product on ``n``, no data (so the induced bracket
+      is ``n`` itself; used on diagonal-style cells where one algebra lies
+      in both classes);
+    * ``product`` — an explicit sparse product table on ``n``: the pairs
+      ``((i, j), ((k, c), ...))`` of ``e_i . e_j = sum c e_k``;
+    * ``operator`` — an explicit weight-one operator matrix on ``n``, by rows;
     * ``coordinate_split`` — minus the projection onto the complement of
       the listed coordinates (both sides must be subalgebras);
     * ``general_split`` — the same with an explicit second subalgebra that
-      is not coordinate-aligned;
-    * ``left_action`` — a function returning a graph basis ``(v, D)`` of
-      vectors and derivations defining the product ``x . y = L(x) y``.
+      is not coordinate-aligned: ``(coordinates, spanning vectors)``;
+    * ``left_action`` — a graph basis of ``n |x Der(n)``: one pair
+      ``(v, {(r, c): x})`` per basis vector, a vector of ``n`` and the
+      nonzero entries of a derivation, defining ``x . y = L(x) y`` with
+      ``L(v) = D``.
+
+    Every operator recipe induces its product as ``x . y = {Rx, y}``.
     """
 
     kind: str
     g_id: str
     n_id: str
-    data: tuple | Callable[[], tuple] = ()
+    data: tuple = ()
 
     def materialize(self):
         """Return ``(induced_g, n, product, operator_or_None)``."""
         n_alg = catalog.get_algebra(self.n_id)
         d = n_alg.dim
         op: Optional[RBOperator] = None
-        if self.kind == "zero":
-            product = PAProduct.zero(d)
-        elif self.kind == "product":
-            table = {key: dict(val) for key, val in self.data}
-            product = PAProduct.from_table(d, table)
-        elif self.kind == "operator":
-            op = RBOperator.from_rows(self.data, weight=1)
-            product = pa_from_rb(n_alg, op)
-        elif self.kind == "coordinate_split":
-            op = rb_from_coordinate_split(n_alg, self.data)
-            product = pa_from_rb(n_alg, op)
-        elif self.kind == "general_split":
-            coords, second_vectors = self.data
-            first = Subspace.spanned_by_coordinates(d, coords)
-            second = Subspace.from_vectors(d, second_vectors)
-            op = rb_from_decomposition(n_alg, first, second)
-            product = pa_from_rb(n_alg, op)
+        if self.kind in ("zero", "product"):
+            product = PAProduct.from_table(d, {key: dict(val) for key, val in self.data})
         elif self.kind == "left_action":
-            pairs = tuple((linalg.vec(v), mat) for v, mat in self.data())
+            pairs = tuple((linalg.vec(v), _dense(d, entries)) for v, entries in self.data)
             product = product_from_left_action(n_alg, pairs)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown witness kind {self.kind!r}")
+        else:
+            if self.kind == "operator":
+                op = RBOperator.from_rows(self.data, weight=1)
+            elif self.kind == "coordinate_split":
+                op = rb_from_coordinate_split(n_alg, self.data)
+            elif self.kind == "general_split":
+                coords, second_vectors = self.data
+                first = Subspace.spanned_by_coordinates(d, coords)
+                second = Subspace.from_vectors(d, second_vectors)
+                op = rb_from_decomposition(n_alg, first, second)
+            else:  # pragma: no cover
+                raise ValueError(f"unknown witness kind {self.kind!r}")
+            product = pa_from_rb(n_alg, op)
         induced = induced_bracket(n_alg, product, name=self.g_id)
         return induced, n_alg, product, op
-
-
-def _scaling5_pairs() -> tuple:
-    e_m, f_m, h_m = module_action((2, 2))
-    pe, pf, ph = (
-        _dense(5, {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row)})
-        for m in (e_m, f_m, h_m)
-    )
-    scaling = _dense(5, {(0, 0): 1, (1, 1): 1})
-    zero = _dense(5, {})
-    return (
-        ((0, 0, -1, 0, 0), pe),
-        ((0, -1, 0, 0, 0), pf),
-        ((-1, 0, 0, 1, 0), ph),
-        ((-1, 0, 0, -1, 1), zero),
-        ((-1, 0, 0, 0, 0), scaling),
-    )
-
-
-def _heis_plus_c2_pairs() -> tuple:
-    rho_e = _dense(5, {(0, 1): 1, (3, 4): 1})
-    rho_f = _dense(5, {(1, 0): 1, (4, 3): 1})
-    rho_h = _dense(5, {(0, 0): 1, (1, 1): -1, (3, 3): 1, (4, 4): -1})
-    t2 = _dense(5, {(3, 0): 1, (4, 1): 1, (3, 3): -1, (4, 4): -1})
-    zero = _dense(5, {})
-    return (
-        ((1, 0, Fraction(1, 2), 1, 0), rho_e),
-        ((0, 1, Fraction(-1, 2), 0, 0), rho_f),
-        ((1, -1, 1, 0, -1), rho_h),
-        ((0, 0, 1, 0, 0), zero),
-        ((0, 0, 0, 1, 0), t2),
-    )
-
-
-def _heis_plus_c_pairs() -> tuple:
-    s1 = _dense(4, {(0, 0): 1, (2, 2): 1})
-    s2 = _dense(4, {(2, 0): 1, (3, 3): 1})
-    zero = _dense(4, {})
-    return (
-        ((0, 0, 1, 0), s1),
-        ((0, 1, 0, 0), s2),
-        ((1, 0, 0, 0), zero),
-        ((0, 0, 0, 1), zero),
-    )
 
 
 def _sample_witness(kind: str, sample_id: str) -> Witness:
@@ -285,10 +247,30 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         ),
     ),
     ("reductive", "nilpotent"): Witness(
-        "left_action", "sl2_plus_C2", "n3_plus_C2", _heis_plus_c2_pairs
+        "left_action",
+        "sl2_plus_C2",
+        "n3_plus_C2",
+        (
+            ((1, 0, Fraction(1, 2), 1, 0), {(0, 1): 1, (3, 4): 1}),
+            ((0, 1, Fraction(-1, 2), 0, 0), {(1, 0): 1, (4, 3): 1}),
+            ((1, -1, 1, 0, -1), {(0, 0): 1, (1, 1): -1, (3, 3): 1, (4, 4): -1}),
+            ((0, 0, 1, 0, 0), {}),
+            ((0, 0, 0, 1, 0), {(3, 0): 1, (4, 1): 1, (3, 3): -1, (4, 4): -1}),
+        ),
     ),
+    # the first three matrices are sl2 (e, f, h) acting on two copies of its
+    # 2-dimensional module, spanned by the first four coordinates
     ("reductive", "solvable"): Witness(
-        "left_action", "sl2_plus_C2", "scaling5", _scaling5_pairs
+        "left_action",
+        "sl2_plus_C2",
+        "scaling5",
+        (
+            ((0, 0, -1, 0, 0), {(0, 1): 1, (2, 3): 1}),
+            ((0, -1, 0, 0, 0), {(1, 0): 1, (3, 2): 1}),
+            ((-1, 0, 0, 1, 0), {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1}),
+            ((-1, 0, 0, -1, 1), {}),
+            ((-1, 0, 0, 0, 0), {(0, 0): 1, (1, 1): 1}),
+        ),
     ),
     ("reductive", "reductive"): Witness("zero", "gl2", "gl2"),
     ("reductive", "complete"): Witness(
@@ -300,7 +282,15 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         "product", "r2", "abelian_2", (((1, 0), ((0, -1),)), ((1, 1), ((1, -1),)))
     ),
     ("complete", "nilpotent"): Witness(
-        "left_action", "r2_plus_r2", "n3_plus_C", _heis_plus_c_pairs
+        "left_action",
+        "r2_plus_r2",
+        "n3_plus_C",
+        (
+            ((0, 0, 1, 0), {(0, 0): 1, (2, 2): 1}),
+            ((0, 1, 0, 0), {(2, 0): 1, (3, 3): 1}),
+            ((1, 0, 0, 0), {}),
+            ((0, 0, 0, 1), {}),
+        ),
     ),
     ("complete", "solvable"): Witness("zero", "r2_plus_r2", "r2_plus_r2"),
     ("complete", "simple"): Witness(
@@ -475,51 +465,39 @@ class ExistenceTable:
         return "\n".join(lines)
 
 
+def _require(holds: bool, row: str, col: str, message) -> None:
+    """Raise the cell's :class:`TableVerificationError` unless ``holds``.
+    ``message`` is the text, or a function giving it when the text reads a
+    value that exists only on failure."""
+    if not holds:
+        text = message() if callable(message) else message
+        raise TableVerificationError(f"cell ({row}, {col}): {text}")
+
+
 def _verify_exists_cell(row: str, col: str, witness: Witness) -> Cell:
     induced, n_alg, product, op = witness.materialize()
-    verification = verify_pa(induced, n_alg, product)
-    if not verification.ok:
-        raise TableVerificationError(
-            f"cell ({row}, {col}): witness product fails the axioms"
-        )
+    _require(verify_pa(induced, n_alg, product).ok, row, col, "witness product fails the axioms")
     if op is not None:
-        rb_check = verify_rb(n_alg, op)
-        if not rb_check.ok:
-            raise TableVerificationError(
-                f"cell ({row}, {col}): witness operator fails the weight-one identity"
-            )
-        expected = descendent_bracket(n_alg, op)
-        if expected != induced:
-            raise TableVerificationError(
-                f"cell ({row}, {col}): operator descendent disagrees with product"
-            )
-    if not CLASS_PREDICATES[row](induced):
-        raise TableVerificationError(
-            f"cell ({row}, {col}): induced algebra is not in class {row!r}"
+        _require(
+            verify_rb(n_alg, op).ok, row, col, "witness operator fails the weight-one identity"
         )
-    if not CLASS_PREDICATES[col](n_alg):
-        raise TableVerificationError(
-            f"cell ({row}, {col}): second algebra is not in class {col!r}"
+        _require(
+            descendent_bracket(n_alg, op) == induced,
+            row,
+            col,
+            "operator descendent disagrees with product",
         )
-    reference = catalog.get_algebra(witness.g_id)
-    if fingerprint(induced) != fingerprint(reference):
-        raise TableVerificationError(
-            f"cell ({row}, {col}): induced algebra does not match the "
-            f"registered catalog fingerprint {witness.g_id!r}"
-        )
-    fired = applicable_rule(induced, n_alg)
-    if fired is not None:
-        raise TableVerificationError(
-            f"cell ({row}, {col}): rule {fired[0].rule_id} fires on a witness pair"
-        )
-    return Cell(
-        row=row,
-        col=col,
-        status="exists",
-        g_id=witness.g_id,
-        n_id=witness.n_id,
-        witness_kind=witness.kind,
+    _require(CLASS_PREDICATES[row](induced), row, col, f"induced algebra is not in class {row!r}")
+    _require(CLASS_PREDICATES[col](n_alg), row, col, f"second algebra is not in class {col!r}")
+    _require(
+        fingerprint(induced) == fingerprint(catalog.get_algebra(witness.g_id)),
+        row,
+        col,
+        f"induced algebra does not match the registered catalog fingerprint {witness.g_id!r}",
     )
+    fired = applicable_rule(induced, n_alg)
+    _require(fired is None, row, col, lambda: f"rule {fired[0].rule_id} fires on a witness pair")
+    return Cell(row, col, "exists", witness.g_id, witness.n_id, witness_kind=witness.kind)
 
 
 def _verify_not_exists_cell(
@@ -528,31 +506,15 @@ def _verify_not_exists_cell(
     rule_by_id(expected_rule)  # unknown ids fail loudly
     g = catalog.get_algebra(g_id)
     n_alg = catalog.get_algebra(n_id)
-    if not CLASS_PREDICATES[row](g):
-        raise TableVerificationError(
-            f"cell ({row}, {col}): representative {g_id!r} not in class {row!r}"
-        )
-    if not CLASS_PREDICATES[col](n_alg):
-        raise TableVerificationError(
-            f"cell ({row}, {col}): representative {n_id!r} not in class {col!r}"
-        )
-    fired = applicable_rule(g, n_alg)
-    if fired is None:
-        raise TableVerificationError(
-            f"cell ({row}, {col}): no rule fires on ({g_id}, {n_id})"
-        )
-    if fired[0].rule_id != expected_rule:
-        raise TableVerificationError(
-            f"cell ({row}, {col}): expected {expected_rule}, got {fired[0].rule_id}"
-        )
-    return Cell(
-        row=row,
-        col=col,
-        status="not_exists",
-        g_id=g_id,
-        n_id=n_id,
-        rule_id=expected_rule,
+    _require(CLASS_PREDICATES[row](g), row, col, f"representative {g_id!r} not in class {row!r}")
+    _require(
+        CLASS_PREDICATES[col](n_alg), row, col, f"representative {n_id!r} not in class {col!r}"
     )
+    fired = applicable_rule(g, n_alg)
+    _require(fired is not None, row, col, f"no rule fires on ({g_id}, {n_id})")
+    got = fired[0].rule_id
+    _require(got == expected_rule, row, col, f"expected {expected_rule}, got {got}")
+    return Cell(row, col, "not_exists", g_id, n_id, rule_id=expected_rule)
 
 
 def existence_table() -> ExistenceTable:

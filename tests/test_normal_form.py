@@ -15,7 +15,7 @@ from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra
 from postlie.search import pa_search
 from postlie.sl2 import SL2_TABLE
-from postlie.structures import RBOperator, negation_partner, rb_from_decomposition
+from postlie.structures import RBOperator, negation_partner, pa_from_rb, rb_from_decomposition
 from postlie.subspace import Subspace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -160,3 +160,12 @@ def test_operator_builders_store_an_integral_result_of_fractions_as_int():
     op = rb_from_decomposition(LieAlgebra.abelian(2), first, second)
     assert op.matrix == ((-3, 3), (-2, 2))
     assert not _off_form(_operator_scalars(op))
+
+
+def test_an_operator_product_stores_an_integral_sum_of_fractions_as_int():
+    half = Fraction(1, 2)
+    op = RBOperator.from_rows(((half, half, 0), (3 * half, half, 0), (0, 0, Fraction(1, 3))))
+    product = pa_from_rb(get_algebra("sl2"), op)
+    scalars = list(_cell_scalars(product.cells))
+    assert -1 in scalars and 3 in scalars and 1 in scalars
+    assert not _off_form(scalars)

@@ -89,6 +89,14 @@ def test_coordinates_in_basis_outside_returns_none():
     assert coordinates_in_basis(s, (0, 1, 0)) is None
 
 
+@pytest.mark.parametrize("vector", [(1, 0), (1, 0, 0, 0)])
+def test_a_vector_of_another_length_is_refused(vector):
+    s = Subspace.from_vectors(3, [(1, 0, 0)])
+    for read in (s.contains, lambda v: coordinates_in_basis(s, v)):
+        with pytest.raises(ValueError, match="^vector length does not match ambient dimension$"):
+            read(vector)
+
+
 # ----------------------------------------------------------------------
 # the one reducer against the dense reference elimination
 # ----------------------------------------------------------------------
