@@ -105,9 +105,9 @@ def classify(alg: LieAlgebra) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 
-def _dense(size: int, entries: dict) -> tuple:
+def _dense(size: int, entries: tuple) -> tuple:
     rows = [[linalg.ZERO] * size for _ in range(size)]
-    for (r, c), v in entries.items():
+    for r, c, v in entries:
         rows[r][c] = linalg.frac(v)
     return tuple(tuple(row) for row in rows)
 
@@ -130,7 +130,7 @@ class Witness:
     * ``general_split`` — the same with an explicit second subalgebra that
       is not coordinate-aligned: ``(coordinates, spanning vectors)``;
     * ``left_action`` — a graph basis of ``n |x Der(n)``: one pair
-      ``(v, {(r, c): x})`` per basis vector, a vector of ``n`` and the
+      ``(v, ((r, c, x), ...))`` per basis vector, a vector of ``n`` and the
       nonzero entries of a derivation, defining ``x . y = L(x) y`` with
       ``L(v) = D``.
 
@@ -251,11 +251,11 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         "sl2_plus_C2",
         "n3_plus_C2",
         (
-            ((1, 0, Fraction(1, 2), 1, 0), {(0, 1): 1, (3, 4): 1}),
-            ((0, 1, Fraction(-1, 2), 0, 0), {(1, 0): 1, (4, 3): 1}),
-            ((1, -1, 1, 0, -1), {(0, 0): 1, (1, 1): -1, (3, 3): 1, (4, 4): -1}),
-            ((0, 0, 1, 0, 0), {}),
-            ((0, 0, 0, 1, 0), {(3, 0): 1, (4, 1): 1, (3, 3): -1, (4, 4): -1}),
+            ((1, 0, Fraction(1, 2), 1, 0), ((0, 1, 1), (3, 4, 1))),
+            ((0, 1, Fraction(-1, 2), 0, 0), ((1, 0, 1), (4, 3, 1))),
+            ((1, -1, 1, 0, -1), ((0, 0, 1), (1, 1, -1), (3, 3, 1), (4, 4, -1))),
+            ((0, 0, 1, 0, 0), ()),
+            ((0, 0, 0, 1, 0), ((3, 0, 1), (4, 1, 1), (3, 3, -1), (4, 4, -1))),
         ),
     ),
     # the first three matrices are sl2 (e, f, h) acting on two copies of its
@@ -265,11 +265,11 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         "sl2_plus_C2",
         "scaling5",
         (
-            ((0, 0, -1, 0, 0), {(0, 1): 1, (2, 3): 1}),
-            ((0, -1, 0, 0, 0), {(1, 0): 1, (3, 2): 1}),
-            ((-1, 0, 0, 1, 0), {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1}),
-            ((-1, 0, 0, -1, 1), {}),
-            ((-1, 0, 0, 0, 0), {(0, 0): 1, (1, 1): 1}),
+            ((0, 0, -1, 0, 0), ((0, 1, 1), (2, 3, 1))),
+            ((0, -1, 0, 0, 0), ((1, 0, 1), (3, 2, 1))),
+            ((-1, 0, 0, 1, 0), ((0, 0, 1), (1, 1, -1), (2, 2, 1), (3, 3, -1))),
+            ((-1, 0, 0, -1, 1), ()),
+            ((-1, 0, 0, 0, 0), ((0, 0, 1), (1, 1, 1))),
         ),
     ),
     ("reductive", "reductive"): Witness("zero", "gl2", "gl2"),
@@ -286,10 +286,10 @@ _EXISTS: dict[tuple[str, str], Witness] = {
         "r2_plus_r2",
         "n3_plus_C",
         (
-            ((0, 0, 1, 0), {(0, 0): 1, (2, 2): 1}),
-            ((0, 1, 0, 0), {(2, 0): 1, (3, 3): 1}),
-            ((1, 0, 0, 0), {}),
-            ((0, 0, 0, 1), {}),
+            ((0, 0, 1, 0), ((0, 0, 1), (2, 2, 1))),
+            ((0, 1, 0, 0), ((2, 0, 1), (3, 3, 1))),
+            ((1, 0, 0, 0), ()),
+            ((0, 0, 0, 1), ()),
         ),
     ),
     ("complete", "solvable"): Witness("zero", "r2_plus_r2", "r2_plus_r2"),

@@ -1,6 +1,8 @@
 """The 8x8 class-pair existence grid: frozen verdict layout, full
 re-verification, and tamper detection."""
 
+from fractions import Fraction
+
 import pytest
 
 import postlie.table as table_module
@@ -180,6 +182,18 @@ def test_tampered_witness_is_caught(monkeypatch):
     )
     with pytest.raises(TableVerificationError):
         existence_table()
+
+
+def _plain(value):
+    return isinstance(value, (int, Fraction)) or (
+        isinstance(value, tuple) and all(map(_plain, value))
+    )
+
+
+def test_every_witness_is_declared_as_plain_data():
+    for key, witness in table_module._EXISTS.items():
+        assert _plain(witness.data), key
+        hash(witness)
 
 
 def test_each_operator_witness_builds_its_descendent_once(monkeypatch):
