@@ -6,8 +6,10 @@ antisymmetric tensor ``c[i][j][k]``, ``[e_i, e_j] = sum_k c[i][j][k] e_k``
 pairs of ``[e_i, e_j]`` in ascending ``k``.  :func:`canonical_cells` is the
 one builder of that form, so algebras are hashable and compared by data
 equality; the dense ``brackets`` is a view for tests and output.  All
-invariants are computed exactly, and each is computed once per instance and
-cached on it (``functools.cached_property``).
+invariants are computed exactly, and each is computed once per bracket data:
+every instance with the same ``(dim, cells)``, whatever its name, reads one
+shared store (:class:`_shared_property`), held weakly so that it lives only
+as long as one such instance does.
 
 One bilinear kernel over cells, :func:`add_bilinear`, evaluates every
 bracket here (of vectors, and of the sparse RREF rows ``Subspace.rows`` in
@@ -40,6 +42,7 @@ entry is basis-aligned).
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,6 +96,44 @@ def add_bilinear(out, cells, xs, ys):
     return out
 
 
+_STORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Store(dict):
+    """The invariants of one ``(dim, cells)``, by attribute name (a ``dict``
+    subclass, since a plain ``dict`` cannot be referenced weakly)."""
+
+
+class _shared_property(cached_property):
+    """A ``cached_property`` whose value is computed once per bracket data.
+
+    Every instance with the same ``(dim, cells)``, the data ``LieAlgebra``
+    equality compares, reads one :class:`_Store` from ``_STORES``; each
+    instance holds its store strongly, so the store goes when the last such
+    instance does.  A read is also written to the instance's ``__dict__``,
+    so a repeat read is a plain attribute hit.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        state = instance.__dict__
+        store = state.get("_store")
+        if store is None:
+            key = (instance.dim, instance.cells)
+            store = _STORES.get(key)
+            if store is None:
+                store = _STORES[key] = _Store()
+            state["_store"] = store
+        name = self.attrname
+        if name in store:
+            value = store[name]
+        else:
+            value = store[name] = self.func(instance)
+        state[name] = value
+        return value
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """An exact-rational Lie algebra given by structure constants."""
@@ -130,13 +171,13 @@ class LieAlgebra:
     # basic bracket operations
     # ------------------------------------------------------------------
 
-    @cached_property
+    @_shared_property
     def brackets(self) -> tuple:
         """``brackets[i][j]``: the dense component vector of ``[e_i, e_j]``."""
         return dense_tensor(self.dim, self.cells)
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        return tuple(add_bilinear([ZERO] * self.dim, self.cells, nonzero(x), nonzero(y)))
+        return tuple(map(frac, add_bilinear([ZERO] * self.dim, self.cells, nonzero(x), nonzero(y))))
 
     def _bracket_row(self, xs, ys) -> dict[int, Scalar]:
         """``[x, y]`` for ``x``, ``y`` as ``(index, coefficient)`` pairs, as
@@ -155,7 +196,7 @@ class LieAlgebra:
     # Jacobi identity
     # ------------------------------------------------------------------
 
-    @cached_property
+    @_shared_property
     def _jacobi_residuals(self) -> tuple[tuple[tuple[int, int, int], Vector], ...]:
         cells = self.cells
         bad = []
@@ -204,7 +245,7 @@ class LieAlgebra:
         """Span of [u, v] over basis vectors u of a and v of b."""
         return Subspace.span(self.dim, self._brackets(a, b))
 
-    @cached_property
+    @_shared_property
     def _derived(self) -> Subspace:
         full = self.full_space()
         return self.bracket_span(full, full)
@@ -224,7 +265,7 @@ class LieAlgebra:
             current, nxt = nxt, step(nxt)
         return tuple(dims)
 
-    @cached_property
+    @_shared_property
     def _derived_series(self) -> tuple[int, ...]:
         return self._series(lambda current: self.bracket_span(current, current))
 
@@ -232,7 +273,7 @@ class LieAlgebra:
         """Dimensions g ⊇ [g,g] ⊇ ... until the series stabilizes."""
         return self._derived_series
 
-    @cached_property
+    @_shared_property
     def _lower_central_series(self) -> tuple[int, ...]:
         full = self.full_space()
         return self._series(lambda current: self.bracket_span(full, current))
@@ -240,7 +281,7 @@ class LieAlgebra:
     def lower_central_series(self) -> tuple[int, ...]:
         return self._lower_central_series
 
-    @cached_property
+    @_shared_property
     def _center(self) -> Subspace:
         # x central iff sum_i x_i c[i][j][k] = 0 for all j, k.
         rows: dict = {}
@@ -253,7 +294,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         return self._center
 
-    @cached_property
+    @_shared_property
     def _killing(self) -> Matrix:
         # K[i][j] = tr(ad e_i ad e_j) = sum_{k,m} c[i][m][k] c[j][k][m]
         n = self.dim
@@ -279,7 +320,7 @@ class LieAlgebra:
     def killing_det(self) -> Scalar:
         return linalg.det(self._killing)
 
-    @cached_property
+    @_shared_property
     def _radical(self) -> Subspace:
         # (K d) . x = 0 for each basis vector d of [g, g]; K is symmetric
         rows: dict = {}
@@ -316,14 +357,14 @@ class LieAlgebra:
             return None
         return len(series) - 1
 
-    @cached_property
+    @_shared_property
     def _semisimple(self) -> bool:
         return self.dim == 0 or self.killing_det() != 0
 
     def is_semisimple(self) -> bool:
         return self._semisimple
 
-    @cached_property
+    @_shared_property
     def _reductive(self) -> bool:
         center, derived = self.center(), self.derived_subalgebra()
         if center.dim + derived.dim != self.dim:
@@ -336,7 +377,7 @@ class LieAlgebra:
         """True iff g = center ⊕ [g,g] with semisimple derived subalgebra."""
         return self._reductive
 
-    @cached_property
+    @_shared_property
     def _derivations(self) -> tuple[dict[int, Scalar], ...]:
         """Canonical basis of the derivation algebra, as sparse vectors
         ``{r * dim + c: D[r][c]}`` of the nonzero matrix entries.
@@ -361,7 +402,7 @@ class LieAlgebra:
                         linalg.add_entry(rows, (i, r, k), j * n + r, -c)
         return linalg.solve_affine(rows.values(), n * n)[1]
 
-    @cached_property
+    @_shared_property
     def _derivation_constants(self) -> tuple[tuple, ...]:
         """Structure constants of ``Der(n)`` in the basis ``_derivations``:
         entry ``gamma`` holds the nonzero ``((alpha, beta), C)``, ``alpha <
@@ -423,7 +464,7 @@ class LieAlgebra:
             added = [row for row in grown.rows if row[0][0] not in current._tails]
             current = grown
 
-    @cached_property
+    @_shared_property
     def _basis_closures(self) -> tuple[Subspace, ...]:
         """The ad-closure of each basis vector, in basis order."""
         return tuple(
@@ -499,7 +540,7 @@ class LieAlgebra:
             if i < j and cell
         }
 
-    @cached_property
+    @_shared_property
     def _fingerprint(self) -> Fingerprint:
         radical = self.solvable_radical()
         return Fingerprint(

@@ -95,7 +95,7 @@ def transpose(m: Matrix) -> Matrix:
 
 def matvec(m: Matrix, v: Sequence[Scalar]) -> Vector:
     return tuple(
-        sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m
+        frac(sum((row[j] * v[j] for j in range(len(v))), ZERO)) for row in m
     )
 
 
@@ -104,14 +104,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("matmul shape mismatch")
     bt = transpose(b)
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
+        tuple(frac(sum((x * y for x, y in zip(row, col)), ZERO)) for col in bt)
         for row in a
     )
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
-        tuple(x - y for x, y in zip(ra, rb, strict=True))
+        tuple(frac(x - y) for x, y in zip(ra, rb, strict=True))
         for ra, rb in zip(matmul(a, b), matmul(b, a), strict=True)
     )
 

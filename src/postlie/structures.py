@@ -102,13 +102,13 @@ class PAProduct:
         return dense_tensor(self.dim, self.cells)
 
     def apply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        return tuple(add_bilinear([linalg.ZERO] * self.dim, self.cells, nonzero(x), nonzero(y)))
+        return tuple(map(frac, add_bilinear([linalg.ZERO] * self.dim, self.cells, nonzero(x), nonzero(y))))
 
     def left_mult(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of ``L(x): y -> x . y`` (columns are ``x . e_j``)."""
         xs = nonzero(x)
         cols = [
-            add_bilinear([linalg.ZERO] * self.dim, self.cells, xs, unit(j))
+            tuple(map(frac, add_bilinear([linalg.ZERO] * self.dim, self.cells, xs, unit(j))))
             for j in range(self.dim)
         ]
         return linalg.transpose(cols)

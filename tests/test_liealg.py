@@ -6,11 +6,12 @@ basis (e1, e2, e3) with [e1,e2]=e3, [e1,e3]=-2e1, [e2,e3]=2e2; the
 2-dimensional algebra has [e1,e2]=e1.
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
 
-from postlie import linalg
+from postlie import liealg, linalg
 from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra, direct_sum, fingerprint, semidirect_product
 from postlie.sl2 import irreducible_action, module_action, semidirect, sl2
@@ -82,7 +83,14 @@ def test_derived_and_lower_central_series():
 
 @pytest.mark.parametrize("alg_id", ["r2_plus_C", "n3", "sl2"])
 def test_both_series_reuse_the_one_derived_subalgebra(monkeypatch, alg_id):
-    alg = get_entry(alg_id).build()  # fresh, with nothing cached
+    # Invariants are shared by every instance with the same cells, so build
+    # brackets no other live object has: the entry's scaled by 7/11, an
+    # isomorphic algebra (x -> 7/11 x) with the same series.
+    scaled = {
+        pair: {k: c * F(7, 11) for k, c in entry.items()}
+        for pair, entry in get_entry(alg_id).build().sparse_table().items()
+    }
+    alg = LieAlgebra.from_table(get_entry(alg_id).dim, scaled)
     original, full_pairs = LieAlgebra.bracket_span, []
 
     def counting(self, a, b):
@@ -95,6 +103,38 @@ def test_both_series_reuse_the_one_derived_subalgebra(monkeypatch, alg_id):
     alg.derived_series()
     alg.lower_central_series()
     assert len(full_pairs) == 1
+
+
+def test_equal_brackets_share_one_store_of_invariants(monkeypatch):
+    table = {(0, 1): {2: F(5, 13)}, (0, 2): {0: -2}, (1, 2): {1: 2}}
+    first = LieAlgebra.from_table(3, table, "first")
+    ders = first._derivations
+    calls = []
+    original = linalg.solve_affine
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "solve_affine", counting)
+    second = LieAlgebra.from_table(3, table, "second")
+    assert second._derivations is ders
+    assert second._derivations is ders  # the repeat read is an attribute hit
+    assert calls == []
+
+
+def test_a_store_goes_with_the_last_instance_of_its_cells():
+    table = {(0, 1): {1: F(17, 19)}}
+    key = (2, LieAlgebra.from_table(2, table).cells)
+    algs = [LieAlgebra.from_table(2, table, name) for name in ("a", "b")]
+    assert all(alg.derived_series() == (2, 1, 0) for alg in algs)
+    assert key in liealg._STORES
+    algs.pop()
+    gc.collect()
+    assert key in liealg._STORES  # one instance still holds it
+    algs.pop()
+    gc.collect()
+    assert key not in liealg._STORES
 
 
 def test_center_oracle():

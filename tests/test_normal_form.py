@@ -15,7 +15,7 @@ from postlie.catalog import catalog_ids, get_algebra, get_entry
 from postlie.liealg import LieAlgebra
 from postlie.search import pa_search
 from postlie.sl2 import SL2_TABLE
-from postlie.structures import RBOperator, negation_partner, pa_from_rb, rb_from_decomposition
+from postlie.structures import PAProduct, RBOperator, negation_partner, pa_from_rb, rb_from_decomposition
 from postlie.subspace import Subspace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -169,3 +169,28 @@ def test_an_operator_product_stores_an_integral_sum_of_fractions_as_int():
     scalars = list(_cell_scalars(product.cells))
     assert -1 in scalars and 3 in scalars and 1 in scalars
     assert not _off_form(scalars)
+
+
+
+def test_dense_matrix_helpers_return_an_integral_result_of_fractions_as_int():
+    half = Fraction(1, 2)
+    m = ((half, half), (3 * half, half))
+    square = linalg.matmul(m, m)
+    assert square == ((1, half), (3 * half, 1))
+    image = linalg.matvec(m, (1, 1))
+    assert image == (1, 2)
+    bracket = linalg.commutator(m, ((half, 0), (0, -half)))
+    assert bracket == ((0, -half), (3 * half, 0))  # 1/4 - 1/4 on the diagonal
+    assert not _off_form([*(x for row in square + bracket for x in row), *image])
+
+
+def test_dense_brackets_and_products_return_an_integral_result_of_fractions_as_int():
+    half = Fraction(1, 2)
+    bracket = get_algebra("sl2").bracket((half, 0, 0), (0, 2, 0))
+    assert bracket == (0, 0, 1)  # [e_1 / 2, 2 e_2] = e_3
+    product = PAProduct.from_table(2, {(0, 0): {1: half}, (0, 1): {1: half}})
+    applied = product.apply((1, 1), (2, 0))
+    assert applied == (0, 1)
+    left = product.left_mult((2, 0))
+    assert left == ((0, 0), (1, 1))
+    assert not _off_form([*bracket, *applied, *(x for row in left for x in row)])
