@@ -362,5 +362,10 @@ def _fingerprint_index() -> dict[Fingerprint, tuple[str, ...]]:
 
 
 def identify(alg: LieAlgebra) -> tuple[str, ...]:
-    """Catalog entries whose fingerprint matches the given algebra."""
+    """Catalog entries whose fingerprint matches the given algebra.
+
+    Invariants are cached once per bracket data and held weakly (see
+    :mod:`postlie.liealg`), so the index and an algebra with a catalog
+    entry's brackets, such as a parsed catalog document, share one
+    fingerprint computation, whichever is fingerprinted first."""
     return _fingerprint_index().get(fingerprint(alg), ())

@@ -7,9 +7,11 @@ denominator is greater than 1.  :func:`frac` is the normalizer and
 anywhere.  Integral work (every catalog entry has integer structure
 constants) thus runs on ``int`` arithmetic, and a ``Fraction`` appears only
 where a value is not integral.  The kernels normalize each value they store,
-since a ``Fraction`` result may be integral.  Matrices are immutable tuples
-of row tuples, which keeps them hashable (so higher layers can cache
-invariants) and makes "canonical form" a plain data-equality notion.
+and the dense helpers (:func:`matvec`, :func:`matmul`, :func:`commutator`)
+each value they return, since a ``Fraction`` result may be integral.
+Matrices are immutable tuples of row tuples, which keeps them hashable (so
+higher layers can cache invariants) and makes "canonical form" a plain
+data-equality notion.
 
 Linear systems go in as sparse rows, ``{column: value}`` dicts that hold
 only the nonzero entries.  One eliminator, :func:`eliminate`, reduces every

@@ -86,11 +86,12 @@ def test_both_series_reuse_the_one_derived_subalgebra(monkeypatch, alg_id):
     # Invariants are shared by every instance with the same cells, so build
     # brackets no other live object has: the entry's scaled by 7/11, an
     # isomorphic algebra (x -> 7/11 x) with the same series.
+    base = get_entry(alg_id).build()
     scaled = {
         pair: {k: c * F(7, 11) for k, c in entry.items()}
-        for pair, entry in get_entry(alg_id).build().sparse_table().items()
+        for pair, entry in base.sparse_table().items()
     }
-    alg = LieAlgebra.from_table(get_entry(alg_id).dim, scaled)
+    alg = LieAlgebra.from_table(base.dim, scaled)
     original, full_pairs = LieAlgebra.bracket_span, []
 
     def counting(self, a, b):

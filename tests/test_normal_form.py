@@ -171,7 +171,6 @@ def test_an_operator_product_stores_an_integral_sum_of_fractions_as_int():
     assert not _off_form(scalars)
 
 
-
 def test_dense_matrix_helpers_return_an_integral_result_of_fractions_as_int():
     half = Fraction(1, 2)
     m = ((half, half), (3 * half, half))
