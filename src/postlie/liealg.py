@@ -108,29 +108,19 @@ class _shared_property(cached_property):
     """A ``cached_property`` whose value is computed once per bracket data.
 
     Every instance with the same ``(dim, cells)``, the data ``LieAlgebra``
-    equality compares, reads one :class:`_Store` from ``_STORES``; each
-    instance holds its store strongly, so the store goes when the last such
-    instance does.  A read is also written to the instance's ``__dict__``,
-    so a repeat read is a plain attribute hit.
+    equality compares, reads one :class:`_Store` (``LieAlgebra._store``);
+    each instance holds its store strongly, so the store goes when the last
+    such instance does.  A read is also written to the instance's
+    ``__dict__``, so a repeat read is a plain attribute hit.
     """
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        state = instance.__dict__
-        store = state.get("_store")
-        if store is None:
-            key = (instance.dim, instance.cells)
-            store = _STORES.get(key)
-            if store is None:
-                store = _STORES[key] = _Store()
-            state["_store"] = store
-        name = self.attrname
-        if name in store:
-            value = store[name]
-        else:
-            value = store[name] = self.func(instance)
-        state[name] = value
+        name, store = self.attrname, instance._store
+        if name not in store:
+            store[name] = self.func(instance)
+        value = instance.__dict__[name] = store[name]
         return value
 
 
@@ -141,6 +131,11 @@ class LieAlgebra:
     dim: int
     cells: tuple  # cells[i][j]: the nonzero (k, c) of [e_i, e_j], ascending k
     name: str = field(default="", compare=False)
+
+    @cached_property
+    def _store(self) -> _Store:
+        """The shared invariants of this instance's ``(dim, cells)``."""
+        return _STORES.setdefault((self.dim, self.cells), _Store())
 
     @staticmethod
     def from_table(dim: int, table: BracketTable, name: str = "") -> "LieAlgebra":

@@ -538,14 +538,17 @@ def test_invariants_are_computed_once_per_algebra():
 
 def test_fresh_copies_agree_with_cached_invariants_after_a_table_build():
     # the grid build fills the invariant caches of the shared catalog
-    # instances; a fresh copy of the same brackets recomputes from scratch
+    # instances; a fresh copy of the same brackets, given a private store
+    # before any read, recomputes from scratch
     existence_table()
     for entry_id in catalog_ids():
         if get_entry(entry_id).builder is None:
             continue
         cached = get_algebra(entry_id)
         fresh = LieAlgebra(cached.dim, cached.cells)
+        fresh.__dict__["_store"] = liealg._Store()
         assert fingerprint(fresh) == fingerprint(cached), entry_id
+        assert fresh._derived is not cached._derived, entry_id
         for c in CLASSES:
             predicate = f"is_{c}"
             assert getattr(fresh, predicate)() == getattr(cached, predicate)(), (
