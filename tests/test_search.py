@@ -780,20 +780,44 @@ RULE_CERTIFICATES_SHA256 = (
 )
 
 
-def test_rule_certificates_on_catalog_pairs_are_byte_stable():
+def _catalog_pairs():
+    """Every ordered pair of non-stub catalog ids of one dimension, with
+    their algebras, in catalog order."""
     ids = [i for i in catalog_ids() if get_entry(i).kind != "stub"]
-    digest = hashlib.sha256()
-    pairs = 0
     for a in ids:
         for b in ids:
             g, n = get_algebra(a), get_algebra(b)
-            if g.dim != n.dim:
-                continue
-            pairs += 1
-            cert = nonexistence_certificate(g, n, g_name=a, n_name=b)
-            digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
+            if g.dim == n.dim:
+                yield a, b, g, n
+
+
+def test_rule_certificates_on_catalog_pairs_are_byte_stable():
+    digest = hashlib.sha256()
+    pairs = 0
+    for a, b, g, n in _catalog_pairs():
+        pairs += 1
+        cert = nonexistence_certificate(g, n, g_name=a, n_name=b)
+        digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
     assert pairs == 536
     assert digest.hexdigest() == RULE_CERTIFICATES_SHA256
+
+
+# the same digest over the search certificates of those pairs at the default
+# bounds; a change that alters any of them must update this pin and say why
+CATALOG_SEARCH_CERTIFICATES_SHA256 = (
+    "a2739bbafc2110d16fb4abf35cf2f7c287b33eef3a837223e44ffa262faacd5f"
+)
+
+
+def test_search_certificates_on_catalog_pairs_are_byte_stable():
+    digest = hashlib.sha256()
+    pairs = 0
+    for a, b, g, n in _catalog_pairs():
+        pairs += 1
+        cert = pa_search(g, n, g_name=a, n_name=b)
+        digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
+    assert pairs == 536
+    assert digest.hexdigest() == CATALOG_SEARCH_CERTIFICATES_SHA256
 
 
 def test_a_non_lie_bracket_is_refused_before_any_stage():
