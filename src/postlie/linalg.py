@@ -17,7 +17,9 @@ Linear systems go in as sparse rows, ``{column: value}`` dicts that hold
 only the nonzero entries.  One eliminator, :func:`eliminate`, reduces every
 system and every subspace, doing arithmetic only where a row has entries;
 its step :func:`reduce_row` also reduces vectors against a subspace basis,
-and :func:`solve_affine` is its entry for a system with a right-hand side.
+and :func:`solve_affine` is its entry for a system with a right-hand side:
+told that column, the eliminator stops at the first row that reduces to it
+alone, so an inconsistent system is decided without drawing its later rows.
 :func:`coordinates` is the one change of basis (matrix algebras, inverses,
 decomposition operators, left-action products).  :func:`rref` and
 :func:`rank` wrap the eliminator for dense matrices (Killing form, embeddings);
@@ -157,7 +159,9 @@ def reduce_row(row: dict, tails: Mapping[int, Mapping[int, Scalar]]) -> dict:
     return row
 
 
-def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
+def eliminate(
+    rows: Iterable[Mapping[int, Scalar]], rhs: int | None = None
+) -> dict[int, dict[int, Scalar]]:
     """The one row reducer: the RREF of sparse rows, as pivot -> tail.
 
     Rows are added one at a time to a running RREF: each is reduced against
@@ -166,6 +170,12 @@ def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, Scala
     hold that column.  The result maps each pivot column to its row without
     the leading 1; a tail never holds a pivot column.  Zero entries of the
     input are ignored and the input is not modified.
+
+    ``rhs`` names a right-hand-side column, the last column of the rows.  A
+    row that reduces to that column alone reads ``0 = 1``: it is recorded
+    as the pivot ``rhs`` with an empty tail and the elimination returns at
+    once, drawing no later row; the result is then not a full RREF, and
+    ``rhs in tails`` is all it tells.
     """
     tails: dict[int, dict[int, Scalar]] = {}
     # column -> the pivots whose tails hold it, so a new pivot is cleared
@@ -176,6 +186,9 @@ def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, Scala
         if not row:
             continue
         p = min(row)
+        if p == rhs:
+            tails[p] = {}
+            return tails
         inv = reciprocal(row.pop(p))
         new = {c: frac(x * inv) for c, x in row.items()}
         for q in holders.pop(p, ()):
@@ -230,13 +243,14 @@ def solve_affine(
 
     Each row is a ``{column: value}`` equation whose right-hand side sits at
     column ``n_cols`` (absent: zero).  Returns ``None`` when the system is
-    inconsistent, else ``(particular, basis)`` as sparse vectors from one
+    inconsistent, as soon as the first inconsistent row shows (later rows
+    are not drawn), else ``(particular, basis)`` as sparse vectors from one
     elimination of the augmented rows: the particular solution sets every
     free unknown to 0, and the canonical nullspace basis has one vector per
     free column, ascending, with 1 at that column, 0 at every other free
     column and the forced values at the pivot columns.
     """
-    tails = eliminate(rows)
+    tails = eliminate(rows, n_cols)
     if n_cols in tails:
         return None  # a pivot in the RHS column means the system is inconsistent
     particular = {p: tail[n_cols] for p, tail in tails.items() if n_cols in tail}

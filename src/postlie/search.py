@@ -8,7 +8,8 @@ Three stages, cheapest first:
   ``n``.  The full affine solution space is computed exactly; when it is
   empty the search stops with a verified-negative certificate, because a rational
   linear system that is inconsistent over the rationals stays inconsistent
-  over every extension field.
+  over every extension field.  The elimination stops at the first row that
+  shows the inconsistency; the rows after it are never built.
 * **S2 — decomposition witnesses.**  Every splitting of the basis of ``n``
   into two complementary coordinate subsets whose spans are both
   subalgebras yields a weight-one operator (minus the projection onto the
@@ -31,10 +32,16 @@ Three stages, cheapest first:
   constants of ``Der(n)`` cached on ``n``; the equation that rejected the
   last point goes first.  The coordinates step like an odometer, adding in
   only the basis vectors whose digit changed, and the rational witness is
-  built only at a point that passes.  When the S1 space is a single point
-  (no free parameter) and that point fails axiom (2), the verdict is
-  negative: a rational linear system with a unique solution has that same
-  unique solution over every extension field.
+  built only at a point that passes.  An equation that reads no coordinate
+  of the last ``k`` basis vectors has the same residual on every point that
+  differs only in those ``k`` digits, so when it rejects a point the rest
+  of that block of ``(2 height + 1)**k`` points is ruled out unevaluated;
+  such points still count as checked, and the order, the first hit and
+  the count of points checked are those of the point-by-point scan.  When
+  the S1 space is a single point (no free parameter) and that point fails
+  axiom (2), the verdict is negative: a rational linear system with a
+  unique solution has that same unique solution over every extension
+  field.
 
 Every verdict is about the two brackets exactly as given on the shared
 coordinate space: the same abstract pair can admit a product under a
@@ -246,6 +253,22 @@ def _axiom2_holds(X: list, equations: list, pending) -> bool:
     return True
 
 
+def _unseen_tail(equation, supports: Sequence) -> int:
+    """How many trailing free parameters an equation of
+    :func:`_homomorphism_equations` cannot see: the number of basis vectors,
+    counted back from the last, whose column ``supports`` hold no index of
+    ``X`` that the equation reads."""
+    linear, quadratic = equation
+    read = {k for k, _ in linear}
+    read.update(index for term in quadratic for index in term[:4])
+    count = 0
+    for support in reversed(supports):
+        if not read.isdisjoint(support):
+            break
+        count += 1
+    return count
+
+
 def _coordinate_scale(space: SolutionSpace) -> int:
     """The lcm of the denominators of ``particular`` and ``basis``."""
     vectors = (space.particular, *space.basis)
@@ -257,7 +280,12 @@ def _odometer(space: SolutionSpace, scale: int, height: int):
     order (last digit fastest, from every digit ``-height``), each as its
     digits and ``X = scale * x``, ``scale`` a multiple of
     :func:`_coordinate_scale`.  A step adds in only the basis vectors whose
-    digit changed; both lists are updated in place between points."""
+    digit changed; both lists are updated in place between points.
+
+    Sending ``k`` (``next`` sends ``None``) finishes the current block, the
+    points that share every digit but the last ``k``: those digits are set
+    to ``height``, the block's last point, before the step, so the next
+    point is the first of the following block."""
     particular, *basis = (
         [(col, int(y * scale)) for col, y in vec.items()] for vec in (space.particular, *space.basis)
     )
@@ -267,7 +295,11 @@ def _odometer(space: SolutionSpace, scale: int, height: int):
             X[col] += step * y
     digits = [-height] * len(basis)
     while True:
-        yield digits, X
+        block = yield digits, X
+        for position in range(len(basis) - (block or 0), len(basis)):
+            for col, y in basis[position]:
+                X[col] += (height - digits[position]) * y
+            digits[position] = height
         position = len(basis) - 1
         while position >= 0 and digits[position] == height:
             digits[position] = -height
@@ -331,17 +363,19 @@ def pa_search(
     witness), ``not_exists`` (only from linear infeasibility, or from a
     unique linear solution that fails axiom (2); both are
     field-independent), or ``unknown`` (budget exhausted).  ``budget``
-    bounds the number of S3 grid points; ``grid_height`` is the half-width
-    of the integer grid on the free parameters; both must be non-negative
-    (``ValueError`` otherwise).  A bracket that fails the Jacobi identity
-    raises ``ValueError`` naming the first failing basis triple.
+    bounds the number of S3 grid points, counting the points ruled out by
+    block unevaluated as checked; ``grid_height`` is the half-width of the
+    integer grid on the free parameters; both must be non-negative ``int``
+    values (``ValueError`` otherwise).  A bracket that fails the Jacobi
+    identity raises ``ValueError`` naming the first failing basis triple.
     """
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if grid_height < 0:
-        raise ValueError(f"grid_height must be non-negative, got {grid_height}")
+    for name, bound in (("budget", budget), ("grid_height", grid_height)):
+        if not isinstance(bound, int):
+            raise ValueError(f"{name} must be an int, got {bound!r}")
+        if bound < 0:
+            raise ValueError(f"{name} must be non-negative, got {bound}")
     g.require_lie("g")
     n.require_lie("n")
     d = g.dim
@@ -411,15 +445,30 @@ def pa_search(
     )
 
     # --- S3: bounded grid over the free parameters -------------------
-    free = len(space.basis)
-    height = int(grid_height)
-    grid_size = (2 * height + 1) ** free
+    free, height = len(space.basis), grid_height
+    radix = 2 * height + 1
+    grid_size = radix**free
+    limit = min(budget, grid_size)
     scale = _coordinate_scale(space)
     equations, pending = [], _homomorphism_equations(g, n, scale)
+    supports = [vec.keys() for vec in space.basis]
+    unseen = {}  # id(equation) -> _unseen_tail(equation, supports)
     grid = _odometer(space, scale, height)
-    for points_checked, (digits, X) in itertools.islice(enumerate(grid, 1), budget):
+    block = None
+    while points_checked < limit:
+        digits, X = grid.send(block)
+        points_checked += 1
         if not _axiom2_holds(X, equations, pending):
+            # the rejecting equation is now first; it fails on the rest of
+            # the block of points that differ only in digits it cannot see
+            rejecting = equations[0]
+            block = unseen.get(id(rejecting))
+            if block is None:
+                block = unseen[id(rejecting)] = _unseen_tail(rejecting, supports)
+            rest = sum((height - digits[p]) * radix ** (free - 1 - p) for p in range(free - block, free))
+            points_checked = min(limit, points_checked + rest)
             continue
+        block = None
         cert = issue(
             EXISTS,
             f"stage S3: grid point #{points_checked} at height {height} "

@@ -1,14 +1,17 @@
 """Independent oracles shared by test modules.
 
-Everything here except ``split_descends_reference`` is deliberately written
-from scratch against the raw definitions — no imports from the package's
-linear algebra — so agreement between these results and the library is
-meaningful evidence.  ``split_descends_reference`` instead replays the
-search's former linear-algebra route through the library's own subspace
-and operator machinery, so the sign-pattern test that replaced it is pinned
-to the exact old behaviour.
+Everything here except ``split_descends_reference`` and ``s3_reference`` is
+deliberately written from scratch against the raw definitions — no imports
+from the package's linear algebra — so agreement between these results and
+the library is meaningful evidence.  ``split_descends_reference`` instead
+replays the search's former linear-algebra route through the library's own
+subspace and operator machinery, so the sign-pattern test that replaced it
+is pinned to the exact old behaviour; ``s3_reference`` likewise replays the
+former point-by-point grid stage, so the block skip that replaced it is
+pinned to the same outcomes.
 """
 
+import itertools
 from fractions import Fraction
 
 F = Fraction
@@ -428,6 +431,55 @@ def split_descends_reference(g, n, subset):
         return False
     op = rb_from_decomposition(n, *parts)
     return descendent_bracket(n, op).brackets == g.brackets
+
+
+def s3_reference(g, n, budget, height):
+    """The former S3 stage of ``pa_search``, which evaluates every point of
+    the grid ``[-height, height]**free`` up to ``budget`` in lexicographic
+    order (last digit fastest), skipping none, with ``X`` built afresh at
+    each point.  Returns ``(verdict, last trace line, points checked,
+    witness)`` as the search issues them for a pair that S1 and S2 leave
+    open."""
+    from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
+    from postlie.search import _axiom2_holds, _coordinate_scale, _homomorphism_equations, pa_linear_space
+    from postlie.structures import verify_pa
+
+    space = pa_linear_space(g, n)
+    free = len(space.basis)
+    scale = _coordinate_scale(space)
+    vectors = [[(col, int(y * scale)) for col, y in vec.items()] for vec in (space.particular, *space.basis)]
+    equations, pending = [], _homomorphism_equations(g, n, scale)
+    grid = itertools.product(range(-height, height + 1), repeat=free)
+    points = 0
+    for points, digits in itertools.islice(enumerate(grid, 1), budget):
+        X = [0] * (g.dim * len(space.derivations))
+        for step, vec in zip((1, *digits), vectors):
+            for col, y in vec:
+                X[col] += step * y
+        if not _axiom2_holds(X, equations, pending):
+            continue
+        witness = space.product_at(digits)
+        if verify_pa(g, n, witness).ok:
+            line = (
+                f"stage S3: grid point #{points} at height {height} "
+                "satisfies the quadratic axiom; all three axioms re-verified"
+            )
+            return EXISTS, line, points, witness
+    if (2 * height + 1) ** free > budget:
+        line = (
+            f"stage S3: budget of {budget} grid points exhausted "
+            f"(grid height {height}, {free} free parameters)"
+        )
+        return UNKNOWN, line, points, None
+    if free == 0:
+        line = "stage S3: the single solution of the linear axioms fails the quadratic axiom (2)"
+        return NOT_EXISTS, line, points, None
+    line = (
+        f"stage S3: exhausted the full integer grid of height {height} on "
+        f"{free} free parameters ({points} points) without a hit; "
+        "the grid does not cover the affine space, so the verdict stays open"
+    )
+    return UNKNOWN, line, points, None
 
 
 # An antisymmetric bracket on three basis vectors that fails the Jacobi

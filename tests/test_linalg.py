@@ -100,6 +100,16 @@ def test_solve_affine_inconsistent_returns_none():
     assert linalg.solve_affine(rows, 2) is None
 
 
+def test_solve_affine_draws_no_row_after_the_first_inconsistent_one():
+    # x0 + x1 = 1, then x0 + x1 = 2: the second row reduces to 0 = 1
+    def rows():
+        yield {0: 1, 1: 1, 2: 1}
+        yield {0: 1, 1: 1, 2: 2}
+        raise AssertionError("a row after the inconsistent one was drawn")
+
+    assert linalg.solve_affine(rows(), 2) is None
+
+
 def test_eliminate_ignores_zero_entries_and_leaves_its_input_alone():
     rows = [{0: F(0), 1: F(2), 2: F(6)}, {1: F(1), 2: F(3)}]
     assert linalg.eliminate(rows) == {1: {2: F(3)}}

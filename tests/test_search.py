@@ -53,6 +53,7 @@ from oracles import (
     axiom2_reference,
     gauss_consistent,
     raw_linear_system,
+    s3_reference,
     split_descends_reference,
 )
 
@@ -593,10 +594,33 @@ def test_a_budget_below_the_grid_size_checks_exactly_that_many_points(monkeypatc
     # the first hit of this grid is point #38
     cert = pa_search(_r2_scaled(F(1, 2)), get_algebra("abelian_2"), budget=20, grid_height=1)
     assert cert.verdict == UNKNOWN
-    assert cert.points_checked == len(calls) == 20
+    assert cert.points_checked == 20
+    # the equation that rejects point #1, and every point after it, reads no
+    # coordinate of the last basis vector, so each evaluation rules out the
+    # rest of its block of 3 points that differ only in the last digit:
+    # points #1, #4, ..., #19 are evaluated, #2-3, #5-6, ..., #17-18 and #20
+    # are skipped, and the budget cuts the block of #19 short
+    assert len(calls) == 7
     assert cert.trace[-1] == (
         "stage S3: budget of 20 grid points exhausted (grid height 1, 6 free parameters)"
     )
+
+
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+def test_the_block_skip_leaves_every_grid_outcome_as_the_point_by_point_scan(height):
+    reached = 0
+    for pair in json.loads(SEARCH_PAIRS.read_text(encoding="utf-8")):
+        g = interchange.parse_document(pair["g"]).value
+        n = interchange.parse_document(pair["n"]).value
+        for budget in (0, 1, 7, 20, 512, 6000):
+            cert = pa_search(g, n, budget=budget, grid_height=height)
+            if not cert.trace[-1].startswith("stage S3"):
+                continue
+            reached += 1
+            outcome = (cert.verdict, cert.trace[-1], cert.points_checked, cert.witness)
+            assert outcome == s3_reference(g, n, budget, height), (g.name, n.name, budget)
+    # 16 of the 44 recorded entries reach S3, at every budget
+    assert reached == 16 * 6
 
 
 def test_wide_space_exhausts_the_default_budget():
@@ -620,6 +644,14 @@ def test_negative_search_bounds_are_rejected(bounds):
     n = get_algebra("abelian_2")
     with pytest.raises(ValueError, match="non-negative"):
         pa_search(g, n, **bounds)
+
+
+@pytest.mark.parametrize("name,value", [("budget", 2.5), ("grid_height", 1.5), ("grid_height", "2")])
+def test_non_integer_search_bounds_are_rejected(name, value):
+    g = get_algebra("r2")
+    n = get_algebra("abelian_2")
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        pa_search(g, n, **{name: value})
 
 
 def _limit_memory():
