@@ -366,13 +366,13 @@ def pa_search(
     bounds the number of S3 grid points, counting the points ruled out by
     block unevaluated as checked; ``grid_height`` is the half-width of the
     integer grid on the free parameters; both must be non-negative ``int``
-    values (``ValueError`` otherwise).  A bracket that fails the Jacobi
+    values, not ``bool`` (``ValueError`` otherwise).  A bracket that fails the Jacobi
     identity raises ``ValueError`` naming the first failing basis triple.
     """
     if g.dim != n.dim:
         raise ValueError("g and n must share one dimension")
     for name, bound in (("budget", budget), ("grid_height", grid_height)):
-        if not isinstance(bound, int):
+        if isinstance(bound, bool) or not isinstance(bound, int):
             raise ValueError(f"{name} must be an int, got {bound!r}")
         if bound < 0:
             raise ValueError(f"{name} must be non-negative, got {bound}")

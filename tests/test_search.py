@@ -646,7 +646,9 @@ def test_negative_search_bounds_are_rejected(bounds):
         pa_search(g, n, **bounds)
 
 
-@pytest.mark.parametrize("name,value", [("budget", 2.5), ("grid_height", 1.5), ("grid_height", "2")])
+@pytest.mark.parametrize(
+    "name,value", [("budget", 2.5), ("budget", True), ("grid_height", 1.5), ("grid_height", "2")]
+)
 def test_non_integer_search_bounds_are_rejected(name, value):
     g = get_algebra("r2")
     n = get_algebra("abelian_2")
