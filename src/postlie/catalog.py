@@ -30,7 +30,6 @@ from the literature; they are stable identifiers, not derivations.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
@@ -54,23 +53,14 @@ class ExternalDataRequired(RuntimeError):
 
 def _from_matrices(size: int, mats: Sequence[Mapping[tuple[int, int], int]], name: str) -> LieAlgebra:
     """The span of ``size``-square integer matrices, each given by its
-    nonzero entries ``{(r, c): x}``: the coordinates of every commutator
-    ``[A_i, A_j]`` (``i < j``) flattened to columns ``r * size + c``, from one
+    nonzero entries ``{(r, c): x}`` and flattened to columns ``r * size +
+    c``: the coordinates of every :func:`linalg.sparse_commutator`
+    ``[A_i, A_j]`` (``i < j``) in the flattened basis, from one
     :func:`linalg.coordinates` call."""
-
-    def bracket(a, b) -> dict[int, int]:
-        out: defaultdict[int, int] = defaultdict(int)
-        for (r, k), x in a.items():
-            for (t, c), y in b.items():
-                if k == t:  # a[r][k] b[k][c] in (a b)[r][c]
-                    out[r * size + c] += x * y
-                if c == r:  # b[t][r] a[r][k] in (b a)[t][k]
-                    out[t * size + k] -= x * y
-        return out
-
     flat = [{r * size + c: x for (r, c), x in m.items()} for m in mats]
     pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    coords = linalg.coordinates(flat, (bracket(mats[i], mats[j]) for i, j in pairs), size * size)
+    brackets = (linalg.sparse_commutator(flat[i], flat[j], size) for i, j in pairs)
+    coords = linalg.coordinates(flat, brackets, size * size)
     if None in coords:
         raise ValueError("commutator left the span of the basis")
     return LieAlgebra.from_table(len(mats), dict(zip(pairs, coords)), name)

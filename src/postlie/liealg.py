@@ -402,21 +402,15 @@ class LieAlgebra:
         """Structure constants of ``Der(n)`` in the basis ``_derivations``:
         entry ``gamma`` holds the nonzero ``((alpha, beta), C)``, ``alpha <
         beta`` ascending, of ``[D_alpha, D_beta] = sum_gamma C D_gamma``.
-        Each commutator is a sparse matrix product, read at the free column
-        of each ``D_gamma`` (its largest key), where ``solve_affine`` puts 1
-        for ``D_gamma`` and 0 for every other basis vector.
+        Each commutator is a :func:`linalg.sparse_commutator`, read at the free
+        column of each ``D_gamma`` (its largest key), where ``solve_affine``
+        puts 1 for ``D_gamma`` and 0 for every other basis vector.
         """
         n, ders = self.dim, self._derivations
         free = {max(der): gamma for gamma, der in enumerate(ders)}
         constants = [[] for _ in ders]
         for alpha, beta in itertools.combinations(range(len(ders)), 2):
-            bracket = defaultdict(int)
-            for a, b, sign in ((ders[alpha], ders[beta], 1), (ders[beta], ders[alpha], -1)):
-                for km, v in a.items():  # a[k][m] b[m][j] at k*n + j
-                    for mj, w in b.items():
-                        if km % n == mj // n:
-                            bracket[km - km % n + mj % n] += sign * v * w
-            for col, c in bracket.items():
+            for col, c in linalg.sparse_commutator(ders[alpha], ders[beta], n).items():
                 if c and col in free:
                     constants[free[col]].append(((alpha, beta), frac(c)))
         return tuple(map(tuple, constants))

@@ -23,9 +23,13 @@ alone, so an inconsistent system is decided without drawing its later rows.
 :func:`coordinates` is the one change of basis (matrix algebras, inverses,
 decomposition operators, left-action products).  :func:`rref` and
 :func:`rank` wrap the eliminator for dense matrices (Killing form, embeddings);
-:func:`solve`, :func:`nullspace` and :func:`row_basis` have no package
-caller and stay for the tests and the benchmark tracer.  RREF is unique,
-so every elimination order gives the same canonical result.
+:func:`solve`, :func:`nullspace`, :func:`row_basis` and :func:`inverse`
+have no package caller and stay for the tests and the benchmark tracer.
+RREF is unique, so every elimination order gives the same canonical result.
+
+One kernel, :func:`sparse_commutator`, brackets square matrices flattened to
+their nonzero entries ``{r*n + c: x}`` (the derivations of ``Der(n)``, the
+catalog's matrix algebras); :func:`commutator` is its dense wrapper.
 """
 
 from __future__ import annotations
@@ -113,11 +117,30 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def sparse_commutator(a: Mapping[int, Scalar], b: Mapping[int, Scalar], n: int) -> dict[int, Scalar]:
+    """``a b - b a`` of ``n``-square matrices given by their nonzero entries
+    ``{r*n + c: x}``, in one pass over the pairs of entries.  A sum may be
+    zero or an integral ``Fraction``: callers normalize what they keep."""
+    out: defaultdict[int, Scalar] = defaultdict(int)
+    split = [(tc // n, tc % n, y) for tc, y in b.items()]
+    for rk, x in a.items():
+        r, k = divmod(rk, n)
+        for t, c, y in split:
+            if k == t:  # a[r][k] b[k][c] in (a b)[r][c]
+                out[r * n + c] += x * y
+            if c == r:  # b[t][r] a[r][k] in (b a)[t][k]
+                out[t * n + k] -= x * y
+    return out
+
+
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(frac(x - y) for x, y in zip(ra, rb, strict=True))
-        for ra, rb in zip(matmul(a, b), matmul(b, a), strict=True)
-    )
+    """Dense wrapper of :func:`sparse_commutator` for square matrices of one size."""
+    n = len(a)
+    if {len(b), *map(len, a), *map(len, b)} - {n}:
+        raise ValueError("commutator needs two square matrices of one size")
+    flat = [{r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x} for m in (a, b)]
+    out = to_dense(sparse_commutator(*flat, n), n * n)
+    return tuple(tuple(map(frac, out[r * n : r * n + n])) for r in range(n))
 
 
 def to_dense(v: Mapping[int, Scalar], n: int) -> Vector:

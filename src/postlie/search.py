@@ -23,25 +23,25 @@ Three stages, cheapest first:
   subset that matches.
 * **S3 — bounded quadratic search.**  The remaining quadratic axiom (2),
   that ``L: g -> Der(n)`` is a Lie homomorphism, is checked pointwise on an
-  integer grid laid over the free parameters of the S1 solution space.  The
-  grid is exhausted in deterministic lexicographic order up to a
-  configurable budget; running out of budget yields an ``unknown``
-  verdict, never a negative one.  A point is checked in its ``d * dim
-  Der(n)`` derivation coordinates scaled to integers, by one equation per
-  ``i < j`` and basis derivation, built on demand from the structure
-  constants of ``Der(n)`` cached on ``n``; the equation that rejected the
-  last point goes first.  The coordinates step like an odometer, adding in
-  only the basis vectors whose digit changed, and the rational witness is
+  integer grid laid over the free parameters of the S1 solution space.
+  Point ``t`` has the digits of ``t`` in base ``2 height + 1``, each less
+  ``height``, and points are checked in number order up to a configurable
+  budget; running out of budget yields an ``unknown`` verdict, never a
+  negative one.  A point is checked in its ``d * dim Der(n)`` derivation
+  coordinates scaled to integers, by one equation per ``i < j`` and basis
+  derivation, built on demand from the structure constants of ``Der(n)``
+  cached on ``n``; the equation that rejected the last point goes first.
+  The count of points checked is the one grid position: a step adds in only
+  the basis vectors of the digits that change, and the rational witness is
   built only at a point that passes.  An equation that reads no coordinate
-  of the last ``k`` basis vectors has the same residual on every point that
-  differs only in those ``k`` digits, so when it rejects a point the rest
-  of that block of ``(2 height + 1)**k`` points is ruled out unevaluated;
-  such points still count as checked, and the order, the first hit and
-  the count of points checked are those of the point-by-point scan.  When
-  the S1 space is a single point (no free parameter) and that point fails
-  axiom (2), the verdict is negative: a rational linear system with a
-  unique solution has that same unique solution over every extension
-  field.
+  of the last ``k`` basis vectors has one residual on each block of ``(2
+  height + 1)**k`` points that differ only in those digits, so when it
+  rejects a point the count jumps to the end of the block; the points ruled
+  out unevaluated still count as checked, and the order, the first hit and
+  the count are those of the point-by-point scan.  When the S1 space is a
+  single point (no free parameter) and that point fails axiom (2), the
+  verdict is negative: a rational linear system with a unique solution has
+  that same unique solution over every extension field.
 
 Every verdict is about the two brackets exactly as given on the shared
 coordinate space: the same abstract pair can admit a product under a
@@ -234,7 +234,7 @@ def _homomorphism_equations(g: LieAlgebra, n: LieAlgebra, scale: int):
 
 def _axiom2_holds(X: list, equations: list, pending) -> bool:
     """Exact check of axiom (2) at the integer point ``X`` of
-    :func:`_odometer`, by the equations of :func:`_homomorphism_equations`:
+    :func:`_grid_step`, by the equations of :func:`_homomorphism_equations`:
     ``equations`` holds those drawn so far from ``pending``.  The check stops
     at the first equation that fails and moves it to the front, where the
     next point meets it first."""
@@ -275,17 +275,10 @@ def _coordinate_scale(space: SolutionSpace) -> int:
     return math.lcm(*(y.denominator for vec in vectors for y in vec.values()))
 
 
-def _odometer(space: SolutionSpace, scale: int, height: int):
-    """The points of the grid ``[-height, height]**free`` in lexicographic
-    order (last digit fastest, from every digit ``-height``), each as its
-    digits and ``X = scale * x``, ``scale`` a multiple of
-    :func:`_coordinate_scale`.  A step adds in only the basis vectors whose
-    digit changed; both lists are updated in place between points.
-
-    Sending ``k`` (``next`` sends ``None``) finishes the current block, the
-    points that share every digit but the last ``k``: those digits are set
-    to ``height``, the block's last point, before the step, so the next
-    point is the first of the following block."""
+def _grid_start(space: SolutionSpace, scale: int, height: int):
+    """The basis vectors scaled to integers, and the digits (all ``-height``)
+    and ``X = scale * x`` of point 0, ``scale`` a multiple of
+    :func:`_coordinate_scale`."""
     particular, *basis = (
         [(col, int(y * scale)) for col, y in vec.items()] for vec in (space.particular, *space.basis)
     )
@@ -293,24 +286,23 @@ def _odometer(space: SolutionSpace, scale: int, height: int):
     for step, vec in zip((1, *[-height] * len(basis)), (particular, *basis)):
         for col, y in vec:
             X[col] += step * y
-    digits = [-height] * len(basis)
-    while True:
-        block = yield digits, X
-        for position in range(len(basis) - (block or 0), len(basis)):
+    return basis, [-height] * len(basis), X
+
+
+def _grid_step(basis: list, digits: list, X: list, height: int, now: int, number: int) -> None:
+    """Move ``digits`` and ``X`` in place from point ``now`` to the later
+    point ``number``, changing only the trailing digits where the numerals
+    of the two differ: the step stops at the first equal quotient."""
+    radix = 2 * height + 1
+    position = len(digits) - 1
+    while now != number:
+        now, old = divmod(now, radix)
+        number, new = divmod(number, radix)
+        if new != old:
+            digits[position] += new - old
             for col, y in basis[position]:
-                X[col] += (height - digits[position]) * y
-            digits[position] = height
-        position = len(basis) - 1
-        while position >= 0 and digits[position] == height:
-            digits[position] = -height
-            for col, y in basis[position]:
-                X[col] -= 2 * height * y
-            position -= 1
-        if position < 0:
-            return
-        digits[position] += 1
-        for col, y in basis[position]:
-            X[col] += y
+                X[col] += (new - old) * y
+        position -= 1
 
 
 def _splitting_order(d: int):
@@ -452,23 +444,22 @@ def pa_search(
     scale = _coordinate_scale(space)
     equations, pending = [], _homomorphism_equations(g, n, scale)
     supports = [vec.keys() for vec in space.basis]
-    unseen = {}  # id(equation) -> _unseen_tail(equation, supports)
-    grid = _odometer(space, scale, height)
-    block = None
+    blocks = {}  # id(equation) -> radix ** _unseen_tail(equation, supports)
+    basis, digits, X = _grid_start(space, scale, height)
+    now = 0  # the point that digits and X hold
     while points_checked < limit:
-        digits, X = grid.send(block)
+        _grid_step(basis, digits, X, height, now, points_checked)
+        now = points_checked
         points_checked += 1
         if not _axiom2_holds(X, equations, pending):
             # the rejecting equation is now first; it fails on the rest of
             # the block of points that differ only in digits it cannot see
             rejecting = equations[0]
-            block = unseen.get(id(rejecting))
+            block = blocks.get(id(rejecting))
             if block is None:
-                block = unseen[id(rejecting)] = _unseen_tail(rejecting, supports)
-            rest = sum((height - digits[p]) * radix ** (free - 1 - p) for p in range(free - block, free))
-            points_checked = min(limit, points_checked + rest)
+                block = blocks[id(rejecting)] = radix ** _unseen_tail(rejecting, supports)
+            points_checked = min(limit, -(-points_checked // block) * block)
             continue
-        block = None
         cert = issue(
             EXISTS,
             f"stage S3: grid point #{points_checked} at height {height} "

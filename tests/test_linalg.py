@@ -1,5 +1,6 @@
 """Exact linear algebra against hand-computed oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,49 @@ def test_commutator():
     a = linalg.mat([[0, 1], [0, 0]])
     b = linalg.mat([[0, 0], [1, 0]])
     assert linalg.commutator(a, b) == linalg.mat([[1, 0], [0, -1]])
+
+
+def _difference(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def test_commutators_agree_with_two_matrix_products():
+    # the sparse kernel and its dense wrapper against ab - ba from matmul,
+    # on seeded random integer and fractional matrices of sizes 0 to 5,
+    # with pairs that commute (a with itself, with a polynomial in a, with
+    # a scalar matrix) so that every entry cancels
+    rng = random.Random(27)
+    values = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4))
+    cancelled = fractional = 0
+    for _ in range(200):
+        n = rng.randrange(6)
+        a, b = (
+            linalg.mat([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+            for _ in range(2)
+        )
+        scalar = linalg.mat([[F(3, 2) if r == c else 0 for c in range(n)] for r in range(n)])
+        pairs = ((a, b), (b, a), (a, a), (a, linalg.matmul(a, a)), (scalar, b))
+        for index, (x, y) in enumerate(pairs):
+            expected = _difference(linalg.matmul(x, y), linalg.matmul(y, x))
+            assert index < 2 or not any(map(any, expected))
+            dense = linalg.commutator(x, y)
+            assert dense == expected
+            assert all(type(v) is int or v.denominator > 1 for row in dense for v in row)
+            flat = [{r * n + c: v for r, row in enumerate(m) for c, v in enumerate(row) if v} for m in (x, y)]
+            sparse = linalg.sparse_commutator(*flat, n)
+            assert {k: v for k, v in sparse.items() if v} == {
+                r * n + c: v for r, row in enumerate(expected) for c, v in enumerate(row) if v
+            }
+            cancelled += n > 0 and not any(map(any, expected))
+            fractional += any(F(v).denominator > 1 for row in expected for v in row)
+    assert cancelled > 500 and fractional > 100
+
+
+def test_commutator_refuses_matrices_that_are_not_square_of_one_size():
+    square, wide = linalg.mat([[1, 2], [3, 4]]), linalg.mat([[1, 2, 3], [4, 5, 6]])
+    for a, b in ((square, wide), (wide, linalg.transpose(wide)), (square, linalg.identity(3))):
+        with pytest.raises(ValueError):
+            linalg.commutator(a, b)
 
 
 def test_row_basis_removes_dependent_rows():

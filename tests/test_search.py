@@ -24,7 +24,7 @@ from postlie.catalog import (
 )
 from postlie.certificates import EXISTS, NOT_EXISTS, UNKNOWN
 from postlie.liealg import LieAlgebra
-from postlie.rules import nonexistence_certificate
+from postlie.rules import applicable_rule, nonexistence_certificate
 from postlie.samples import get_sample, sample_ids
 from postlie.search import (
     LINEAR_INFEASIBLE_RULE,
@@ -32,8 +32,9 @@ from postlie.search import (
     SolutionSpace,
     _axiom2_holds,
     _coordinate_scale,
+    _grid_start,
+    _grid_step,
     _homomorphism_equations,
-    _odometer,
     _split_descends,
     _splitting_order,
     pa_linear_space,
@@ -392,6 +393,15 @@ def _point(space, digits):
     return x
 
 
+def _grid_points(space, scale, height, count):
+    """The first ``count`` points of the grid (all of them when it has
+    fewer), each reached by one step from the point before it."""
+    basis, digits, X = _grid_start(space, scale, height)
+    for t in range(min(count, (2 * height + 1) ** len(basis))):
+        _grid_step(basis, digits, X, height, max(t - 1, 0), t)
+        yield digits, X
+
+
 def _agreement_hits(g, n, space):
     """Check the first 400 grid points at heights 1 and 2: the
     integer coordinates are ``scale * x`` and the integer check of axiom (2)
@@ -401,7 +411,7 @@ def _agreement_hits(g, n, space):
     hits = 0
     for height in (1, 2):
         equations, pending = [], _homomorphism_equations(g, n, scale)
-        for digits, X in itertools.islice(_odometer(space, scale, height), 400):
+        for digits, X in _grid_points(space, scale, height, 400):
             assert X == [scale * y for y in _point(space, digits)], (height, digits)
             expected = next(axiom2_residuals(g, space.product_at(digits)), None) is None
             assert _axiom2_holds(X, equations, pending) == expected, (height, digits)
@@ -481,7 +491,10 @@ def test_integer_check_clears_the_denominators_of_g_in_each_equation():
 def test_the_odometer_steps_through_every_carry():
     # three free parameters in derivation coordinates on abelian_2, whose
     # derivation basis is the four matrix units: x[i][alpha] at column
-    # 4*i + alpha, with overlapping supports and denominators 2, 3, 6
+    # 4*i + alpha, with overlapping supports and denominators 2, 3, 6.
+    # Point t of the grid has the base-(2h+1) digits of t, less h; every
+    # point is reached by one step from the point before it, and by a jump
+    # from each earlier point to the end of its block of (2h+1)**k points
     flat = get_algebra("abelian_2")
     space = SolutionSpace(
         dim=2,
@@ -493,14 +506,27 @@ def test_the_odometer_steps_through_every_carry():
     assert scale == 6
     for height in (1, 2):
         base = 2 * height + 1
-        count = 0
-        for t, (digits, X) in enumerate(_odometer(space, scale, height)):
+
+        def check(t, digits, X):
             decoded = [t // base**2 - height, t // base % base - height, t % base - height]
-            assert digits == decoded
+            assert digits == decoded, (height, t)
             assert all(type(y) is int for y in X)
-            assert X == [scale * y for y in _point(space, decoded)]
+            assert X == [scale * y for y in _point(space, decoded)], (height, t)
+
+        count = jumps = 0
+        for t, (digits, X) in enumerate(_grid_points(space, scale, height, base**3)):
+            check(t, digits, X)
             count += 1
+            for k in (1, 2):
+                end = -(-(t + 1) // base**k) * base**k
+                if end < base**3:
+                    basis = _grid_start(space, scale, height)[0]
+                    jumped, at_end = list(digits), list(X)
+                    _grid_step(basis, jumped, at_end, height, t, end)
+                    check(end, jumped, at_end)
+                    jumps += 1
         assert count == base**3
+        assert jumps == 2 * base**3 - base**2 - base
 
 
 def test_the_integer_scale_clears_only_the_coordinates():
@@ -852,6 +878,23 @@ def test_search_certificates_on_catalog_pairs_are_byte_stable():
         digest.update((json.dumps(cert.as_dict(), sort_keys=True) + "\n").encode("utf-8"))
     assert pairs == 536
     assert digest.hexdigest() == CATALOG_SEARCH_CERTIFICATES_SHA256
+
+
+def test_every_catalog_search_witness_verifies_and_no_rule_fires_on_its_pair():
+    # soundness across the two sides on the 536 pairs: each exists witness
+    # passes verify_pa against the pair's own g and n, and a sound rule
+    # never fires on a pair that carries a product
+    pairs = witnessed = fired = 0
+    for a, b, g, n in _catalog_pairs():
+        pairs += 1
+        cert = pa_search(g, n, g_name=a, n_name=b)
+        rule = applicable_rule(g, n)
+        fired += rule is not None
+        if cert.verdict == EXISTS:
+            witnessed += 1
+            assert verify_pa(g, n, cert.witness).ok, (a, b)
+            assert rule is None, (a, b, rule[0].rule_id)
+    assert (pairs, witnessed, fired) == (536, 81, 145)
 
 
 def test_a_non_lie_bracket_is_refused_before_any_stage():

@@ -196,29 +196,39 @@ def test_every_witness_is_declared_as_plain_data():
         hash(witness)
 
 
-def test_each_operator_witness_builds_its_descendent_once(monkeypatch):
+def test_the_grid_checks_each_operator_witness_by_its_identity_alone(monkeypatch):
+    # the induced bracket of an operator witness's product {Rx, y} is the
+    # operator's descendent bracket by construction, so the grid builds no
+    # descendent and checks only the weight-one identity, once per witness
     import postlie.structures as structures_module
 
-    operator_cells = sum(
-        witness.materialize()[3] is not None for witness in table_module._EXISTS.values()
+    def refuse(n, op, name=""):
+        raise AssertionError("the grid built a descendent bracket")
+
+    expected = sorted(
+        (n.name, op.matrix)
+        for _, n, _, op in (witness.materialize() for witness in table_module._EXISTS.values())
+        if op is not None
     )
-    original, built = structures_module.descendent_bracket, []
+    original, checked = table_module.verify_rb, []
 
-    def counting(n, op, name=""):
-        built.append(op)
-        return original(n, op, name)
+    def counting(n, op):
+        checked.append((n.name, op.matrix))
+        return original(n, op)
 
-    for module in (structures_module, table_module):
-        monkeypatch.setattr(module, "descendent_bracket", counting)
+    monkeypatch.setattr(structures_module, "descendent_bracket", refuse)
+    monkeypatch.setattr(table_module, "verify_rb", counting)
+    assert not hasattr(table_module, "descendent_bracket")
     existence_table()
-    assert operator_cells == 10
-    assert len(built) == operator_cells
+    assert len(expected) == 10
+    assert sorted(checked) == expected
 
 
 # One tampered registry entry per cell check, with the exact message the
-# grid build raises.  The operator check "descendent disagrees with product"
-# cannot be reached: the product of an operator witness is ``{Rx, y}``, so
-# its induced bracket is the descendent bracket by construction.
+# grid build raises.  No check compares an operator witness's descendent
+# bracket with its product: the product of an operator witness is
+# ``{Rx, y}``, so its induced bracket is the descendent bracket by
+# construction, and the weight-one identity is the operator's one check.
 _EXISTS_TAMPERS = {
     "witness product fails the axioms": (
         ("abelian", "solvable"),
