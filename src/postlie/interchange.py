@@ -70,7 +70,7 @@ __all__ = [
 
 KINDS = ("algebra", "product", "operator", "embedding")
 
-# Largest accepted ``dim``: search solves S1 and steps S3's odometer in the
+# Largest accepted ``dim``: search solves S1 and steps S3's grid points in the
 # dim * dim Der(n) derivation coordinates (at most dim**3 of them, integers
 # in S3), so the cap bounds memory before anything is built.
 MAX_DIM = 64
